@@ -10,13 +10,16 @@ floating point anywhere in this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 from .admissible import primed_labels
 from .bijection import Report, _params_obj
 from .core import (
     Params,
     Partition,
     RiggedPair,
-    boundary_ok,
+    min_sums,
     pos_part,
     vacancy_P,
     vacancy_Q,
@@ -285,22 +288,20 @@ def gauss_binomial_product(m: int, n: int) -> LaurentPoly:
 
 
 def degree_D(mu: Partition, nu: Partition, l1: int, l2: int) -> int:
-    """The quadratic base degree attached to a partition pair."""
+    """The quadratic base degree attached to a partition pair.
+
+    sum_a (a-l1)+ mu_a + (a-l2)+ nu_a
+    + sum_{a,b} min(a, b) (mu_a mu_b + nu_a nu_b - mu_a nu_b),
+    with the double sum read off the O(k) vectors min_sums(mu), min_sums(nu).
+    """
     if mu.k != nu.k:
         raise ValueError("mu and nu must share a level")
-    k = mu.k
     total = 0
-    for alpha in range(1, k + 1):
-        total += pos_part(alpha - l1) * mu.m(alpha)
-        total += pos_part(alpha - l2) * nu.m(alpha)
-    for alpha in range(1, k + 1):
-        for beta in range(1, k + 1):
-            a = min(alpha, beta)
-            total += a * (
-                mu.m(alpha) * mu.m(beta)
-                + nu.m(alpha) * nu.m(beta)
-                - mu.m(alpha) * nu.m(beta)
-            )
+    for alpha, (x, y, ax, ay) in enumerate(
+        zip(mu.mult, nu.mult, min_sums(mu.mult), min_sums(nu.mult)), start=1
+    ):
+        total += pos_part(alpha - l1) * x + pos_part(alpha - l2) * y
+        total += x * (ax - ay) + y * ay
     return total
 
 
@@ -319,6 +320,50 @@ def char_R(p: Params) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
+@lru_cache(maxsize=4096)
+def _packed_gauss(a: int, b: int, width: int) -> int:
+    """[a over b] evaluated at q = 2**width: coefficient c_e in slot e."""
+    packed = 0
+    for (_, _, e), c in gauss_binomial(a, b).terms():
+        packed += c << (width * e)
+    return packed
+
+
+def _add_cell(acc: dict, m: int, n: int, cell: list) -> None:
+    """Add one (m, n) cell of the closed form to the term dict acc.
+
+    cell holds (D, binomials) per feasible pair, binomials being the (a, b)
+    of each Gaussian factor [a over b].  A carry between slots would make
+    the unpacked coefficients miss the cell's value at q = 1, so that sum
+    is checked.
+    """
+    total = 0
+    for _, binoms in cell:
+        value = 1
+        for a, b in binoms:
+            value *= comb(a, b)
+        total += value
+    width = total.bit_length()
+    packed = 0
+    for D, binoms in cell:
+        term = 1 << (width * D)
+        for a, b in binoms:
+            term *= _packed_gauss(a, b, width)
+        packed += term
+    mask = (1 << width) - 1
+    check = 0
+    e = 0
+    while packed:
+        c = packed & mask
+        if c:
+            acc[(m, n, e)] = c
+            check += c
+        packed >>= width
+        e += 1
+    if check != total:
+        raise ArithmeticError("packed cell coefficients do not sum to its q=1 value")
+
+
 def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     """The closed-form character as a positive sum of Gaussian products.
 
@@ -326,14 +371,24 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     per row length over all partition pairs with non-negative vacancy
     vectors, inside the same weight box the enumeration uses.  Negative
     labels give the zero polynomial by convention.
+
+    All terms of one (m, n) cell share their z1/z2 exponents, so each cell
+    is one q-polynomial, computed by Kronecker substitution: q becomes
+    2**B and every polynomial a Python integer with one B-bit slot per
+    coefficient.  B is the bit length of the cell's value at q = 1, a sum
+    of products of ordinary binomials.  That is wide enough: every factor
+    has non-negative coefficients and is at least 1 at q = 1, so each
+    coefficient of each partial product, and of the cell sum, lies between
+    0 and that value, and no slot carries into the next.
     """
     if l1 < 0 or l2 < 0:
         return LaurentPoly.zero()
     p = Params(k, l1, l2, min(l1, l2), M, N)
     mmax, nmax = weight_bound(p)
-    total = LaurentPoly.zero()
+    acc: dict = {}
     for m in range(mmax + 1):
         for n in range(nmax + 1):
+            cell = []
             for mu in enumerate_partitions(m, k):
                 for nu in enumerate_partitions(n, k):
                     P = vacancy_P(mu, nu, M, l1)
@@ -342,14 +397,14 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
                     Q = vacancy_Q(mu, nu, N, l2)
                     if not Q.is_nonneg():
                         continue
-                    if not boundary_ok(p, mu, nu):
-                        continue
-                    term = LaurentPoly.monomial(1, m, n, degree_D(mu, nu, l1, l2))
-                    for alpha in range(1, k + 1):
-                        term = term * gauss_binomial(P[alpha] + mu.m(alpha), mu.m(alpha))
-                        term = term * gauss_binomial(Q[alpha] + nu.m(alpha), nu.m(alpha))
-                    total = total + term
-    return total
+                    binoms = [(x + c, c) for x, c in zip(P.entries, mu.mult) if c]
+                    binoms += [(x + c, c) for x, c in zip(Q.entries, nu.mult) if c]
+                    cell.append((degree_D(mu, nu, l1, l2), binoms))
+            if cell:
+                _add_cell(acc, m, n, cell)
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._terms = acc
+    return res
 
 
 def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> Report:

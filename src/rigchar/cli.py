@@ -308,21 +308,34 @@ def _check_point(task) -> tuple[bool, dict | None]:
     return False, {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
+def _set_tau_skew(skew: int) -> None:
+    """Install the fault-injection skew in this process.
+
+    Also the pool initializer, so the skew reaches workers under every
+    start method: a spawned or forkserver worker imports core afresh and
+    would otherwise run with the default skew of zero.  Cached pieces were
+    built under the old tau, so a change of skew drops them.
+    """
+    if core.TAU_SKEW != skew:
+        core.TAU_SKEW = skew
+        riggedsets.clear_cache()
+
+
 def run_verify(args) -> int:
     grid_fn, needs_weight = _GRIDS[args.what]
     if needs_weight and args.max_weight is None:
         print(f"error: verify {args.what} requires --max-weight", file=sys.stderr)
         return 2
-    if args.inject_tau_skew:
-        core.TAU_SKEW = args.inject_tau_skew
-        riggedsets.clear_cache()
+    _set_tau_skew(args.inject_tau_skew)
     tasks = list(grid_fn(args))
     jobs = _resolve_jobs(args)
     total = len(tasks)
     failure = None
     done = 0
     if jobs > 1:
-        with Pool(jobs) as pool:
+        with Pool(
+            jobs, initializer=_set_tau_skew, initargs=(args.inject_tau_skew,)
+        ) as pool:
             for ok, payload in pool.imap(_check_point, tasks, chunksize=64):
                 done += 1
                 if done % 2000 == 0:

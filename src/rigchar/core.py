@@ -2,13 +2,15 @@
 
 Parameters, partitions stored by row-length multiplicities, riggings,
 k-vectors, the tau lower bound on riggings and the vacancy-number upper
-bounds.  Everything here is an immutable value and every operation is a
-pure function, so all of it is safe to share across workers.
+bounds.  Every type here is an immutable value.  The functions are pure
+apart from the memo caches of the vacancy helpers and the process-global
+TAU_SKEW fault-injection knob, which the CLI hands to each pool worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def pos_part(x: int) -> int:
@@ -102,7 +104,7 @@ class KVector:
         return KVector(tuple(neg_part(a) for a in self.entries))
 
     def is_nonneg(self) -> bool:
-        return all(a >= 0 for a in self.entries)
+        return min(self.entries, default=0) >= 0
 
     def __le__(self, other: "KVector") -> bool:
         """Componentwise partial order."""
@@ -248,18 +250,44 @@ def tau_min_form(alpha: int, beta: int, p: Params) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def min_sums(mult: tuple[int, ...]) -> tuple[int, ...]:
+    """A(x)_alpha = sum over beta of min(alpha, beta) * x_beta, for alpha = 1..k.
+
+    A_alpha - A_(alpha-1) is the tail sum of x from alpha on, so running
+    sums give the whole vector in O(k).
+    """
+    out = []
+    acc = 0
+    tail = sum(mult)
+    for x in mult:
+        acc += tail
+        tail -= x
+        out.append(acc)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _vacancy_base(k: int, M: int, l: int) -> tuple[int, ...]:
+    """The partition-free part alpha*M - (alpha-l)+ of every vacancy entry."""
+    return tuple(alpha * M - pos_part(alpha - l) for alpha in range(1, k + 1))
+
+
 def vacancy_P(mu: Partition, nu: Partition, M: int, l: int) -> KVector:
-    """Upper bounds P on the riggings of mu, depending on both partitions."""
+    """Upper bounds P on the riggings of mu, depending on both partitions.
+
+    P_alpha = alpha*M - (alpha-l)+ + sum_beta min(alpha, beta) (nu_beta - 2 mu_beta).
+    """
     if mu.k != nu.k:
         raise ValueError("mu and nu must share a level")
-    k = mu.k
-    entries = []
-    for alpha in range(1, k + 1):
-        acc = alpha * M - pos_part(alpha - l)
-        for beta in range(1, k + 1):
-            acc += min(alpha, beta) * (nu.mult[beta - 1] - 2 * mu.mult[beta - 1])
-        entries.append(acc)
-    return KVector(tuple(entries))
+    return KVector(
+        tuple(
+            b + a - 2 * c
+            for b, a, c in zip(
+                _vacancy_base(mu.k, M, l), min_sums(nu.mult), min_sums(mu.mult)
+            )
+        )
+    )
 
 
 def vacancy_Q(mu: Partition, nu: Partition, N: int, l: int) -> KVector:

@@ -182,11 +182,6 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
     return True
 
 
-def is_member(x: RiggedPair, p: Params) -> bool:
-    """Membership of x in the cutoff set at its own weights."""
-    return satisfies_cutoffs(x, p) and satisfies_tau(x, p)
-
-
 def is_member_plain(x: RiggedPair, l1: int, l2: int, l3: int) -> bool:
     """Membership in the uncapped set with the tau condition only."""
     p = Params(x.k, l1, l2, l3, 0, 0)

@@ -19,8 +19,8 @@ from rigchar.characters import (
     sl2_char,
     substitute_monomial,
 )
-from rigchar.core import Params, Partition, RiggedPair, Rigging
-from rigchar.riggedsets import enumerate_total
+from rigchar.core import Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
+from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
 
 polys = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
@@ -168,6 +168,25 @@ class TestDegrees:
         l2 = data.draw(st.integers(0, k))
         assert degree_D(mu, nu, l1, l2) == degree_D(nu, mu, l2, l1)
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_definition(self, data):
+        k = data.draw(st.integers(1, 5))
+        mu = Partition(k, tuple(data.draw(st.integers(0, 3)) for _ in range(k)))
+        nu = Partition(k, tuple(data.draw(st.integers(0, 3)) for _ in range(k)))
+        l1 = data.draw(st.integers(0, k))
+        l2 = data.draw(st.integers(0, k))
+        rows = range(1, k + 1)
+        expected = sum(
+            max(a - l1, 0) * mu.m(a) + max(a - l2, 0) * nu.m(a) for a in rows
+        )
+        expected += sum(
+            min(a, b) * (mu.m(a) * mu.m(b) + nu.m(a) * nu.m(b) - mu.m(a) * nu.m(b))
+            for a in rows
+            for b in rows
+        )
+        assert degree_D(mu, nu, l1, l2) == expected
+
     def test_rig_degree(self):
         e = Partition.empty(1)
         empty = RiggedPair(e, Rigging(((),)), e, Rigging(((),)))
@@ -194,6 +213,26 @@ class TestCharR:
             assert char_R(p).specialize() == total
 
 
+def sparse_fermionic(k, l1, l2, M, N):
+    """The closed form summed term by term as sparse LaurentPoly products."""
+    mmax, nmax = weight_bound(Params(k, l1, l2, min(l1, l2), M, N))
+    total = LaurentPoly.zero()
+    for m in range(mmax + 1):
+        for n in range(nmax + 1):
+            for mu in enumerate_partitions(m, k):
+                for nu in enumerate_partitions(n, k):
+                    P = vacancy_P(mu, nu, M, l1)
+                    Q = vacancy_Q(mu, nu, N, l2)
+                    if not (P.is_nonneg() and Q.is_nonneg()):
+                        continue
+                    term = LaurentPoly.monomial(1, m, n, degree_D(mu, nu, l1, l2))
+                    for a in range(1, k + 1):
+                        term = term * gauss_binomial(P[a] + mu.m(a), mu.m(a))
+                        term = term * gauss_binomial(Q[a] + nu.m(a), nu.m(a))
+                    total = total + term
+    return total
+
+
 class TestFermionic:
     def test_negative_labels_zero(self):
         assert fermionic_char(2, -1, 1, 1, 1).is_zero()
@@ -218,6 +257,16 @@ class TestFermionic:
                 for l2 in range(k + 1):
                     f = fermionic_char(k, l1, l2, 2, 2)
                     assert all(c > 0 for _, c in f.terms())
+
+    @pytest.mark.parametrize(
+        "args, bits", [((2, 2, 2, 8, 8), 19), ((2, 2, 1, 6, 6), 12)]
+    )
+    def test_packed_cells_match_sparse_products(self, args, bits):
+        # The largest coefficients need `bits` bits: a packing slot
+        # narrower than that carries into the next coefficient.
+        expected = sparse_fermionic(*args)
+        assert max(c for _, c in expected.terms()).bit_length() == bits
+        assert fermionic_char(*args) == expected
 
 
 class TestCharRecursion:

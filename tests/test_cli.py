@@ -219,6 +219,29 @@ class TestVerify:
         assert ce["detail"]["lhs"] != ce["detail"]["rhs"]
         assert "params" in ce["context"]
 
+    def test_corrupted_tau_reaches_spawned_workers(self):
+        # A spawned worker starts from a fresh import of rigchar, so the
+        # skew must be handed over by the pool initializer.
+        script = (
+            "import multiprocessing, sys\n"
+            "from rigchar.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", script,
+                "verify", "recursion", "--max-k", "2", "--max-weight", "3",
+                "--max-M", "1", "--max-N", "1", "--jobs", "2",
+                "--inject-tau-skew", "1",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        assert json.loads(proc.stdout)["status"] == "fail"
+
     def test_jobs_do_not_change_output(self):
         base = [
             "verify", "lower-decomp", "--max-k", "2", "--max-weight", "3",

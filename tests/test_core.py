@@ -124,6 +124,25 @@ class TestVacancy:
         l = data.draw(st.integers(0, k))
         assert vacancy_Q(mu, nu, N, l) == vacancy_P(nu, mu, N, l)
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_P_matches_definition(self, data):
+        k = data.draw(st.integers(1, 5))
+        mu = data.draw(partitions_strategy(k))
+        nu = data.draw(partitions_strategy(k))
+        M = data.draw(st.integers(0, 4))
+        l = data.draw(st.integers(0, k))
+        expected = tuple(
+            alpha * M
+            - max(alpha - l, 0)
+            + sum(
+                min(alpha, beta) * (nu.m(beta) - 2 * mu.m(beta))
+                for beta in range(1, k + 1)
+            )
+            for alpha in range(1, k + 1)
+        )
+        assert vacancy_P(mu, nu, M, l).entries == expected
+
 
 class TestBoundary:
     def test_positive_cutoffs_vacuous(self):
