@@ -3,12 +3,18 @@ exhaustive verifiers for the recursion and both decomposition statements.
 
 The verifiers return structured Report values carrying the first
 counterexample with full provenance; they never assume the statements
-they are checking.
+they are checking.  The per-pair data they read (marked bounds, rho,
+sigma, epsilon, delta and the primed labels) depends only on the labels,
+so it is built once per label pair by lower_table / upper_table and looked
+up at every grid point and element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .admissible import (
     IndexSet,
@@ -24,8 +30,8 @@ from .admissible import (
     sigma,
     sigma_prime,
 )
-from .core import Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
-from .riggedsets import RiggedSet, canonical_key, enumerate_R, last_rig
+from .core import KVector, Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
+from .riggedsets import RiggedSet, canonical_key, enumerate_R, last_rig, satisfies_cutoffs
 
 
 @dataclass(frozen=True)
@@ -86,32 +92,78 @@ def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> tuple[MarkedBound, Marked
     )
 
 
-def _cutoff_member(x: RiggedPair, M: int, N: int, l1: int, l2: int) -> bool:
-    P = vacancy_P(x.mu, x.nu, M, l1)
-    if not P.is_nonneg():
-        return False
-    Q = vacancy_Q(x.mu, x.nu, N, l2)
-    if not Q.is_nonneg():
-        return False
-    for alpha in range(1, x.k + 1):
-        row = x.r.row(alpha)
-        if row and row[0] > P[alpha]:
-            return False
-        row = x.s.row(alpha)
-        if row and row[0] > Q[alpha]:
-            return False
-    return True
+class LowerEntry(NamedTuple):
+    """What the lower subset of one (l1, l2)-admissible pair reads."""
+
+    bounds: tuple[MarkedBound, MarkedBound]
+    rho: KVector
+    sigma: KVector
+    eps_I: KVector
+    eps_J: KVector
+    delta_r: KVector
+    delta_s: KVector
+
+
+class UpperEntry(NamedTuple):
+    """What the upper subset of one l1-admissible pair reads."""
+
+    bounds: tuple[MarkedBound, MarkedBound]
+    rho_prime: KVector
+    sigma_prime: KVector
+    primed: tuple[int, int, int]
+
+
+@lru_cache(maxsize=None)
+def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[IndexSet, IndexSet], LowerEntry]:
+    """Every (l1, l2)-admissible (I, J) at level k with its lower-subset
+    data, in all_index_sets order (I outer, J inner)."""
+    p = Params(k, l1, l2, min(l1, l2), 0, 0)
+    table = {}
+    for I in all_index_sets(k):
+        for J in all_index_sets(k):
+            bounds = lower_bounds(I, J, p)
+            if bounds is None:
+                continue
+            table[I, J] = LowerEntry(
+                bounds,
+                rho(I, J, l1),
+                sigma(J, l2),
+                epsilon(I),
+                epsilon(J),
+                delta_r(I, J, l1, l2),
+                delta_s(I, J, l1, l2),
+            )
+    return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def upper_table(k: int, l1: int) -> Mapping[tuple[IndexSet, IndexSet], UpperEntry]:
+    """Every l1-admissible (I, J) at level k with its upper-subset data,
+    in all_index_sets order (I outer, J inner)."""
+    table = {}
+    for I in all_index_sets(k):
+        for J in all_index_sets(k):
+            bounds = upper_bounds(I, J, l1)
+            if bounds is None:
+                continue
+            table[I, J] = UpperEntry(
+                bounds,
+                rho_prime(I, J, l1),
+                sigma_prime(I, J, l1),
+                primed_labels(k, l1, len(I), len(J) - len(I)),
+            )
+    return MappingProxyType(table)
 
 
 def lower_member(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
-    bounds = lower_bounds(I, J, p)
-    if bounds is None:
+    entry = lower_table(p.k, p.l1, p.l2).get((I, J))
+    if entry is None:
         return False
-    br, bs = bounds
+    br, bs = entry.bounds
     if not (br.satisfied_by(x.r) and bs.satisfied_by(x.s)):
         return False
-    return _cutoff_member(x, p.M, p.N, p.l1, p.l2)
+    return satisfies_cutoffs(x, p)
 
 
 def upper_member(x: RiggedPair, I: IndexSet, J: IndexSet, l1: int, p: Params) -> bool:
@@ -122,14 +174,14 @@ def upper_member(x: RiggedPair, I: IndexSet, J: IndexSet, l1: int, p: Params) ->
     """
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
-    bounds = upper_bounds(I, J, l1)
-    if bounds is None:
+    entry = upper_table(p.k, l1).get((I, J))
+    if entry is None:
         return False
-    br, bs = bounds
+    br, bs = entry.bounds
     if not (br.satisfied_by(x.r) and bs.satisfied_by(x.s)):
         return False
-    l1p, l2p, _ = primed_labels(p.k, l1, len(I), len(J) - len(I))
-    return _cutoff_member(x, p.M, p.N - 1, l1p, l2p)
+    l1p, l2p, _ = entry.primed
+    return satisfies_cutoffs(x, Params(p.k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1))
 
 
 def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
@@ -146,12 +198,8 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
     if not upper_member(x, I, J, p.l1, p):
         raise ValueError("input is not a member of the upper subset")
     k = p.k
-    eI = epsilon(I)
-    eJ = epsilon(J)
-    dr = delta_r(I, J, p.l1, p.l2)
-    ds = delta_s(I, J, p.l1, p.l2)
-    rv = rho(I, J, p.l1)
-    sv = sigma(J, p.l2)
+    # An l1-admissible pair with |J| <= l2 is (l1, l2)-admissible.
+    entry = lower_table(k, p.l1, p.l2)[I, J]
 
     def shift(part: Partition, rig: Rigging, eps, delta, new_bottom):
         mult = []
@@ -169,8 +217,8 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
             rows.append(tuple(new))
         return Partition(k, tuple(mult)), Rigging(tuple(rows))
 
-    mu, r = shift(x.mu, x.r, eI, dr, rv)
-    nu, s = shift(x.nu, x.s, eJ, ds, sv)
+    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, entry.rho)
+    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, entry.sigma)
     out = RiggedPair(mu, r, nu, s)
     if not lower_member(out, I, J, p):
         raise AssertionError(
@@ -235,25 +283,21 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
         return Report(True, "lower-decomposition", context, {"elements": 0, "pairs": 0})
     target = set(enumerate_R(p, m, n).elements)
     ambient = _ambient(p, m, n)
-    pairs = []
-    for I in all_index_sets(p.k):
-        if len(I) > p.l3:
-            continue
-        for J in all_index_sets(p.k):
-            if len(J) > p.l2:
-                continue
-            bounds = lower_bounds(I, J, p)
-            if bounds is not None:
-                pairs.append((I, J, bounds))
+    pairs = [
+        (I, J, entry)
+        for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
+        if len(I) <= p.l3
+    ]
     for x in ambient:
         covers = []
-        for I, J, (br, bs) in pairs:
+        for I, J, entry in pairs:
+            br, bs = entry.bounds
             if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
                 covers.append((I, J))
                 if p.N >= 1:
                     P = vacancy_P(x.mu, x.nu, p.M, p.l1)
                     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
-                    if not (rho(I, J, p.l1) <= P and sigma(J, p.l2) <= Q):
+                    if not (entry.rho <= P and entry.sigma <= Q):
                         return Report(
                             False,
                             "lower-decomposition",
@@ -315,24 +359,20 @@ def verify_upper_decomposition(
         return Report(True, "upper-decomposition", context, {"elements": 0, "pairs": 0})
     target = set(enumerate_R(pp, m, n).elements)
     ambient = _ambient(pp, m, n)
-    pairs = []
-    for I in all_index_sets(k):
-        if len(I) != a:
-            continue
-        for J in all_index_sets(k):
-            if len(J) != b:
-                continue
-            bounds = upper_bounds(I, J, l1)
-            if bounds is not None:
-                pairs.append((I, J, bounds))
+    pairs = [
+        (I, J, entry)
+        for (I, J), entry in upper_table(k, l1).items()
+        if len(I) == a and len(J) == b
+    ]
     for x in ambient:
         covers = []
-        for I, J, (br, bs) in pairs:
+        for I, J, entry in pairs:
+            br, bs = entry.bounds
             if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
                 covers.append((I, J))
                 P = vacancy_P(x.mu, x.nu, p.M, l1p)
                 Q = vacancy_Q(x.mu, x.nu, p.N - 1, l2p)
-                if not (rho_prime(I, J, l1) <= P and sigma_prime(I, J, l1) <= Q):
+                if not (entry.rho_prime <= P and entry.sigma_prime <= Q):
                     return Report(
                         False,
                         "upper-decomposition",
@@ -372,43 +412,40 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     k = p.k
     context = {"params": _params_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
-    for I in all_index_sets(k):
-        for J in all_index_sets(k):
-            if len(J) > p.l2 or not is_admissible(I, J, p.l1, p.l2):
-                continue
-            a, b = len(I), len(J)
-            l1p, l2p, _ = primed_labels(k, p.l1, a, b - a)
-            upper_ambient = enumerate_R(
-                Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1), m - a, n - b
+    uppers = upper_table(k, p.l1)
+    for I, J in lower_table(k, p.l1, p.l2):
+        l1p, l2p, _ = uppers[I, J].primed
+        upper_ambient = enumerate_R(
+            Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1), m - len(I), n - len(J)
+        )
+        ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
+        try:
+            images = [map_m(x, I, J, p) for x in ups]
+        except (ValueError, AssertionError) as exc:
+            return Report(
+                False,
+                "bijection",
+                context,
+                {"pair": {"I": list(I), "J": list(J)}, "reason": str(exc)},
             )
-            ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
-            try:
-                images = [map_m(x, I, J, p) for x in ups]
-            except (ValueError, AssertionError) as exc:
-                return Report(
-                    False,
-                    "bijection",
-                    context,
-                    {"pair": {"I": list(I), "J": list(J)}, "reason": str(exc)},
-                )
-            if len(set(images)) != len(images):
-                return Report(
-                    False,
-                    "bijection",
-                    context,
-                    {"pair": {"I": list(I), "J": list(J)}, "reason": "not injective"},
-                )
-            lows = [y for y in lower_ambient if lower_member(y, I, J, p)]
-            if sorted(images, key=canonical_key) != lows:
-                return Report(
-                    False,
-                    "bijection",
-                    context,
-                    {
-                        "pair": {"I": list(I), "J": list(J)},
-                        "reason": "image differs from lower subset",
-                        "image_size": len(images),
-                        "lower_size": len(lows),
-                    },
-                )
+        if len(set(images)) != len(images):
+            return Report(
+                False,
+                "bijection",
+                context,
+                {"pair": {"I": list(I), "J": list(J)}, "reason": "not injective"},
+            )
+        lows = [y for y in lower_ambient if lower_member(y, I, J, p)]
+        if sorted(images, key=canonical_key) != lows:
+            return Report(
+                False,
+                "bijection",
+                context,
+                {
+                    "pair": {"I": list(I), "J": list(J)},
+                    "reason": "image differs from lower subset",
+                    "image_size": len(images),
+                    "lower_size": len(lows),
+                },
+            )
     return Report(True, "bijection", context, {})

@@ -4,7 +4,9 @@ Results go to stdout (JSON or canonical text), progress to stderr, so
 captured output stays byte-stable.  Grid verification can fan out over
 worker processes; results are merged in canonical grid order, making the
 output independent of the parallelism degree.  Exit codes: 0 pass,
-1 verified failure with a counterexample report, 2 usage error.
+1 verified failure with a counterexample report, 2 usage error, 3 internal
+invariant failure (an escaping AssertionError or ArithmeticError), reported
+as one JSON line on stdout.
 """
 
 from __future__ import annotations
@@ -440,6 +442,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(report, sort_keys=True))
+        return 3
 
 
 if __name__ == "__main__":

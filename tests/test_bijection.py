@@ -5,17 +5,26 @@ import pytest
 from rigchar.admissible import (
     IndexSet,
     all_index_sets,
+    delta_r,
+    delta_s,
     epsilon,
     is_admissible,
+    is_l1_admissible,
     kappa_interval,
     primed_labels,
     rho,
+    rho_prime,
     sigma,
+    sigma_prime,
 )
 from rigchar.bijection import (
+    lower_bounds,
     lower_member,
+    lower_table,
     map_m,
+    upper_bounds,
     upper_member,
+    upper_table,
     verify_bijection,
     verify_lower_decomposition,
     verify_recursion,
@@ -41,6 +50,55 @@ def ambient(p, m, n):
 EMPTY1 = RiggedPair(
     Partition(1, (0,)), Rigging(((),)), Partition(1, (0,)), Rigging(((),))
 )
+
+
+class TestBoundTables:
+    """The cached tables hold exactly what the per-pair builders return."""
+
+    def test_lower_table_matches_per_pair_builders(self):
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for l2 in range(k + 1):
+                    p = Params(k, l1, l2, min(l1, l2), 0, 0)
+                    table = lower_table(k, l1, l2)
+                    expected = [
+                        (I, J)
+                        for I in all_index_sets(k)
+                        for J in all_index_sets(k)
+                        if is_admissible(I, J, l1, l2)
+                    ]
+                    assert list(table) == expected
+                    for (I, J), entry in table.items():
+                        assert entry.bounds == lower_bounds(I, J, p)
+                        assert entry.rho == rho(I, J, l1)
+                        assert entry.sigma == sigma(J, l2)
+                        assert entry.eps_I == epsilon(I)
+                        assert entry.eps_J == epsilon(J)
+                        assert entry.delta_r == delta_r(I, J, l1, l2)
+                        assert entry.delta_s == delta_s(I, J, l1, l2)
+
+    def test_upper_table_matches_per_pair_builders(self):
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                table = upper_table(k, l1)
+                expected = [
+                    (I, J)
+                    for I in all_index_sets(k)
+                    for J in all_index_sets(k)
+                    if is_l1_admissible(I, J, l1)
+                ]
+                assert list(table) == expected
+                for (I, J), entry in table.items():
+                    assert entry.bounds == upper_bounds(I, J, l1)
+                    assert entry.rho_prime == rho_prime(I, J, l1)
+                    assert entry.sigma_prime == sigma_prime(I, J, l1)
+                    assert entry.primed == primed_labels(k, l1, len(I), len(J) - len(I))
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            lower_table(1, 1, 1)[None] = None
+        with pytest.raises(TypeError):
+            upper_table(1, 1)[None] = None
 
 
 class TestLowerMember:

@@ -242,6 +242,42 @@ class TestVerify:
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "fail"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "what, check", [("lower-decomp", "lower-decomposition"), ("bijection", "bijection")]
+    )
+    def test_corrupted_tau_fails_the_table_driven_checks(self, what, check, jobs):
+        # The bound tables depend on labels only; a corrupted tau must
+        # still surface through the sets they are checked against.
+        proc = run_cli(
+            "verify", what, "--max-k", "2", "--max-weight", "2",
+            "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1",
+            "--jobs", jobs,
+            expect=1,
+        )
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "fail"
+        assert doc["counterexample"]["check"] == check
+
+    def test_internal_error_exit_3(self, monkeypatch, capsys):
+        from rigchar import characters, cli
+
+        def broken(*args):
+            raise ArithmeticError("packed cell lost a coefficient")
+
+        monkeypatch.setattr(characters, "fermionic_char", broken)
+        code = cli.main(
+            ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1"]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "status": "internal-error",
+            "error": "ArithmeticError",
+            "message": "packed cell lost a coefficient",
+        }
+
     def test_jobs_do_not_change_output(self):
         base = [
             "verify", "lower-decomp", "--max-k", "2", "--max-weight", "3",
