@@ -30,7 +30,17 @@ from .admissible import (
     sigma,
     sigma_prime,
 )
-from .core import KVector, Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
+from .core import (
+    KVector,
+    Params,
+    Partition,
+    RiggedPair,
+    Rigging,
+    pair_to_obj,
+    params_to_obj,
+    vacancy_P,
+    vacancy_Q,
+)
 from .riggedsets import RiggedSet, canonical_key, enumerate_R, last_rig, satisfies_cutoffs
 
 
@@ -227,19 +237,6 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
     return out
 
 
-def _pair_obj(x: RiggedPair) -> dict:
-    return {
-        "mu": list(x.mu.mult),
-        "r": [list(row) for row in x.r.rows],
-        "nu": list(x.nu.mult),
-        "s": [list(row) for row in x.s.rows],
-    }
-
-
-def _params_obj(p: Params) -> dict:
-    return {"k": p.k, "l1": p.l1, "l2": p.l2, "l3": p.l3, "M": p.M, "N": p.N}
-
-
 def _ambient(p: Params, m: int, n: int) -> RiggedSet:
     """The cutoff set with the tau condition switched off (l3 = min)."""
     free = Params(p.k, p.l1, p.l2, min(p.l1, p.l2), p.M, p.N)
@@ -260,7 +257,7 @@ def verify_recursion(p: Params, m: int, n: int) -> Report:
             count = len(enumerate_R(pp, m - a, n - a - c))
             terms.append({"a": a, "c": c, "count": count})
             rhs += count
-    context = {"params": _params_obj(p), "m": m, "n": n}
+    context = {"params": params_to_obj(p), "m": m, "n": n}
     return Report(
         ok=(lhs == rhs),
         check="recursion",
@@ -278,7 +275,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     nonempty subsets are also checked against the vacancy bounds
     rho <= P and sigma <= Q (valid for N >= 1).
     """
-    context = {"params": _params_obj(p), "m": m, "n": n}
+    context = {"params": params_to_obj(p), "m": m, "n": n}
     if m < 0 or n < 0:
         return Report(True, "lower-decomposition", context, {"elements": 0, "pairs": 0})
     target = set(enumerate_R(p, m, n).elements)
@@ -304,7 +301,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
                             context,
                             {
                                 "reason": "nonempty lower subset violates rho<=P, sigma<=Q",
-                                "element": _pair_obj(x),
+                                "element": pair_to_obj(x),
                                 "pair": {"I": list(I), "J": list(J)},
                             },
                         )
@@ -315,7 +312,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
                 "lower-decomposition",
                 context,
                 {
-                    "element": _pair_obj(x),
+                    "element": pair_to_obj(x),
                     "expected_covers": expected,
                     "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
                 },
@@ -347,7 +344,7 @@ def verify_upper_decomposition(
     l1p, l2p, l3p = primed_labels(k, l1, a, c)
     pp = Params(k, l1p, l2p, l3p, p.M, p.N - 1)
     context = {
-        "params": _params_obj(p),
+        "params": params_to_obj(p),
         "l1": l1,
         "a": a,
         "c": c,
@@ -379,7 +376,7 @@ def verify_upper_decomposition(
                         context,
                         {
                             "reason": "nonempty upper subset violates rho'<=P, sigma'<=Q",
-                            "element": _pair_obj(x),
+                            "element": pair_to_obj(x),
                             "pair": {"I": list(I), "J": list(J)},
                         },
                     )
@@ -390,7 +387,7 @@ def verify_upper_decomposition(
                 "upper-decomposition",
                 context,
                 {
-                    "element": _pair_obj(x),
+                    "element": pair_to_obj(x),
                     "expected_covers": expected,
                     "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
                 },
@@ -410,7 +407,7 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     if p.N < 1:
         raise ValueError("the rigging map steps N down; need N >= 1")
     k = p.k
-    context = {"params": _params_obj(p), "m": m, "n": n}
+    context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
     uppers = upper_table(k, p.l1)
     for I, J in lower_table(k, p.l1, p.l2):

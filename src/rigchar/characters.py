@@ -14,12 +14,13 @@ from functools import lru_cache
 from math import comb
 
 from .admissible import primed_labels
-from .bijection import Report, _params_obj
+from .bijection import Report
 from .core import (
     Params,
     Partition,
     RiggedPair,
     min_sums,
+    params_to_obj,
     pos_part,
     vacancy_P,
     vacancy_Q,
@@ -206,11 +207,6 @@ def _int_pow(base: int, e: int) -> int:
     raise ArithmeticError(f"negative power {e} of non-unit {base}")
 
 
-def substitute_monomial(f: LaurentPoly, images: dict) -> LaurentPoly:
-    """Module-level alias for LaurentPoly.substitute."""
-    return f.substitute(images)
-
-
 _GAUSS_CACHE: dict[tuple[int, int], LaurentPoly] = {}
 
 
@@ -310,12 +306,31 @@ def rig_degree(x: RiggedPair, l1: int, l2: int) -> int:
     return degree_D(x.mu, x.nu, l1, l2) + x.r.total() + x.s.total()
 
 
+def piece_degrees(elements, l1: int, l2: int):
+    """rig_degree of each element, in order.
+
+    degree_D is computed once per run of elements that share their mu and
+    nu objects, and r.total() once per run that shares r, as the elements
+    of an enumerated piece do.  A run is detected by identity, so elements
+    that share nothing only cost a recomputation each.
+    """
+    mu = nu = r = None
+    for x in elements:
+        if x.mu is not mu or x.nu is not nu:
+            mu, nu, r = x.mu, x.nu, None
+            base = degree_D(mu, nu, l1, l2)
+        if x.r is not r:
+            r = x.r
+            base_r = base + r.total()
+        yield base_r + x.s.total()
+
+
 def char_R(p: Params) -> LaurentPoly:
     """Brute-force character: sum of z1^m z2^n q^degree over every element."""
     acc: dict = {}
     for (m, n), piece in enumerate_total(p).items():
-        for x in piece:
-            key = (m, n, rig_degree(x, p.l1, p.l2))
+        for d in piece_degrees(piece, p.l1, p.l2):
+            key = (m, n, d)
             acc[key] = acc.get(key, 0) + 1
     return LaurentPoly(acc)
 
@@ -428,7 +443,7 @@ def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> R
     return Report(
         ok=(lhs == rhs),
         check="char-recursion",
-        context={"params": _params_obj(p)},
+        context={"params": params_to_obj(p)},
         detail={"lhs": lhs.to_text(), "rhs": rhs.to_text()},
     )
 

@@ -19,7 +19,7 @@ from multiprocessing import Pool
 
 from . import bijection, characters, core, riggedsets
 from .bijection import Report
-from .core import Params, Partition, RiggedPair, Rigging
+from .core import Params, RiggedPair, pair_from_obj, params_from_obj, params_to_obj
 
 JOBS_ENV_VAR = "RIGCHAR_JOBS"
 
@@ -28,33 +28,10 @@ JOBS_ENV_VAR = "RIGCHAR_JOBS"
 
 def pair_to_obj(x: RiggedPair, l1: int | None = None, l2: int | None = None) -> dict:
     """JSON object for one rigged pair; includes the degree when labels given."""
-    obj = {
-        "mu": list(x.mu.mult),
-        "r": [list(row) for row in x.r.rows],
-        "nu": list(x.nu.mult),
-        "s": [list(row) for row in x.s.rows],
-    }
+    obj = core.pair_to_obj(x)
     if l1 is not None and l2 is not None:
         obj["degree"] = characters.rig_degree(x, l1, l2)
     return obj
-
-
-def pair_from_obj(k: int, obj: dict) -> RiggedPair:
-    """Inverse of pair_to_obj."""
-    return RiggedPair(
-        Partition(k, tuple(obj["mu"])),
-        Rigging(tuple(tuple(row) for row in obj["r"])),
-        Partition(k, tuple(obj["nu"])),
-        Rigging(tuple(tuple(row) for row in obj["s"])),
-    )
-
-
-def params_to_obj(p: Params) -> dict:
-    return {"k": p.k, "l1": p.l1, "l2": p.l2, "l3": p.l3, "M": p.M, "N": p.N}
-
-
-def params_from_obj(obj: dict) -> Params:
-    return Params(obj["k"], obj["l1"], obj["l2"], obj["l3"], obj["M"], obj["N"])
 
 
 def enum_document(p: Params, jobs: int = 1) -> dict:
@@ -70,14 +47,12 @@ def enum_document(p: Params, jobs: int = 1) -> dict:
     for (m, n), rs in zip(cells, sets):
         if not rs.elements:
             continue
-        pieces.append(
-            {
-                "m": m,
-                "n": n,
-                "count": len(rs),
-                "elements": [pair_to_obj(x, p.l1, p.l2) for x in rs],
-            }
-        )
+        elements = []
+        for x, degree in zip(rs, characters.piece_degrees(rs, p.l1, p.l2)):
+            obj = pair_to_obj(x)
+            obj["degree"] = degree
+            elements.append(obj)
+        pieces.append({"m": m, "n": n, "count": len(rs), "elements": elements})
     return {"params": params_to_obj(p), "pieces": pieces}
 
 
@@ -101,8 +76,49 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(obj, nl: str) -> str:
+    """obj as json.dumps(indent=2, sort_keys=True) writes it at the nesting
+    whose line break and indent is nl.
+
+    Lists and dicts are written here, a list of ints or a dict of int
+    values with one join, and any other value by json.dumps.  Dict keys
+    must be str, as in every document the CLI writes; another key raises
+    TypeError.
+    """
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in obj):
+            body = map(int.__repr__, obj)
+        else:
+            body = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = sorted(obj.items())
+        if all(type(v) is int for _, v in items):
+            body = [_encode_str(k) + ": " + int.__repr__(v) for k, v in items]
+        else:
+            body = [_encode_str(k) + ": " + _json_value(v, inner) for k, v in items]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    return json.dumps(obj)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
+
+    With an indent, json.dumps runs its pure-Python encoder, which is
+    slower than _json_value on the CLI's documents.
+    """
+    return _json_value(obj, "\n") + "\n"
 
 
 # ---------------------------------------------------------------- subcommands

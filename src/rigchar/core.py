@@ -1,10 +1,12 @@
 """Foundational types for level-restricted rigged partitions.
 
 Parameters, partitions stored by row-length multiplicities, riggings,
-k-vectors, the tau lower bound on riggings and the vacancy-number upper
-bounds.  Every type here is an immutable value.  The functions are pure
-apart from the memo caches of the vacancy helpers and the process-global
-TAU_SKEW fault-injection knob, which the CLI hands to each pool worker.
+k-vectors, the tau lower bound on riggings, the vacancy-number upper
+bounds, and the JSON objects of a parameter tuple and a rigged pair (shared
+by the CLI and the verifiers' failure reports).  Every type here is an
+immutable value.  The functions are pure apart from the memo caches of the
+vacancy helpers and the process-global TAU_SKEW fault-injection knob, which
+the CLI hands to each pool worker.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class Rigging:
         return self.rows[alpha - 1]
 
     def total(self) -> int:
-        return sum(sum(row) for row in self.rows)
+        return sum(map(sum, self.rows))
 
     def flat(self) -> tuple[int, ...]:
         out = []
@@ -204,14 +206,42 @@ class RiggedPair:
     def __post_init__(self) -> None:
         if self.mu.k != self.nu.k:
             raise ValueError("mu and nu must share a level")
-        if tuple(len(row) for row in self.r.rows) != self.mu.mult:
+        if tuple(map(len, self.r.rows)) != self.mu.mult:
             raise ValueError("r row counts do not match mu multiplicities")
-        if tuple(len(row) for row in self.s.rows) != self.nu.mult:
+        if tuple(map(len, self.s.rows)) != self.nu.mult:
             raise ValueError("s row counts do not match nu multiplicities")
 
     @property
     def k(self) -> int:
         return self.mu.k
+
+
+def pair_to_obj(x: RiggedPair) -> dict:
+    """JSON object for one rigged pair: multiplicities and rigging rows."""
+    return {
+        "mu": list(x.mu.mult),
+        "r": [list(row) for row in x.r.rows],
+        "nu": list(x.nu.mult),
+        "s": [list(row) for row in x.s.rows],
+    }
+
+
+def pair_from_obj(k: int, obj: dict) -> RiggedPair:
+    """Inverse of pair_to_obj; a "degree" field, if present, is ignored."""
+    return RiggedPair(
+        Partition(k, tuple(obj["mu"])),
+        Rigging(tuple(tuple(row) for row in obj["r"])),
+        Partition(k, tuple(obj["nu"])),
+        Rigging(tuple(tuple(row) for row in obj["s"])),
+    )
+
+
+def params_to_obj(p: Params) -> dict:
+    return {"k": p.k, "l1": p.l1, "l2": p.l2, "l3": p.l3, "M": p.M, "N": p.N}
+
+
+def params_from_obj(obj: dict) -> Params:
+    return Params(obj["k"], obj["l1"], obj["l2"], obj["l3"], obj["M"], obj["N"])
 
 
 def weight(p: Partition) -> int:

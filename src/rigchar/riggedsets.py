@@ -132,16 +132,20 @@ def enumerate_partitions(m: int, k: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _row_choices(count: int, bound) -> tuple[tuple[int, ...], ...]:
-    """Weakly decreasing tuples of the given length with entries in [0, bound]."""
+def _row_choices(count: int, bound, low: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Weakly decreasing tuples of the given length with entries in
+    [low, bound], in ascending lexicographic order.
+
+    Combinations with replacement of bound, bound-1, ..., low are exactly
+    these tuples, in descending lexicographic order.
+    """
     if count == 0:
         return ((),)
-    if bound < 0:
+    if bound < low:
         return ()
     return tuple(
-        tuple(reversed(comb))
-        for comb in combinations_with_replacement(range(bound + 1), count)
-    )
+        combinations_with_replacement(range(bound, low - 1, -1), count)
+    )[::-1]
 
 
 def satisfies_tau(x: RiggedPair, p: Params) -> bool:
@@ -201,7 +205,17 @@ def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
     An element is kept iff (a) both vacancy vectors are componentwise
     non-negative, (b) every top rigging is bounded by the matching vacancy
     entry, and (c) the bottom riggings meet the tau lower bounds.  Negative
-    weights give the empty set.
+    weights give the empty set.  For a fixed r, (c) is one lower bound on
+    the bottom entry of each row of s, so the rows of s are drawn from
+    choices already bounded below.
+
+    The elements come out in canonical_key order without a sort.
+    enumerate_partitions lists mu (outer loop) and nu (inner loop) in
+    ascending order of their rows.  For fixed (mu, nu), the rigging row of
+    each length alpha has the fixed size mult[alpha-1], and _row_choices
+    lists its values in ascending lexicographic order; so product over
+    alpha = 1..k lists the flattened riggings r, and for each r those of s,
+    in ascending lexicographic order too.
     """
     key = (p, m, n)
     hit = _R_CACHE.get(key)
@@ -231,20 +245,17 @@ def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
             nu_rows = [i for i in range(k) if nu.mult[i] > 0]
             check = tau_active and mu_rows and nu_rows
             for rr in product(*r_opts):
-                if check:
-                    need = [
-                        max(taumat[i][j] - rr[i][-1] for i in mu_rows)
-                        for j in nu_rows
-                    ]
                 r_obj = Rigging(rr)
-                for ss in product(*s_opts):
-                    if check and any(
-                        ss[j][-1] < need[pos] for pos, j in enumerate(nu_rows)
-                    ):
-                        continue
+                s_now = s_opts
+                if check:
+                    s_now = list(s_opts)
+                    for j in nu_rows:
+                        need = max(taumat[i][j] - rr[i][-1] for i in mu_rows)
+                        if need > 0:
+                            s_now[j] = _row_choices(nu.mult[j], Q.entries[j], need)
+                for ss in product(*s_now):
                     out.append(RiggedPair(mu, r_obj, nu, Rigging(ss)))
 
-    out.sort(key=canonical_key)
     rs = RiggedSet(p, m, n, tuple(out))
     _R_CACHE[key] = rs
     return rs
@@ -257,7 +268,8 @@ def enumerate_R_plain(
 
     The uncapped set is infinite, so materialising it without a cap is
     refused with UncappedEnumerationError.  Membership testing of single
-    elements is available through is_member_plain regardless.
+    elements is available through is_member_plain regardless.  The elements
+    come out in canonical_key order, for the reason given in enumerate_R.
     """
     if cap is None:
         raise UncappedEnumerationError(
@@ -277,7 +289,6 @@ def enumerate_R_plain(
                     x = RiggedPair(mu, r_obj, nu, Rigging(ss))
                     if satisfies_tau(x, p):
                         out.append(x)
-    out.sort(key=canonical_key)
     return RiggedSet(None, m, n, tuple(out))
 
 

@@ -17,7 +17,6 @@ from rigchar.characters import (
     gauss_binomial_product,
     rig_degree,
     sl2_char,
-    substitute_monomial,
 )
 from rigchar.core import Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
 from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
@@ -69,28 +68,28 @@ class TestLaurentPoly:
 class TestSubstitution:
     def test_identity_substitution(self):
         f = LaurentPoly({(1, 2, 3): 4, (0, -1, 0): 2})
-        assert substitute_monomial(f, {}) == f
+        assert f.substitute({}) == f
         ident = {
             "z1": LaurentPoly.variable("z1"),
             "z2": LaurentPoly.variable("z2"),
             "q": LaurentPoly.variable("q"),
         }
-        assert substitute_monomial(f, ident) == f
+        assert f.substitute(ident) == f
 
     def test_z2_to_q_z2(self):
         f = LaurentPoly.variable("z2")
-        got = substitute_monomial(f, {"z2": LaurentPoly.monomial(1, 0, 1, 1)})
+        got = f.substitute({"z2": LaurentPoly.monomial(1, 0, 1, 1)})
         assert got == LaurentPoly.monomial(1, 0, 1, 1)
 
     def test_z1_to_negative_power_monomial(self):
         f = LaurentPoly.variable("z1")
-        got = substitute_monomial(f, {"z1": LaurentPoly.monomial(1, 2, 0, -2)})
+        got = f.substitute({"z1": LaurentPoly.monomial(1, 2, 0, -2)})
         assert got == LaurentPoly.monomial(1, 2, 0, -2)
 
     def test_rejects_non_monomial_image(self):
         f = LaurentPoly.variable("z1")
         with pytest.raises(ValueError):
-            substitute_monomial(f, {"z1": LaurentPoly({(0, 0, 0): 1, (1, 0, 0): 1})})
+            f.substitute({"z1": LaurentPoly({(0, 0, 0): 1, (1, 0, 0): 1})})
 
     @given(polys, polys)
     @settings(max_examples=100)
@@ -99,12 +98,8 @@ class TestSubstitution:
             "z1": LaurentPoly.monomial(1, 0, 2, -1),
             "q": LaurentPoly.monomial(-1, 1, 0, 0),
         }
-        assert substitute_monomial(a * b, img) == substitute_monomial(
-            a, img
-        ) * substitute_monomial(b, img)
-        assert substitute_monomial(a + b, img) == substitute_monomial(
-            a, img
-        ) + substitute_monomial(b, img)
+        assert (a * b).substitute(img) == a.substitute(img) * b.substitute(img)
+        assert (a + b).substitute(img) == a.substitute(img) + b.substitute(img)
 
 
 class TestGaussBinomial:
@@ -305,9 +300,7 @@ class TestSl2Char:
                         "z1": LaurentPoly.monomial(1, 2, 0, -1),
                         "z2": LaurentPoly.monomial(1, -2, 0, 0),
                     }
-                    first = substitute_monomial(
-                        fermionic_char(k, 0, k, M + 1, N), images
-                    )
+                    first = fermionic_char(k, 0, k, M + 1, N).substitute(images)
                     assert sl2_char(k, 0, M, N) == first
 
     def test_nonnegative_coefficients(self):

@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigchar.cli import enum_document, parse_enum_document
+from rigchar.cli import _json_text, enum_document, parse_enum_document
 from rigchar.core import Params
 
 DATA = Path(__file__).parent / "data"
@@ -314,3 +316,64 @@ class TestOutputFile:
             "--format", "text", "--output", str(out),
         )
         assert out.read_text() == "1 + z1*z2*q\n"
+
+
+# Keys mix plain text with the characters a JSON string must escape.
+json_keys = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\n\t\r", "é", "ключ", "\u2028", "\ud800", "a\"b\\c"]
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | json_keys
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(json_keys, st.integers(), max_size=4),
+    max_leaves=25,
+)
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """_json_text writes exactly the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @given(json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert _json_text(doc) == reference_json(doc)
+
+    def test_empty_and_nested_containers(self):
+        for doc in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [1]]}):
+            assert _json_text(doc) == reference_json(doc)
+
+    def test_enum_document(self):
+        doc = enum_document(Params(2, 2, 2, 0, 2, 2))
+        assert doc["pieces"]
+        assert _json_text(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--k", "2", "--l1", "2", "--l2", "1", "--M", "3", "--N", "3"],
+            ["char-bruteforce", "--k", "2", "--l1", "2", "--l2", "2", "--l3", "0",
+             "--M", "2", "--N", "2"],
+            ["sl2-char", "--k", "2", "--l", "1", "--M", "2", "--N", "2"],
+            ["verify", "fermionic", "--max-k", "1", "--max-M", "1", "--max-N", "1"],
+        ],
+    )
+    def test_cli_payloads(self, argv, capsys):
+        from rigchar import cli
+
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == reference_json(json.loads(out))

@@ -13,6 +13,7 @@ from rigchar.riggedsets import (
     enumerate_total,
     is_member_plain,
     last_rig,
+    _row_choices,
     satisfies_cutoffs,
     weight_bound,
 )
@@ -132,6 +133,73 @@ class TestEnumerateR:
                                     x for x in plain if satisfies_cutoffs(x, p)
                                 )
                                 assert filtered == enumerate_R(p, m, n).elements
+
+
+# Grids where some row length has multiplicity >= 2 and vacancy bound >= 2,
+# so that the order of the rigging rows of one length matters.
+ORDER_GRIDS = (Params(3, 3, 3, 1, 2, 2), Params(2, 2, 2, 0, 3, 3))
+
+
+def order_grid_pieces():
+    for p in ORDER_GRIDS:
+        for m in range(5):
+            for n in range(5):
+                yield p, m, n, enumerate_R(p, m, n).elements
+
+
+class TestCanonicalOrder:
+    """enumerate_R builds its elements in canonical_key order, unsorted."""
+
+    def test_pieces_sorted_without_duplicates(self):
+        for _, _, _, elems in order_grid_pieces():
+            assert elems == tuple(sorted(elems, key=canonical_key))
+            assert len(set(elems)) == len(elems)
+
+    def test_grid_has_rows_whose_order_matters(self):
+        def long_row(mult, bounds):
+            return any(c >= 2 and b >= 2 for c, b in zip(mult, bounds.entries))
+
+        found = 0
+        for p, _, _, elems in order_grid_pieces():
+            pairs = {(x.mu, x.nu) for x in elems}
+            for mu, nu in pairs:
+                P = vacancy_P(mu, nu, p.M, p.l1)
+                Q = vacancy_Q(mu, nu, p.N, p.l2)
+                if long_row(mu.mult, P) or long_row(nu.mult, Q):
+                    found += 1
+        assert found > 0
+
+    def test_row_choices_strictly_increasing_and_complete(self):
+        from itertools import product
+
+        for count in range(4):
+            for bound in range(-1, 5):
+                for low in range(3):
+                    got = _row_choices(count, bound, low)
+                    assert all(a < b for a, b in zip(got, got[1:]))
+                    every = [
+                        t
+                        for t in product(range(low, bound + 1), repeat=count)
+                        if all(a >= b for a, b in zip(t, t[1:]))
+                    ]
+                    assert list(got) == sorted(every)
+                assert _row_choices(count, bound) == _row_choices(count, bound, 0)
+
+    def test_elements_rebuild_through_public_constructors(self):
+        for p, _, _, elems in order_grid_pieces():
+            for x in elems:
+                again = RiggedPair(
+                    Partition(p.k, x.mu.mult),
+                    Rigging(x.r.rows),
+                    Partition(p.k, x.nu.mult),
+                    Rigging(x.s.rows),
+                )
+                assert again == x
+
+    def test_plain_set_sorted(self):
+        rs = enumerate_R_plain(2, 2, 2, 0, 3, 3, cap=2)
+        assert rs.elements == tuple(sorted(rs.elements, key=canonical_key))
+        assert len(set(rs.elements)) == len(rs.elements)
 
 
 class TestEnumerateRPlain:
