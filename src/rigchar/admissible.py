@@ -121,67 +121,15 @@ def label_complement(J: IndexSet, l1: int) -> ComplementLabels:
     return ComplementLabels(p, t, tuple(vprime), w)
 
 
-@dataclass(frozen=True)
-class AdmissibleData:
-    """An (I, J, l1, l2) bundle with the complement labelling attached.
-
-    |J| and |J| - |I| are always derived, never stored.
-    """
-
-    I: IndexSet
-    J: IndexSet
-    l1: int
-    l2: int
-    labels: ComplementLabels
-
-    @classmethod
-    def build(cls, I: IndexSet, J: IndexSet, l1: int, l2: int) -> "AdmissibleData":
-        if I.k != J.k:
-            raise ValueError("I and J live at different levels")
-        return cls(I, J, l1, l2, label_complement(J, l1))
-
-    @property
-    def a(self) -> int:
-        return len(self.I)
-
-    @property
-    def b(self) -> int:
-        return len(self.J)
-
-    @property
-    def c(self) -> int:
-        return self.b - self.a
-
-    @property
-    def p(self) -> int:
-        return self.labels.p
-
-    @property
-    def t(self) -> int:
-        return self.labels.t
-
-    @property
-    def vprime(self) -> tuple[int, ...]:
-        return self.labels.vprime
-
-    @property
-    def w(self) -> tuple[int, ...]:
-        return self.labels.w
-
-    def is_admissible(self) -> bool:
-        if self.a > self.labels.p or self.b > self.l2:
-            return False
-        for i in range(self.a):
-            u = self.I.members[i]
-            v = self.J.members[i]
-            if not v <= u < self.labels.vprime[i]:
-                return False
-        return True
-
-
 def is_admissible(I: IndexSet, J: IndexSet, l1: int, l2: int) -> bool:
     """(l1, l2)-admissibility: |I| <= p, |J| <= l2 and v_i <= u_i < v'_i."""
-    return AdmissibleData.build(I, J, l1, l2).is_admissible()
+    if I.k != J.k:
+        raise ValueError("I and J live at different levels")
+    labels = label_complement(J, l1)
+    if len(I) > labels.p or len(J) > l2:
+        return False
+    # |I| <= p = len(vprime) <= |J|, so the zip runs over all of I.
+    return all(v <= u < vp for u, v, vp in zip(I.members, J.members, labels.vprime))
 
 
 def is_l1_admissible(I: IndexSet, J: IndexSet, l1: int) -> bool:

@@ -266,41 +266,34 @@ def verify_recursion(p: Params, m: int, n: int) -> Report:
     )
 
 
-def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
-    """Exact-cover check of the graded piece by the lower subsets.
+def _cover_scan(
+    check: str, context: dict, p: Params, m: int, n: int, pairs, vacancy: bool, reason: str
+) -> Report:
+    """Exact-cover check of the graded piece of p at (m, n).
 
-    Every element of the ambient cutoff set is scanned: elements of the
-    tau-restricted set must be covered by exactly one admissible (I, J)
-    with |I| <= l3 and |J| <= l2, all others by none.  While scanning,
-    nonempty subsets are also checked against the vacancy bounds
-    rho <= P and sigma <= Q (valid for N >= 1).
+    pairs holds (I, J, marked bounds, rho, sigma) per subset.  Every element
+    of the ambient cutoff set is scanned: one in the tau-restricted set must
+    lie in exactly one subset, any other in none.  If vacancy, a subset that
+    holds an element must also have rho <= P and sigma <= Q there; reason
+    names a violation.
     """
-    context = {"params": params_to_obj(p), "m": m, "n": n}
-    if m < 0 or n < 0:
-        return Report(True, "lower-decomposition", context, {"elements": 0, "pairs": 0})
     target = set(enumerate_R(p, m, n).elements)
     ambient = _ambient(p, m, n)
-    pairs = [
-        (I, J, entry)
-        for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
-        if len(I) <= p.l3
-    ]
     for x in ambient:
         covers = []
-        for I, J, entry in pairs:
-            br, bs = entry.bounds
+        for I, J, (br, bs), rv, sv in pairs:
             if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
                 covers.append((I, J))
-                if p.N >= 1:
+                if vacancy:
                     P = vacancy_P(x.mu, x.nu, p.M, p.l1)
                     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
-                    if not (entry.rho <= P and entry.sigma <= Q):
+                    if not (rv <= P and sv <= Q):
                         return Report(
                             False,
-                            "lower-decomposition",
+                            check,
                             context,
                             {
-                                "reason": "nonempty lower subset violates rho<=P, sigma<=Q",
+                                "reason": reason,
                                 "element": pair_to_obj(x),
                                 "pair": {"I": list(I), "J": list(J)},
                             },
@@ -309,7 +302,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
         if len(covers) != expected:
             return Report(
                 False,
-                "lower-decomposition",
+                check,
                 context,
                 {
                     "element": pair_to_obj(x),
@@ -317,12 +310,24 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
                     "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
                 },
             )
-    return Report(
-        True,
-        "lower-decomposition",
-        context,
-        {"elements": len(ambient), "pairs": len(pairs)},
-    )
+    return Report(True, check, context, {"elements": len(ambient), "pairs": len(pairs)})
+
+
+def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
+    """Exact-cover check of the graded piece by the lower subsets.
+
+    The cover runs over the admissible (I, J) with |I| <= l3 and
+    |J| <= l2.  Nonempty subsets are also checked against the vacancy
+    bounds rho <= P and sigma <= Q (valid for N >= 1).
+    """
+    pairs = [
+        (I, J, entry.bounds, entry.rho, entry.sigma)
+        for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
+        if len(I) <= p.l3
+    ]
+    context = {"params": params_to_obj(p), "m": m, "n": n}
+    reason = "nonempty lower subset violates rho<=P, sigma<=Q"
+    return _cover_scan("lower-decomposition", context, p, m, n, pairs, p.N >= 1, reason)
 
 
 def verify_upper_decomposition(
@@ -342,7 +347,6 @@ def verify_upper_decomposition(
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
     l1p, l2p, l3p = primed_labels(k, l1, a, c)
-    pp = Params(k, l1p, l2p, l3p, p.M, p.N - 1)
     context = {
         "params": params_to_obj(p),
         "l1": l1,
@@ -352,52 +356,14 @@ def verify_upper_decomposition(
         "m": m,
         "n": n,
     }
-    if m < 0 or n < 0:
-        return Report(True, "upper-decomposition", context, {"elements": 0, "pairs": 0})
-    target = set(enumerate_R(pp, m, n).elements)
-    ambient = _ambient(pp, m, n)
     pairs = [
-        (I, J, entry)
+        (I, J, entry.bounds, entry.rho_prime, entry.sigma_prime)
         for (I, J), entry in upper_table(k, l1).items()
         if len(I) == a and len(J) == b
     ]
-    for x in ambient:
-        covers = []
-        for I, J, entry in pairs:
-            br, bs = entry.bounds
-            if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
-                covers.append((I, J))
-                P = vacancy_P(x.mu, x.nu, p.M, l1p)
-                Q = vacancy_Q(x.mu, x.nu, p.N - 1, l2p)
-                if not (entry.rho_prime <= P and entry.sigma_prime <= Q):
-                    return Report(
-                        False,
-                        "upper-decomposition",
-                        context,
-                        {
-                            "reason": "nonempty upper subset violates rho'<=P, sigma'<=Q",
-                            "element": pair_to_obj(x),
-                            "pair": {"I": list(I), "J": list(J)},
-                        },
-                    )
-        expected = 1 if x in target else 0
-        if len(covers) != expected:
-            return Report(
-                False,
-                "upper-decomposition",
-                context,
-                {
-                    "element": pair_to_obj(x),
-                    "expected_covers": expected,
-                    "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
-                },
-            )
-    return Report(
-        True,
-        "upper-decomposition",
-        context,
-        {"elements": len(ambient), "pairs": len(pairs)},
-    )
+    pp = Params(k, l1p, l2p, l3p, p.M, p.N - 1)
+    reason = "nonempty upper subset violates rho'<=P, sigma'<=Q"
+    return _cover_scan("upper-decomposition", context, pp, m, n, pairs, True, reason)
 
 
 def verify_bijection(p: Params, m: int, n: int) -> Report:
@@ -412,9 +378,7 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     uppers = upper_table(k, p.l1)
     for I, J in lower_table(k, p.l1, p.l2):
         l1p, l2p, _ = uppers[I, J].primed
-        upper_ambient = enumerate_R(
-            Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1), m - len(I), n - len(J)
-        )
+        upper_ambient = _ambient(Params(k, l1p, l2p, 0, p.M, p.N - 1), m - len(I), n - len(J))
         ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
         try:
             images = [map_m(x, I, J, p) for x in ups]

@@ -1,8 +1,9 @@
 """Exact sparse Laurent polynomials in (z1, z2, q) and the character formulas.
 
 Gaussian binomials, the quadratic degree of a partition pair, brute-force
-characters of the enumerated sets, the closed fermionic sum, the character
-recursion check, and the specialised two-variable character.
+characters of the enumerated sets, the closed fermionic sum and its
+comparison with the brute-force one, the character recursion check, and
+the specialised two-variable character.
 
 Coefficients are Python integers, hence arbitrary precision; there is no
 floating point anywhere in this module.
@@ -15,18 +16,8 @@ from math import comb
 
 from .admissible import primed_labels
 from .bijection import Report
-from .core import (
-    Params,
-    Partition,
-    RiggedPair,
-    min_sums,
-    params_to_obj,
-    pos_part,
-    vacancy_P,
-    vacancy_Q,
-    weight,
-)
-from .riggedsets import enumerate_partitions, enumerate_total, weight_bound
+from .core import Params, Partition, RiggedPair, min_sums, params_to_obj, pos_part
+from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
 _AXES = {"z1": 0, "z2": 1, "q": 2}
 
@@ -404,22 +395,32 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     for m in range(mmax + 1):
         for n in range(nmax + 1):
             cell = []
-            for mu in enumerate_partitions(m, k):
-                for nu in enumerate_partitions(n, k):
-                    P = vacancy_P(mu, nu, M, l1)
-                    if not P.is_nonneg():
-                        continue
-                    Q = vacancy_Q(mu, nu, N, l2)
-                    if not Q.is_nonneg():
-                        continue
-                    binoms = [(x + c, c) for x, c in zip(P.entries, mu.mult) if c]
-                    binoms += [(x + c, c) for x, c in zip(Q.entries, nu.mult) if c]
-                    cell.append((degree_D(mu, nu, l1, l2), binoms))
+            for mu, nu, P, Q in feasible_pairs(p, m, n):
+                binoms = [(x + c, c) for x, c in zip(P.entries, mu.mult) if c]
+                binoms += [(x + c, c) for x, c in zip(Q.entries, nu.mult) if c]
+                cell.append((degree_D(mu, nu, l1, l2), binoms))
             if cell:
                 _add_cell(acc, m, n, cell)
     res = LaurentPoly.__new__(LaurentPoly)
     res._terms = acc
     return res
+
+
+def verify_fermionic(p: Params) -> Report:
+    """Exact comparison of the closed-form character with the brute-force one.
+
+    The closed form has l3 = min(l1, l2), so p must carry that label.
+    """
+    if p.l3 != min(p.l1, p.l2):
+        raise ValueError("the closed form is the character at l3 = min(l1, l2)")
+    f = fermionic_char(p.k, p.l1, p.l2, p.M, p.N)
+    b = char_R(p)
+    return Report(
+        ok=(f == b),
+        check="fermionic",
+        context={"k": p.k, "l1": p.l1, "l2": p.l2, "M": p.M, "N": p.N},
+        detail={"closed_form": f.to_text(), "bruteforce": b.to_text()},
+    )
 
 
 def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> Report:

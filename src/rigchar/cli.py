@@ -7,6 +7,18 @@ output independent of the parallelism degree.  Exit codes: 0 pass,
 1 verified failure with a counterexample report, 2 usage error, 3 internal
 invariant failure (an escaping AssertionError or ArithmeticError), reported
 as one JSON line on stdout.
+
+Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
+the labels below, M = 0..max_M, N = first N..max_N and, with weights,
+m, n = 0..max_weight:
+
+    check           labels at level k                first N  weights
+    recursion       (l1, l2, l3), l3 <= min(l1, l2)  1        yes
+    lower-decomp    (l1, l2, l3)                     0        yes
+    upper-decomp    (l1, a, c), a <= l1, a + c <= k  1        yes
+    bijection       (l1, l2)                         1        yes
+    fermionic       (l1, l2)                         0        no
+    char-recursion  (l1, l2, l3)                     1        no
 """
 
 from __future__ import annotations
@@ -15,7 +27,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import product
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
 from .bijection import Report
@@ -213,117 +228,76 @@ def run_sl2_char(args) -> int:
 
 # ---------------------------------------------------------------- verify grids
 
-def _legal_labels(k: int):
-    for l1 in range(k + 1):
-        for l2 in range(k + 1):
-            for l3 in range(min(l1, l2) + 1):
-                yield l1, l2, l3
+def _labels_pair(k: int) -> list[tuple[int, ...]]:
+    return list(product(range(k + 1), repeat=2))
 
 
-def _grid_recursion(a):
-    for k in range(1, a.max_k + 1):
-        for l1, l2, l3 in _legal_labels(k):
-            for M in range(a.max_M + 1):
-                for N in range(1, a.max_N + 1):
-                    for m in range(a.max_weight + 1):
-                        for n in range(a.max_weight + 1):
-                            yield ("recursion", (k, l1, l2, l3, M, N, m, n))
+def _labels_l3(k: int) -> list[tuple[int, ...]]:
+    return [(l1, l2, l3) for l1, l2 in _labels_pair(k) for l3 in range(min(l1, l2) + 1)]
 
 
-def _grid_lower(a):
-    for k in range(1, a.max_k + 1):
-        for l1, l2, l3 in _legal_labels(k):
-            for M in range(a.max_M + 1):
-                for N in range(a.max_N + 1):
-                    for m in range(a.max_weight + 1):
-                        for n in range(a.max_weight + 1):
-                            yield ("lower-decomp", (k, l1, l2, l3, M, N, m, n))
+def _labels_upper(k: int) -> list[tuple[int, ...]]:
+    return [(l1, a, c) for l1 in range(k + 1) for a in range(l1 + 1) for c in range(k - a + 1)]
 
 
-def _grid_upper(a):
-    for k in range(1, a.max_k + 1):
-        for l1 in range(k + 1):
-            for aa in range(l1 + 1):
-                for c in range(k - aa + 1):
-                    for M in range(a.max_M + 1):
-                        for N in range(1, a.max_N + 1):
-                            for m in range(a.max_weight + 1):
-                                for n in range(a.max_weight + 1):
-                                    yield ("upper-decomp", (k, l1, aa, c, M, N, m, n))
+class _Check(NamedTuple):
+    """One verify check: the axes of its grid (see the module docstring)
+    and run, which takes a point's coordinates and returns a Report.
+
+    run looks its verifier up through the module at call time, so a
+    wrapper installed there is the one run.
+    """
+
+    labels: Callable[[int], list[tuple[int, ...]]]
+    first_N: int
+    needs_weight: bool
+    run: Callable[..., Report]
 
 
-def _grid_bijection(a):
-    for k in range(1, a.max_k + 1):
-        for l1 in range(k + 1):
-            for l2 in range(k + 1):
-                for M in range(a.max_M + 1):
-                    for N in range(1, a.max_N + 1):
-                        for m in range(a.max_weight + 1):
-                            for n in range(a.max_weight + 1):
-                                yield ("bijection", (k, l1, l2, M, N, m, n))
-
-
-def _grid_fermionic(a):
-    for k in range(1, a.max_k + 1):
-        for l1 in range(k + 1):
-            for l2 in range(k + 1):
-                for M in range(a.max_M + 1):
-                    for N in range(a.max_N + 1):
-                        yield ("fermionic", (k, l1, l2, M, N))
-
-
-def _grid_char_recursion(a):
-    for k in range(1, a.max_k + 1):
-        for l1, l2, l3 in _legal_labels(k):
-            for M in range(a.max_M + 1):
-                for N in range(1, a.max_N + 1):
-                    yield ("char-recursion", (k, l1, l2, l3, M, N))
-
-
-_GRIDS = {
-    "recursion": (_grid_recursion, True),
-    "lower-decomp": (_grid_lower, True),
-    "upper-decomp": (_grid_upper, True),
-    "bijection": (_grid_bijection, True),
-    "fermionic": (_grid_fermionic, False),
-    "char-recursion": (_grid_char_recursion, False),
+_CHECKS = {
+    "recursion": _Check(
+        _labels_l3, 1, True,
+        lambda k, l1, l2, l3, M, N, m, n: bijection.verify_recursion(
+            Params(k, l1, l2, l3, M, N), m, n
+        ),
+    ),
+    "lower-decomp": _Check(
+        _labels_l3, 0, True,
+        lambda k, l1, l2, l3, M, N, m, n: bijection.verify_lower_decomposition(
+            Params(k, l1, l2, l3, M, N), m, n
+        ),
+    ),
+    "upper-decomp": _Check(
+        _labels_upper, 1, True,
+        lambda k, l1, a, c, M, N, m, n: bijection.verify_upper_decomposition(
+            l1, a, c, Params(k, k, k, 0, M, N), m, n
+        ),
+    ),
+    "bijection": _Check(
+        _labels_pair, 1, True,
+        lambda k, l1, l2, M, N, m, n: bijection.verify_bijection(
+            Params(k, l1, l2, min(l1, l2), M, N), m, n
+        ),
+    ),
+    "fermionic": _Check(
+        _labels_pair, 0, False,
+        lambda k, l1, l2, M, N: characters.verify_fermionic(
+            Params(k, l1, l2, min(l1, l2), M, N)
+        ),
+    ),
+    "char-recursion": _Check(
+        _labels_l3, 1, False, lambda *point: characters.char_recursion_check(*point)
+    ),
 }
 
 
-def _check_point(task) -> tuple[bool, dict | None]:
-    kind, point = task
-    if kind == "recursion":
-        k, l1, l2, l3, M, N, m, n = point
-        rep = bijection.verify_recursion(Params(k, l1, l2, l3, M, N), m, n)
-    elif kind == "lower-decomp":
-        k, l1, l2, l3, M, N, m, n = point
-        rep = bijection.verify_lower_decomposition(Params(k, l1, l2, l3, M, N), m, n)
-    elif kind == "upper-decomp":
-        k, l1, aa, c, M, N, m, n = point
-        rep = bijection.verify_upper_decomposition(
-            l1, aa, c, Params(k, k, k, 0, M, N), m, n
-        )
-    elif kind == "bijection":
-        k, l1, l2, M, N, m, n = point
-        rep = bijection.verify_bijection(Params(k, l1, l2, min(l1, l2), M, N), m, n)
-    elif kind == "fermionic":
-        k, l1, l2, M, N = point
-        f = characters.fermionic_char(k, l1, l2, M, N)
-        b = characters.char_R(Params(k, l1, l2, min(l1, l2), M, N))
-        rep = Report(
-            ok=(f == b),
-            check="fermionic",
-            context={"k": k, "l1": l1, "l2": l2, "M": M, "N": N},
-            detail={"closed_form": f.to_text(), "bruteforce": b.to_text()},
-        )
-    elif kind == "char-recursion":
-        k, l1, l2, l3, M, N = point
-        rep = characters.char_recursion_check(k, l1, l2, l3, M, N)
-    else:
-        raise ValueError(f"unknown check {kind}")
+def _check_point(task) -> dict | None:
+    """None if the grid point passes, else its counterexample report."""
+    what, point = task
+    rep = _CHECKS[what].run(*point)
     if rep.ok:
-        return True, None
-    return False, {"check": rep.check, "context": rep.context, "detail": rep.detail}
+        return None
+    return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
 def _set_tau_skew(skew: int) -> None:
@@ -340,67 +314,46 @@ def _set_tau_skew(skew: int) -> None:
 
 
 def run_verify(args) -> int:
-    grid_fn, needs_weight = _GRIDS[args.what]
-    if needs_weight and args.max_weight is None:
+    check = _CHECKS[args.what]
+    if check.needs_weight and args.max_weight is None:
         print(f"error: verify {args.what} requires --max-weight", file=sys.stderr)
         return 2
     _set_tau_skew(args.inject_tau_skew)
-    tasks = list(grid_fn(args))
+    weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
+    points = product(
+        [(k, *labels) for k in range(1, args.max_k + 1) for labels in check.labels(k)],
+        range(args.max_M + 1),
+        range(check.first_N, args.max_N + 1),
+        *weights,
+    )
+    tasks = [(args.what, (*kl, M, N, *mn)) for kl, M, N, *mn in points]
     jobs = _resolve_jobs(args)
-    total = len(tasks)
     failure = None
-    done = 0
-    if jobs > 1:
-        with Pool(
-            jobs, initializer=_set_tau_skew, initargs=(args.inject_tau_skew,)
-        ) as pool:
-            for ok, payload in pool.imap(_check_point, tasks, chunksize=64):
-                done += 1
-                if done % 2000 == 0:
-                    print(f"progress: {done}/{total}", file=sys.stderr)
-                if not ok:
-                    failure = payload
-                    pool.terminate()
-                    break
-    else:
-        for task in tasks:
-            ok, payload = _check_point(task)
-            done += 1
+    workers = (
+        Pool(jobs, initializer=_set_tau_skew, initargs=(args.inject_tau_skew,))
+        if jobs > 1
+        else nullcontext()
+    )
+    with workers as pool:
+        if pool is None:
+            results = map(_check_point, tasks)
+        else:
+            results = pool.imap(_check_point, tasks, chunksize=64)
+        for done, failure in enumerate(results, start=1):
             if done % 2000 == 0:
-                print(f"progress: {done}/{total}", file=sys.stderr)
-            if not ok:
-                failure = payload
+                print(f"progress: {done}/{len(tasks)}", file=sys.stderr)
+            if failure is not None:
                 break
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
-    if needs_weight:
+    if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight
+    doc = {"command": "verify", "check": args.what, "grid": grid_obj}
     if failure is None:
-        _emit(
-            _json_text(
-                {
-                    "command": "verify",
-                    "check": args.what,
-                    "grid": grid_obj,
-                    "points": total,
-                    "status": "pass",
-                }
-            ),
-            args.output,
-        )
-        return 0
-    _emit(
-        _json_text(
-            {
-                "command": "verify",
-                "check": args.what,
-                "grid": grid_obj,
-                "status": "fail",
-                "counterexample": failure,
-            }
-        ),
-        args.output,
-    )
-    return 1
+        doc.update(status="pass", points=len(tasks))
+    else:
+        doc.update(status="fail", counterexample=failure)
+    _emit(_json_text(doc), args.output)
+    return 0 if failure is None else 1
 
 
 # ---------------------------------------------------------------- entry point
@@ -438,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=run_sl2_char)
 
     sp = sub.add_parser("verify", help="run one verifier over a parameter grid")
-    sp.add_argument("what", choices=sorted(_GRIDS))
+    sp.add_argument("what", choices=sorted(_CHECKS))
     sp.add_argument("--max-k", type=int, required=True)
     sp.add_argument("--max-M", type=int, required=True)
     sp.add_argument("--max-N", type=int, required=True)

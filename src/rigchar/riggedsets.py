@@ -25,7 +25,6 @@ from .core import (
     tau,
     vacancy_P,
     vacancy_Q,
-    weight,
 )
 
 
@@ -199,15 +198,65 @@ def clear_cache() -> None:
     _R_CACHE.clear()
 
 
+def feasible_pairs(p: Params, m: int, n: int):
+    """The partition pairs of weights (m, n) with both vacancy vectors
+    non-negative, as (mu, nu, P, Q).
+
+    mu is the outer and nu the inner loop, each in enumerate_partitions
+    order; Q is computed only for pairs whose P is non-negative.
+    """
+    for mu in enumerate_partitions(m, p.k):
+        for nu in enumerate_partitions(n, p.k):
+            P = vacancy_P(mu, nu, p.M, p.l1)
+            if not P.is_nonneg():
+                continue
+            Q = vacancy_Q(mu, nu, p.N, p.l2)
+            if Q.is_nonneg():
+                yield mu, nu, P, Q
+
+
+def _tau_matrix(p: Params) -> list[list[int]] | None:
+    """tau(alpha, beta, p) for alpha, beta = 1..k, or None if no entry is
+    positive: riggings are non-negative, so then tau bounds nothing."""
+    mat = [[tau(a, b, p) for b in range(1, p.k + 1)] for a in range(1, p.k + 1)]
+    return mat if any(v > 0 for row in mat for v in row) else None
+
+
+def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
+    """Every rigged pair on (mu, nu) whose rows of length alpha are capped
+    by r_caps[alpha-1] and s_caps[alpha-1] and whose bottom riggings meet
+    the tau bounds taumat (None: no bound), in canonical_key order.
+
+    For a fixed r, the tau condition is one lower bound on the bottom
+    entry of each row of s, so the rows of s are drawn from choices
+    already bounded below.
+    """
+    k = mu.k
+    r_opts = [_row_choices(mu.mult[i], r_caps[i]) for i in range(k)]
+    s_opts = [_row_choices(nu.mult[i], s_caps[i]) for i in range(k)]
+    mu_rows = [i for i in range(k) if mu.mult[i] > 0]
+    nu_rows = [i for i in range(k) if nu.mult[i] > 0]
+    check = taumat is not None and mu_rows and nu_rows
+    for rr in product(*r_opts):
+        r_obj = Rigging(rr)
+        s_now = s_opts
+        if check:
+            s_now = list(s_opts)
+            for j in nu_rows:
+                need = max(taumat[i][j] - rr[i][-1] for i in mu_rows)
+                if need > 0:
+                    s_now[j] = _row_choices(nu.mult[j], s_caps[j], need)
+        for ss in product(*s_now):
+            yield RiggedPair(mu, r_obj, nu, Rigging(ss))
+
+
 def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
     """The graded piece at weights (m, n) of the full cutoff set.
 
     An element is kept iff (a) both vacancy vectors are componentwise
     non-negative, (b) every top rigging is bounded by the matching vacancy
     entry, and (c) the bottom riggings meet the tau lower bounds.  Negative
-    weights give the empty set.  For a fixed r, (c) is one lower bound on
-    the bottom entry of each row of s, so the rows of s are drawn from
-    choices already bounded below.
+    weights give the empty set.
 
     The elements come out in canonical_key order without a sort.
     enumerate_partitions lists mu (outer loop) and nu (inner loop) in
@@ -226,35 +275,10 @@ def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
         _R_CACHE[key] = rs
         return rs
 
-    k = p.k
-    taumat = [[tau(a, b, p) for b in range(1, k + 1)] for a in range(1, k + 1)]
-    tau_active = any(v > 0 for row in taumat for v in row)
+    taumat = _tau_matrix(p)
     out: list[RiggedPair] = []
-
-    for mu in enumerate_partitions(m, k):
-        for nu in enumerate_partitions(n, k):
-            P = vacancy_P(mu, nu, p.M, p.l1)
-            if not P.is_nonneg():
-                continue
-            Q = vacancy_Q(mu, nu, p.N, p.l2)
-            if not Q.is_nonneg():
-                continue
-            r_opts = [_row_choices(mu.mult[i], P.entries[i]) for i in range(k)]
-            s_opts = [_row_choices(nu.mult[i], Q.entries[i]) for i in range(k)]
-            mu_rows = [i for i in range(k) if mu.mult[i] > 0]
-            nu_rows = [i for i in range(k) if nu.mult[i] > 0]
-            check = tau_active and mu_rows and nu_rows
-            for rr in product(*r_opts):
-                r_obj = Rigging(rr)
-                s_now = s_opts
-                if check:
-                    s_now = list(s_opts)
-                    for j in nu_rows:
-                        need = max(taumat[i][j] - rr[i][-1] for i in mu_rows)
-                        if need > 0:
-                            s_now[j] = _row_choices(nu.mult[j], Q.entries[j], need)
-                for ss in product(*s_now):
-                    out.append(RiggedPair(mu, r_obj, nu, Rigging(ss)))
+    for mu, nu, P, Q in feasible_pairs(p, m, n):
+        out.extend(_riggings(mu, nu, P.entries, Q.entries, taumat))
 
     rs = RiggedSet(p, m, n, tuple(out))
     _R_CACHE[key] = rs
@@ -275,20 +299,12 @@ def enumerate_R_plain(
         raise UncappedEnumerationError(
             "the tau-restricted set is infinite; pass a cap on rigging entries"
         )
-    p = Params(k, l1, l2, l3, 0, 0)
-    if m < 0 or n < 0:
-        return RiggedSet(None, m, n, ())
+    taumat = _tau_matrix(Params(k, l1, l2, l3, 0, 0))
+    caps = (cap,) * k
     out: list[RiggedPair] = []
     for mu in enumerate_partitions(m, k):
         for nu in enumerate_partitions(n, k):
-            r_opts = [_row_choices(mu.mult[i], cap) for i in range(k)]
-            s_opts = [_row_choices(nu.mult[i], cap) for i in range(k)]
-            for rr in product(*r_opts):
-                r_obj = Rigging(rr)
-                for ss in product(*s_opts):
-                    x = RiggedPair(mu, r_obj, nu, Rigging(ss))
-                    if satisfies_tau(x, p):
-                        out.append(x)
+            out.extend(_riggings(mu, nu, caps, caps, taumat))
     return RiggedSet(None, m, n, tuple(out))
 
 

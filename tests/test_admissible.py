@@ -150,20 +150,6 @@ class TestLabelComplement:
                     assert lhs == rhs
 
 
-class TestAdmissibleData:
-    def test_bundle_fields(self):
-        from rigchar.admissible import AdmissibleData
-
-        data = AdmissibleData.build(
-            IndexSet.of(3, (1,)), IndexSet.of(3, (1, 3)), 1, 3
-        )
-        assert (data.a, data.b, data.c) == (1, 2, 1)
-        assert (data.p, data.t) == (1, 1)
-        assert data.vprime == (2,)
-        assert data.w == ()
-        assert data.is_admissible()
-
-
 class TestAdmissibility:
     def test_empty_I(self):
         for k in range(1, 5):

@@ -17,6 +17,7 @@ from rigchar.characters import (
     gauss_binomial_product,
     rig_degree,
     sl2_char,
+    verify_fermionic,
 )
 from rigchar.core import Params, Partition, RiggedPair, Rigging, vacancy_P, vacancy_Q
 from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
@@ -262,6 +263,19 @@ class TestFermionic:
         expected = sparse_fermionic(*args)
         assert max(c for _, c in expected.terms()).bit_length() == bits
         assert fermionic_char(*args) == expected
+
+
+class TestVerifyFermionic:
+    def test_k1_report(self):
+        rep = verify_fermionic(Params(1, 1, 1, 1, 1, 1))
+        assert rep.ok and rep.check == "fermionic"
+        assert rep.context == {"k": 1, "l1": 1, "l2": 1, "M": 1, "N": 1}
+        assert rep.detail == {"closed_form": "1 + z1*z2*q", "bruteforce": "1 + z1*z2*q"}
+
+    def test_rejects_l3_below_min(self):
+        # The closed form is the character at l3 = min(l1, l2) only.
+        with pytest.raises(ValueError):
+            verify_fermionic(Params(2, 2, 2, 1, 1, 1))
 
 
 class TestCharRecursion:

@@ -181,6 +181,18 @@ class TestSl2Char:
         assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.txt").read_text()
 
 
+# Grids on which each check reports a corrupted tau (skew 1).  The cheap
+# grid misses it for upper-decomp, hence the larger one there.
+FAILURE_GRIDS = [
+    (what, "--max-k 2 --max-weight 2 --max-M 1 --max-N 1")
+    for what in ("recursion", "lower-decomp", "bijection")
+] + [
+    ("upper-decomp", "--max-k 3 --max-weight 2 --max-M 2 --max-N 2"),
+    ("fermionic", "--max-k 2 --max-M 1 --max-N 1"),
+    ("char-recursion", "--max-k 2 --max-M 1 --max-N 1"),
+]
+
+
 class TestVerify:
     def test_recursion_small_grid_passes(self):
         proc = run_cli(
@@ -260,6 +272,42 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
         assert doc["counterexample"]["check"] == check
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("what, grid", FAILURE_GRIDS)
+    def test_failure_report_golden(self, what, grid, jobs):
+        # Each check's report under a corrupted tau, recorded before the
+        # checks were driven from one table.
+        proc = run_cli(
+            "verify", what, *grid.split(), "--inject-tau-skew", "1", "--jobs", jobs,
+            expect=1,
+        )
+        assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
+
+    def test_checks_are_looked_up_at_call_time(self, monkeypatch, capsys):
+        # A wrapper installed on the verifier's module (as the benchmark
+        # tracer does) must be the function the check table runs.
+        from rigchar import bijection, characters, cli
+
+        calls = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(bijection, "verify_lower_decomposition")
+        counting(characters, "char_recursion_check")
+        grid = ["--max-k", "1", "--max-M", "1", "--max-N", "1", "--jobs", "1"]
+        assert cli.main(["verify", "lower-decomp", *grid, "--max-weight", "1"]) == 0
+        assert cli.main(["verify", "char-recursion", *grid]) == 0
+        capsys.readouterr()
+        assert calls["verify_lower_decomposition"] > 0
+        assert calls["char_recursion_check"] > 0
 
     def test_internal_error_exit_3(self, monkeypatch, capsys):
         from rigchar import characters, cli

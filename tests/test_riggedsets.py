@@ -11,10 +11,12 @@ from rigchar.riggedsets import (
     enumerate_R,
     enumerate_R_plain,
     enumerate_total,
+    feasible_pairs,
     is_member_plain,
     last_rig,
     _row_choices,
     satisfies_cutoffs,
+    satisfies_tau,
     weight_bound,
 )
 from rigchar.core import vacancy_P, vacancy_Q
@@ -215,6 +217,28 @@ class TestEnumerateRPlain:
     def test_cap_zero_blocked_by_tau(self):
         assert len(enumerate_R_plain(1, 1, 1, 0, 1, 1, cap=0)) == 0
 
+    @pytest.mark.parametrize("k, cap", [(1, 3), (2, 2), (3, 1)])
+    def test_equals_build_then_filter(self, k, cap):
+        # The plain set is every capped rigged pair that satisfies tau, in
+        # canonical order; tau only bounds the rows of s from below.
+        from itertools import product
+
+        for l1, l2, l3 in legal_labels(k):
+            p = Params(k, l1, l2, l3, 0, 0)
+            for m in range(-1, 4):
+                for n in range(4):
+                    ref = []
+                    for mu in enumerate_partitions(m, k):
+                        for nu in enumerate_partitions(n, k):
+                            r_opts = [_row_choices(c, cap) for c in mu.mult]
+                            s_opts = [_row_choices(c, cap) for c in nu.mult]
+                            for rr, ss in product(product(*r_opts), product(*s_opts)):
+                                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                                if satisfies_tau(x, p):
+                                    ref.append(x)
+                    got = enumerate_R_plain(k, l1, l2, l3, m, n, cap=cap)
+                    assert got.elements == tuple(ref)
+
     def test_membership_degenerates_when_l3_min(self):
         x = RiggedPair(
             Partition(2, (1, 1)),
@@ -225,6 +249,24 @@ class TestEnumerateRPlain:
         for l1 in range(3):
             for l2 in range(3):
                 assert is_member_plain(x, l1, l2, min(l1, l2))
+
+
+class TestFeasiblePairs:
+    def test_equals_filtered_box_in_order(self):
+        for k in (1, 2, 3):
+            for l1, l2, l3 in legal_labels(k):
+                for M, N in ((0, 0), (1, 2), (2, 1)):
+                    p = Params(k, l1, l2, l3, M, N)
+                    for m in range(5):
+                        for n in range(5):
+                            ref = []
+                            for mu in enumerate_partitions(m, k):
+                                for nu in enumerate_partitions(n, k):
+                                    P = vacancy_P(mu, nu, M, l1)
+                                    Q = vacancy_Q(mu, nu, N, l2)
+                                    if P.is_nonneg() and Q.is_nonneg():
+                                        ref.append((mu, nu, P, Q))
+                            assert list(feasible_pairs(p, m, n)) == ref
 
 
 class TestEnumerateTotal:
