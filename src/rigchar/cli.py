@@ -29,7 +29,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import product
-from multiprocessing import Pool
+from multiprocessing import Pool, RawValue
 from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
@@ -291,8 +291,19 @@ _CHECKS = {
 }
 
 
+# A pool worker's view of the "counterexample found" flag; None in the
+# parent process and at --jobs 1.
+_STOP = None
+
+
 def _check_point(task) -> dict | None:
-    """None if the grid point passes, else its counterexample report."""
+    """None if the grid point passes, else its counterexample report.
+
+    A worker skips its remaining points once the flag is set; the parent
+    has stopped reading results by then.
+    """
+    if _STOP is not None and _STOP.value:
+        return None
     what, point = task
     rep = _CHECKS[what].run(*point)
     if rep.ok:
@@ -313,6 +324,13 @@ def _set_tau_skew(skew: int) -> None:
         riggedsets.clear_cache()
 
 
+def _init_worker(skew: int, stop) -> None:
+    """Pool initializer: the skew, and the flag shared with the parent."""
+    global _STOP
+    _STOP = stop
+    _set_tau_skew(skew)
+
+
 def run_verify(args) -> int:
     check = _CHECKS[args.what]
     if check.needs_weight and args.max_weight is None:
@@ -329,11 +347,12 @@ def run_verify(args) -> int:
     tasks = [(args.what, (*kl, M, N, *mn)) for kl, M, N, *mn in points]
     jobs = _resolve_jobs(args)
     failure = None
-    workers = (
-        Pool(jobs, initializer=_set_tau_skew, initargs=(args.inject_tau_skew,))
-        if jobs > 1
-        else nullcontext()
-    )
+    workers = nullcontext()
+    if jobs > 1:
+        stop = RawValue("b", 0)
+        workers = Pool(
+            jobs, initializer=_init_worker, initargs=(args.inject_tau_skew, stop)
+        )
     with workers as pool:
         if pool is None:
             results = map(_check_point, tasks)
@@ -344,6 +363,14 @@ def run_verify(args) -> int:
                 print(f"progress: {done}/{len(tasks)}", file=sys.stderr)
             if failure is not None:
                 break
+        if pool is not None:
+            # Pool.terminate can kill a worker while it holds the result
+            # queue's write lock, and the pool's task thread then waits on
+            # that lock forever.  Let the workers skip what is left and
+            # exit on their own instead.
+            stop.value = 1
+            pool.close()
+            pool.join()
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight

@@ -20,6 +20,7 @@ def run_cli(*args, expect: int = 0):
         [sys.executable, "-m", "rigchar", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
@@ -252,6 +253,7 @@ class TestVerify:
             ],
             capture_output=True,
             text=True,
+            timeout=120,
         )
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "fail"
