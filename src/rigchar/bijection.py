@@ -41,7 +41,7 @@ from .core import (
     vacancy_P,
     vacancy_Q,
 )
-from .riggedsets import RiggedSet, canonical_key, enumerate_R, last_rig, satisfies_cutoffs
+from .riggedsets import RiggedSet, canonical_key, enumerate_R, satisfies_cutoffs
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,17 @@ class MarkedBound:
     marked: tuple[bool, ...]
 
     def satisfied_by(self, rig: Rigging) -> bool:
-        for alpha, (bound, eq) in enumerate(zip(self.value, self.marked), start=1):
-            v = last_rig(rig, alpha)
+        """Whether the bottom rigging of the rows of each length alpha
+        equals value[alpha-1] where marked and is at least it elsewhere.
+
+        A length with no rows fails a marked component and meets an
+        unmarked one.
+        """
+        for row, bound, eq in zip(rig.rows, self.value, self.marked):
             if eq:
-                if v != bound:
+                if not row or row[-1] != bound:
                     return False
-            elif not v >= bound:
+            elif row and row[-1] < bound:
                 return False
         return True
 

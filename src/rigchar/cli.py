@@ -148,15 +148,17 @@ def _add_params_flags(sp, with_l3: bool) -> None:
     sp.add_argument("--N", type=int, required=True)
 
 
-def _add_common_flags(sp) -> None:
-    sp.add_argument("--format", choices=("json", "text"), default="json")
+def _add_common_flags(sp, with_format: bool, with_jobs: bool) -> None:
+    if with_format:
+        sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--output", default=None, help="write to file instead of stdout")
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
-    )
+    if with_jobs:
+        sp.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
+        )
 
 
 def _resolve_jobs(args) -> int:
@@ -299,36 +301,28 @@ _STOP = None
 def _check_point(task) -> dict | None:
     """None if the grid point passes, else its counterexample report.
 
-    A worker skips its remaining points once the flag is set; the parent
-    has stopped reading results by then.
+    The task carries the --inject-tau-skew fault, which is set around this
+    one point only; so it reaches pool workers under every start method
+    and never outlives the point.  A worker skips its remaining points
+    once the flag is set; the parent has stopped reading results by then.
     """
     if _STOP is not None and _STOP.value:
         return None
-    what, point = task
-    rep = _CHECKS[what].run(*point)
+    what, skew, point = task
+    token = core.TAU_SKEW.set(skew)
+    try:
+        rep = _CHECKS[what].run(*point)
+    finally:
+        core.TAU_SKEW.reset(token)
     if rep.ok:
         return None
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
-def _set_tau_skew(skew: int) -> None:
-    """Install the fault-injection skew in this process.
-
-    Also the pool initializer, so the skew reaches workers under every
-    start method: a spawned or forkserver worker imports core afresh and
-    would otherwise run with the default skew of zero.  Cached pieces were
-    built under the old tau, so a change of skew drops them.
-    """
-    if core.TAU_SKEW != skew:
-        core.TAU_SKEW = skew
-        riggedsets.clear_cache()
-
-
-def _init_worker(skew: int, stop) -> None:
-    """Pool initializer: the skew, and the flag shared with the parent."""
+def _init_worker(stop) -> None:
+    """Pool initializer: the flag shared with the parent."""
     global _STOP
     _STOP = stop
-    _set_tau_skew(skew)
 
 
 def run_verify(args) -> int:
@@ -336,7 +330,6 @@ def run_verify(args) -> int:
     if check.needs_weight and args.max_weight is None:
         print(f"error: verify {args.what} requires --max-weight", file=sys.stderr)
         return 2
-    _set_tau_skew(args.inject_tau_skew)
     weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
     points = product(
         [(k, *labels) for k in range(1, args.max_k + 1) for labels in check.labels(k)],
@@ -344,15 +337,14 @@ def run_verify(args) -> int:
         range(check.first_N, args.max_N + 1),
         *weights,
     )
-    tasks = [(args.what, (*kl, M, N, *mn)) for kl, M, N, *mn in points]
+    skew = args.inject_tau_skew
+    tasks = [(args.what, skew, (*kl, M, N, *mn)) for kl, M, N, *mn in points]
     jobs = _resolve_jobs(args)
     failure = None
     workers = nullcontext()
     if jobs > 1:
         stop = RawValue("b", 0)
-        workers = Pool(
-            jobs, initializer=_init_worker, initargs=(args.inject_tau_skew, stop)
-        )
+        workers = Pool(jobs, initializer=_init_worker, initargs=(stop,))
     with workers as pool:
         if pool is None:
             results = map(_check_point, tasks)
@@ -396,17 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enum", help="enumerate every nonempty graded piece")
     _add_params_flags(sp, with_l3=True)
-    _add_common_flags(sp)
+    _add_common_flags(sp, with_format=True, with_jobs=True)
     sp.set_defaults(fn=run_enum)
 
     sp = sub.add_parser("char", help="closed-form character (l3 = min(l1, l2))")
     _add_params_flags(sp, with_l3=False)
-    _add_common_flags(sp)
+    _add_common_flags(sp, with_format=True, with_jobs=False)
     sp.set_defaults(fn=run_char)
 
     sp = sub.add_parser("char-bruteforce", help="character by direct enumeration")
     _add_params_flags(sp, with_l3=True)
-    _add_common_flags(sp)
+    _add_common_flags(sp, with_format=True, with_jobs=False)
     sp.set_defaults(fn=run_char_bruteforce)
 
     sp = sub.add_parser("sl2-char", help="two-variable character in (z, q)")
@@ -414,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    _add_common_flags(sp)
+    _add_common_flags(sp, with_format=True, with_jobs=False)
     sp.set_defaults(fn=run_sl2_char)
 
     sp = sub.add_parser("verify", help="run one verifier over a parameter grid")
@@ -424,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-N", type=int, required=True)
     sp.add_argument("--max-weight", type=int, default=None)
     sp.add_argument("--inject-tau-skew", type=int, default=0, help=argparse.SUPPRESS)
-    _add_common_flags(sp)
+    _add_common_flags(sp, with_format=False, with_jobs=True)
     sp.set_defaults(fn=run_verify)
 
     return ap

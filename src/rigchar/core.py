@@ -5,12 +5,13 @@ k-vectors, the tau lower bound on riggings, the vacancy-number upper
 bounds, and the JSON objects of a parameter tuple and a rigged pair (shared
 by the CLI and the verifiers' failure reports).  Every type here is an
 immutable value.  The functions are pure apart from the memo caches of the
-vacancy helpers and the process-global TAU_SKEW fault-injection knob, which
-the CLI hands to each pool worker.
+vacancy helpers and the TAU_SKEW fault-injection context variable, which
+`rigchar verify` sets for one grid point at a time.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +28,8 @@ def neg_part(x: int) -> int:
 
 # Fault-injection knob for the verification harness self-test: a nonzero
 # skew corrupts tau, so a `verify` run must report a counterexample.
-# Never set outside that test path.
-TAU_SKEW = 0
+# Set only around one verify grid point, and reset after it.
+TAU_SKEW: ContextVar[int] = ContextVar("TAU_SKEW", default=0)
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def tau(alpha: int, beta: int, p: Params) -> int:
         - pos_part(alpha - p.l1)
         - pos_part(beta - p.l2)
         - p.l3
-        + TAU_SKEW
+        + TAU_SKEW.get()
     )
 
 

@@ -22,6 +22,7 @@ from .core import (
     Partition,
     RiggedPair,
     Rigging,
+    TAU_SKEW,
     tau,
     vacancy_P,
     vacancy_Q,
@@ -30,53 +31,6 @@ from .core import (
 
 class UncappedEnumerationError(ValueError):
     """Raised when asked to materialise an infinite rigged set without a cap."""
-
-
-class _Infinity:
-    """Sentinel for the bottom rigging of an absent row.
-
-    Compares strictly greater than every integer and is never equal to
-    one, so marked (equality) conditions can never be met by it while
-    unmarked (>=) conditions hold vacuously.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("rigchar.INFINITY")
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-
-INFINITY = _Infinity()
-
-
-def last_rig(rig: Rigging, alpha: int):
-    """Bottom rigging of the rows of length alpha, or INFINITY if none."""
-    row = rig.row(alpha)
-    return row[-1] if row else INFINITY
 
 
 def canonical_key(x: RiggedPair):
@@ -150,19 +104,13 @@ def _row_choices(count: int, bound, low: int = 0) -> tuple[tuple[int, ...], ...]
 def satisfies_tau(x: RiggedPair, p: Params) -> bool:
     """Condition on the bottom riggings: r[a] + s[b] >= tau(a, b) for all a, b.
 
-    Pairs where either row set is empty are vacuous by the INFINITY
-    convention.
+    Pairs where either row set is empty are vacuous.
     """
-    k = x.k
-    for alpha in range(1, k + 1):
-        ra = last_rig(x.r, alpha)
-        if ra is INFINITY:
+    for alpha, ra in enumerate(x.r.rows, start=1):
+        if not ra:
             continue
-        for beta in range(1, k + 1):
-            sb = last_rig(x.s, beta)
-            if sb is INFINITY:
-                continue
-            if ra + sb < tau(alpha, beta, p):
+        for beta, sb in enumerate(x.s.rows, start=1):
+            if sb and ra[-1] + sb[-1] < tau(alpha, beta, p):
                 return False
     return True
 
@@ -191,11 +139,9 @@ def is_member_plain(x: RiggedPair, l1: int, l2: int, l3: int) -> bool:
     return satisfies_tau(x, p)
 
 
-_R_CACHE: dict[tuple[Params, int, int], RiggedSet] = {}
-
-
-def clear_cache() -> None:
-    _R_CACHE.clear()
+# Keyed by the tau skew too, so a piece built under one skew is never
+# served under another.
+_R_CACHE: dict[tuple[Params, int, int, int], RiggedSet] = {}
 
 
 def feasible_pairs(p: Params, m: int, n: int):
@@ -266,7 +212,7 @@ def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
     alpha = 1..k lists the flattened riggings r, and for each r those of s,
     in ascending lexicographic order too.
     """
-    key = (p, m, n)
+    key = (p, m, n, TAU_SKEW.get())
     hit = _R_CACHE.get(key)
     if hit is not None:
         return hit

@@ -18,6 +18,7 @@ from rigchar.admissible import (
     sigma_prime,
 )
 from rigchar.bijection import (
+    MarkedBound,
     lower_bounds,
     lower_member,
     lower_table,
@@ -99,6 +100,28 @@ class TestBoundTables:
             lower_table(1, 1, 1)[None] = None
         with pytest.raises(TypeError):
             upper_table(1, 1)[None] = None
+
+
+class TestMarkedBound:
+    def test_present_rows_compare_their_bottom_rigging(self):
+        bound = MarkedBound((1, 2), (True, False))
+        assert bound.satisfied_by(Rigging(((3, 1), (2,))))
+        assert bound.satisfied_by(Rigging(((1,), (5, 4))))
+        assert not bound.satisfied_by(Rigging(((2,), (2,))))
+        assert not bound.satisfied_by(Rigging(((1,), (1,))))
+
+    def test_absent_row_fails_marked_and_meets_unmarked(self):
+        # However large or small the bound, an empty row of a marked
+        # length fails and an empty row of an unmarked length holds.
+        for value in (-5, 0, 7):
+            assert not MarkedBound((value, 0), (True, False)).satisfied_by(
+                Rigging(((), (0,)))
+            )
+            assert MarkedBound((value, 0), (False, False)).satisfied_by(
+                Rigging(((), (0,)))
+            )
+        assert MarkedBound((0, 0), (False, False)).satisfied_by(Rigging(((), ())))
+        assert not MarkedBound((0, 0), (False, True)).satisfied_by(Rigging(((), ())))
 
 
 class TestLowerMember:

@@ -234,20 +234,22 @@ class TestVerify:
         assert ce["detail"]["lhs"] != ce["detail"]["rhs"]
         assert "params" in ce["context"]
 
-    def test_corrupted_tau_reaches_spawned_workers(self):
-        # A spawned worker starts from a fresh import of rigchar, so the
-        # skew must be handed over by the pool initializer.
+    @pytest.mark.parametrize("what", ["recursion", "lower-decomp"])
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_corrupted_tau_reaches_fresh_workers(self, method, what):
+        # A spawn or forkserver worker starts from a fresh import of
+        # rigchar, so the skew must travel in the tasks themselves.
         script = (
             "import multiprocessing, sys\n"
             "from rigchar.cli import main\n"
             "if __name__ == '__main__':\n"
-            "    multiprocessing.set_start_method('spawn')\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
             "    sys.exit(main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
             [
                 sys.executable, "-c", script,
-                "verify", "recursion", "--max-k", "2", "--max-weight", "3",
+                "verify", what, "--max-k", "2", "--max-weight", "2",
                 "--max-M", "1", "--max-N", "1", "--jobs", "2",
                 "--inject-tau-skew", "1",
             ],
@@ -257,6 +259,62 @@ class TestVerify:
         )
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "fail"
+        assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
+
+    def test_skew_does_not_outlive_the_run(self, capsys):
+        # The fault is scoped to each grid point: after an in-process run
+        # every later caller sees the true tau and the true sets.
+        from rigchar import cli, core
+        from rigchar.characters import char_R
+
+        argv = [
+            "verify", "recursion", "--max-k", "2", "--max-weight", "2",
+            "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1", "--jobs", "1",
+        ]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "fail"
+        assert char_R(Params(3, 3, 3, 1, 2, 2)).specialize() == 84
+        assert core.TAU_SKEW.get() == 0
+
+    def test_skew_is_reset_when_a_verifier_raises(self, monkeypatch, capsys):
+        from rigchar import bijection, cli, core
+
+        def broken(p, m, n):
+            raise AssertionError(f"skew {core.TAU_SKEW.get()}")
+
+        monkeypatch.setattr(bijection, "verify_recursion", broken)
+        argv = [
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "0", "--max-N", "1", "--inject-tau-skew", "2", "--jobs", "1",
+        ]
+        assert cli.main(argv) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "internal-error",
+            "error": "AssertionError",
+            "message": "skew 2",
+        }
+        assert core.TAU_SKEW.get() == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1",
+             "--jobs", "1"],
+            ["char-bruteforce", "--k", "1", "--l1", "1", "--l2", "1", "--l3", "1",
+             "--M", "1", "--N", "1", "--jobs", "1"],
+            ["sl2-char", "--k", "1", "--l", "0", "--M", "0", "--N", "0", "--jobs", "1"],
+            ["verify", "fermionic", "--max-k", "1", "--max-M", "1", "--max-N", "1",
+             "--format", "text"],
+        ],
+        ids=["char --jobs", "char-bruteforce --jobs", "sl2-char --jobs", "verify --format"],
+    )
+    def test_flags_that_nothing_reads_are_rejected(self, argv, capsys):
+        from rigchar import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

@@ -2,9 +2,8 @@
 
 import pytest
 
-from rigchar.core import Params, Partition, RiggedPair, Rigging, weight
+from rigchar.core import TAU_SKEW, Params, Partition, RiggedPair, Rigging, weight
 from rigchar.riggedsets import (
-    INFINITY,
     UncappedEnumerationError,
     canonical_key,
     enumerate_partitions,
@@ -13,7 +12,6 @@ from rigchar.riggedsets import (
     enumerate_total,
     feasible_pairs,
     is_member_plain,
-    last_rig,
     _row_choices,
     satisfies_cutoffs,
     satisfies_tau,
@@ -49,28 +47,20 @@ class TestEnumeratePartitions:
             assert len(set(rows)) == len(rows)
 
 
-class TestInfinity:
-    def test_ordering(self):
-        assert INFINITY > 10**18
-        assert INFINITY >= 0
-        assert not INFINITY < 5
-        assert not INFINITY == 7
-        assert INFINITY == INFINITY
-
-    def test_addition_absorbs(self):
-        assert INFINITY + 3 is INFINITY
-        assert (-2) + INFINITY is INFINITY
-        assert INFINITY + INFINITY is INFINITY
-
-    def test_last_rig(self):
-        mu = Partition(2, (2, 0))
-        r = Rigging(((3, 1), ()))
-        assert last_rig(r, 1) == 1
-        assert last_rig(r, 2) is INFINITY
-        assert last_rig(Rigging(((0,), ())), 1) == 0
-
-
 class TestEnumerateR:
+    def test_cache_is_keyed_by_the_tau_skew(self):
+        # A piece built under a corrupted tau is never served without it,
+        # nor the clean piece under the corruption.
+        p = Params(1, 1, 1, 1, 1, 1)
+        clean = enumerate_R(p, 1, 1)
+        token = TAU_SKEW.set(1)
+        try:
+            skewed = enumerate_R(p, 1, 1)
+        finally:
+            TAU_SKEW.reset(token)
+        assert (len(clean), len(skewed)) == (1, 0)
+        assert enumerate_R(p, 1, 1) is clean
+
     def test_initial_condition_full(self):
         for k in (1, 2, 3):
             for l1, l2, l3 in legal_labels(k):
