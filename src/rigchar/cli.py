@@ -1,9 +1,11 @@
 """Command-line front end: enumeration, characters, and every verifier.
 
 Results go to stdout (JSON or canonical text), progress to stderr, so
-captured output stays byte-stable.  Grid verification can fan out over
-worker processes; results are merged in canonical grid order, making the
-output independent of the parallelism degree.  Exit codes: 0 pass,
+captured output stays byte-stable.  verify --jobs N splits its grid into
+blocks of equal (k, M), which share no rigged-set cache entries, and hands
+whole blocks to min(N, number of blocks) worker processes; with one, the
+grid runs in-process.  The failing point with the lowest grid index is
+reported, so the output does not depend on N.  Exit codes: 0 pass,
 1 verified failure with a counterexample report, 2 usage error, 3 internal
 invariant failure (an escaping AssertionError or ArithmeticError), reported
 as one JSON line on stdout.
@@ -27,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from itertools import product
 from multiprocessing import Pool, RawValue
 from typing import Callable, NamedTuple
@@ -49,17 +50,12 @@ def pair_to_obj(x: RiggedPair, l1: int | None = None, l2: int | None = None) -> 
     return obj
 
 
-def enum_document(p: Params, jobs: int = 1) -> dict:
+def enum_document(p: Params) -> dict:
     """The full enumeration document: every nonempty piece in (m, n) order."""
     mmax, nmax = riggedsets.weight_bound(p)
-    cells = [(m, n) for m in range(mmax + 1) for n in range(nmax + 1)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            sets = pool.starmap(riggedsets.enumerate_R, [(p, m, n) for m, n in cells])
-    else:
-        sets = [riggedsets.enumerate_R(p, m, n) for m, n in cells]
     pieces = []
-    for (m, n), rs in zip(cells, sets):
+    for m, n in product(range(mmax + 1), range(nmax + 1)):
+        rs = riggedsets.enumerate_R(p, m, n)
         if not rs.elements:
             continue
         elements = []
@@ -148,17 +144,10 @@ def _add_params_flags(sp, with_l3: bool) -> None:
     sp.add_argument("--N", type=int, required=True)
 
 
-def _add_common_flags(sp, with_format: bool, with_jobs: bool) -> None:
+def _add_output_flags(sp, with_format: bool) -> None:
     if with_format:
         sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--output", default=None, help="write to file instead of stdout")
-    if with_jobs:
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
-        )
 
 
 def _resolve_jobs(args) -> int:
@@ -170,7 +159,7 @@ def _resolve_jobs(args) -> int:
 
 def run_enum(args) -> int:
     p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
-    doc = enum_document(p, jobs=_resolve_jobs(args))
+    doc = enum_document(p)
     if args.format == "json":
         _emit(_json_text(doc), args.output)
     else:
@@ -293,9 +282,9 @@ _CHECKS = {
 }
 
 
-# A pool worker's view of the "counterexample found" flag; None in the
-# parent process and at --jobs 1.
-_STOP = None
+# A pool worker's view of the lowest grid index at which the parent has
+# seen a point fail; None outside pool workers.
+_STOP_AT = None
 
 
 def _check_point(task) -> dict | None:
@@ -303,11 +292,8 @@ def _check_point(task) -> dict | None:
 
     The task carries the --inject-tau-skew fault, which is set around this
     one point only; so it reaches pool workers under every start method
-    and never outlives the point.  A worker skips its remaining points
-    once the flag is set; the parent has stopped reading results by then.
+    and never outlives the point.
     """
-    if _STOP is not None and _STOP.value:
-        return None
     what, skew, point = task
     token = core.TAU_SKEW.set(skew)
     try:
@@ -319,10 +305,51 @@ def _check_point(task) -> dict | None:
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
-def _init_worker(stop) -> None:
-    """Pool initializer: the flag shared with the parent."""
-    global _STOP
-    _STOP = stop
+def _check_block(block) -> tuple[int, tuple[int, dict] | None]:
+    """The size of a block of (grid index, task) pairs in grid order, and
+    the grid index and report of its first failing point, or None.
+
+    Points at or past the lowest failing index the parent has seen are
+    skipped: a failure there cannot be the first in grid order.
+    """
+    for index, task in block:
+        if index >= _STOP_AT.value:
+            break
+        failure = _check_point(task)
+        if failure is not None:
+            return len(block), (index, failure)
+    return len(block), None
+
+
+def _init_worker(stop_at) -> None:
+    """Pool initializer: the lowest failing grid index, shared with the parent."""
+    global _STOP_AT
+    _STOP_AT = stop_at
+
+
+def _run_blocks(blocks: list[list], workers: int, total: int) -> dict | None:
+    """The report of the first failing point in grid order, or None, with
+    whole blocks checked on a pool of workers in the order given.
+
+    Every block's result is read, since a block that finishes later may
+    hold an earlier failure.
+    """
+    stop_at = RawValue("q", total)
+    failure = None
+    done = 0
+    with Pool(workers, initializer=_init_worker, initargs=(stop_at,)) as pool:
+        for size, found in pool.imap_unordered(_check_block, blocks):
+            done += size
+            print(f"progress: {done}/{total}", file=sys.stderr)
+            if found is not None and found[0] < stop_at.value:
+                stop_at.value, failure = found
+        # Leaving the with block would call Pool.terminate, which can kill
+        # a worker while it holds a queue lock and leave the pool's task
+        # thread waiting on that lock forever.  Let the workers exit on
+        # their own instead.
+        pool.close()
+        pool.join()
+    return failure
 
 
 def run_verify(args) -> int:
@@ -337,32 +364,27 @@ def run_verify(args) -> int:
         range(check.first_N, args.max_N + 1),
         *weights,
     )
-    skew = args.inject_tau_skew
-    tasks = [(args.what, skew, (*kl, M, N, *mn)) for kl, M, N, *mn in points]
-    jobs = _resolve_jobs(args)
+    tasks = []
+    # Every enumerate_R piece a check reads at a point has the point's k
+    # and M; only its labels and N may differ.  So blocks of equal (k, M)
+    # share no _R_CACHE entries, where blocks of equal labels would.
+    blocks: dict[tuple[int, int], list] = {}
+    for kl, M, N, *mn in points:
+        task = (args.what, args.inject_tau_skew, (*kl, M, N, *mn))
+        blocks.setdefault((kl[0], M), []).append((len(tasks), task))
+        tasks.append(task)
+    workers = min(_resolve_jobs(args), len(blocks))
     failure = None
-    workers = nullcontext()
-    if jobs > 1:
-        stop = RawValue("b", 0)
-        workers = Pool(jobs, initializer=_init_worker, initargs=(stop,))
-    with workers as pool:
-        if pool is None:
-            results = map(_check_point, tasks)
-        else:
-            results = pool.imap(_check_point, tasks, chunksize=64)
-        for done, failure in enumerate(results, start=1):
+    if workers > 1:
+        # Descending (k, M): the costliest blocks start first.
+        order = [blocks[key] for key in sorted(blocks, reverse=True)]
+        failure = _run_blocks(order, workers, len(tasks))
+    else:
+        for done, failure in enumerate(map(_check_point, tasks), start=1):
             if done % 2000 == 0:
                 print(f"progress: {done}/{len(tasks)}", file=sys.stderr)
             if failure is not None:
                 break
-        if pool is not None:
-            # Pool.terminate can kill a worker while it holds the result
-            # queue's write lock, and the pool's task thread then waits on
-            # that lock forever.  Let the workers skip what is left and
-            # exit on their own instead.
-            stop.value = 1
-            pool.close()
-            pool.join()
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight
@@ -388,17 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enum", help="enumerate every nonempty graded piece")
     _add_params_flags(sp, with_l3=True)
-    _add_common_flags(sp, with_format=True, with_jobs=True)
+    _add_output_flags(sp, with_format=True)
     sp.set_defaults(fn=run_enum)
 
     sp = sub.add_parser("char", help="closed-form character (l3 = min(l1, l2))")
     _add_params_flags(sp, with_l3=False)
-    _add_common_flags(sp, with_format=True, with_jobs=False)
+    _add_output_flags(sp, with_format=True)
     sp.set_defaults(fn=run_char)
 
     sp = sub.add_parser("char-bruteforce", help="character by direct enumeration")
     _add_params_flags(sp, with_l3=True)
-    _add_common_flags(sp, with_format=True, with_jobs=False)
+    _add_output_flags(sp, with_format=True)
     sp.set_defaults(fn=run_char_bruteforce)
 
     sp = sub.add_parser("sl2-char", help="two-variable character in (z, q)")
@@ -406,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    _add_common_flags(sp, with_format=True, with_jobs=False)
+    _add_output_flags(sp, with_format=True)
     sp.set_defaults(fn=run_sl2_char)
 
     sp = sub.add_parser("verify", help="run one verifier over a parameter grid")
@@ -416,7 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-N", type=int, required=True)
     sp.add_argument("--max-weight", type=int, default=None)
     sp.add_argument("--inject-tau-skew", type=int, default=0, help=argparse.SUPPRESS)
-    _add_common_flags(sp, with_format=False, with_jobs=True)
+    _add_output_flags(sp, with_format=False)
+    sp.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
+    )
     sp.set_defaults(fn=run_verify)
 
     return ap

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigchar.cli import _json_text, enum_document, parse_enum_document
+from rigchar.cli import _CHECKS, _json_text, enum_document, parse_enum_document
 from rigchar.core import Params
 
 DATA = Path(__file__).parent / "data"
@@ -70,29 +70,6 @@ class TestEnum:
             "enum", "--k", "1", "--l1", "2", "--l2", "0", "--l3", "0",
             "--M", "0", "--N", "0", expect=2,
         )
-
-    def test_jobs_do_not_change_output(self):
-        base = [
-            "enum", "--k", "2", "--l1", "2", "--l2", "2", "--l3", "1",
-            "--M", "2", "--N", "1",
-        ]
-        one = run_cli(*base, "--jobs", "1")
-        many = run_cli(*base, "--jobs", "3")
-        assert one.stdout == many.stdout
-
-    def test_jobs_env_var_respected(self):
-        import os
-
-        base = [
-            sys.executable, "-m", "rigchar",
-            "enum", "--k", "2", "--l1", "2", "--l2", "2", "--l3", "1",
-            "--M", "1", "--N", "1",
-        ]
-        env = dict(os.environ, RIGCHAR_JOBS="2")
-        with_env = subprocess.run(base, capture_output=True, text=True, env=env)
-        plain = subprocess.run(base, capture_output=True, text=True)
-        assert with_env.returncode == 0
-        assert with_env.stdout == plain.stdout
 
     def test_text_format(self):
         proc = run_cli(
@@ -303,10 +280,15 @@ class TestVerify:
             ["char-bruteforce", "--k", "1", "--l1", "1", "--l2", "1", "--l3", "1",
              "--M", "1", "--N", "1", "--jobs", "1"],
             ["sl2-char", "--k", "1", "--l", "0", "--M", "0", "--N", "0", "--jobs", "1"],
+            ["enum", "--k", "1", "--l1", "1", "--l2", "1", "--l3", "1",
+             "--M", "1", "--N", "1", "--jobs", "2"],
             ["verify", "fermionic", "--max-k", "1", "--max-M", "1", "--max-N", "1",
              "--format", "text"],
         ],
-        ids=["char --jobs", "char-bruteforce --jobs", "sl2-char --jobs", "verify --format"],
+        ids=[
+            "char --jobs", "char-bruteforce --jobs", "sl2-char --jobs", "enum --jobs",
+            "verify --format",
+        ],
     )
     def test_flags_that_nothing_reads_are_rejected(self, argv, capsys):
         from rigchar import cli
@@ -398,6 +380,28 @@ class TestVerify:
         assert one.stdout == many.stdout
         assert json.loads(one.stdout)["status"] == "pass"
 
+    def test_jobs_env_var_respected(self):
+        # RIGCHAR_JOBS=2 sends a four-block grid through the worker pool,
+        # which reports progress per finished block, and leaves stdout as
+        # it is at one job.
+        import os
+
+        base = [
+            sys.executable, "-m", "rigchar",
+            "verify", "recursion", "--max-k", "2", "--max-weight", "2",
+            "--max-M", "1", "--max-N", "1",
+        ]
+        env = {key: val for key, val in os.environ.items() if key != "RIGCHAR_JOBS"}
+        with_env = subprocess.run(
+            base, capture_output=True, text=True, env={**env, "RIGCHAR_JOBS": "2"},
+            timeout=120,
+        )
+        plain = subprocess.run(base, capture_output=True, text=True, env=env, timeout=120)
+        assert with_env.returncode == plain.returncode == 0
+        assert with_env.stdout == plain.stdout
+        assert "progress:" in with_env.stderr
+        assert "progress:" not in plain.stderr
+
     @pytest.mark.parametrize(
         "what", ["upper-decomp", "bijection", "char-recursion"]
     )
@@ -414,6 +418,150 @@ class TestVerify:
             "--max-M", "1", "--max-N", "2",
         )
         assert "progress" not in proc.stdout
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace cli.Pool with a stand-in that records the worker count it
+    is asked for and checks each block in this process, in dispatch order,
+    when the caller asks for its result.  Returns the stand-ins created."""
+    from rigchar import cli
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs):
+            self.processes = processes
+            self.failing_indices = []
+            pools.append(self)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def imap_unordered(self, fn, blocks):
+            for block in blocks:
+                size, found = fn(block)
+                if found is not None:
+                    self.failing_indices.append(found[0])
+                yield size, found
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(cli, "_STOP_AT", None)
+    monkeypatch.setattr(cli, "Pool", InlinePool)
+    return pools
+
+
+# Blocks (3, 1), (2, 1) and (1, 1) of this grid fail under skew 1, first at
+# grid indices 463, 193 and 85; the first failure in grid order has k = 1.
+FIRST_FAILURE_GRID = [
+    "verify", "recursion", "--max-k", "3", "--max-weight", "2",
+    "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1",
+]
+
+
+class TestBlockScheduler:
+    """verify --jobs N checks whole blocks of equal (k, M) per worker task."""
+
+    def test_workers_are_capped_by_the_block_count(self, inline_pool, capsys):
+        from rigchar import cli
+
+        two_blocks = [
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "1", "--max-N", "1",
+        ]
+        assert cli.main([*two_blocks, "--jobs", "64"]) == 0
+        pooled = capsys.readouterr().out
+        assert [pool.processes for pool in inline_pool] == [2]
+        assert cli.main([*two_blocks, "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == pooled
+
+    def test_one_block_grid_starts_no_pool(self, inline_pool, monkeypatch, capsys):
+        from rigchar import cli
+
+        raw_values = []
+        monkeypatch.setattr(cli, "RawValue", lambda *args: raw_values.append(args))
+        one_block = [
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "0", "--max-N", "1", "--jobs", "2",
+        ]
+        assert cli.main(one_block) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert inline_pool == []
+        assert raw_values == []
+
+    def test_lowest_failing_index_wins_in_process(self, inline_pool, capsys):
+        # Blocks run largest (k, M) first, and each later block still
+        # checks its points below the lowest failing index found so far.
+        from rigchar import cli
+
+        assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "2"]) == 1
+        pooled = capsys.readouterr().out
+        assert inline_pool[0].failing_indices == [463, 193, 85]
+        assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
+        assert capsys.readouterr().out == pooled
+        assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
+
+    @pytest.mark.parametrize("jobs", ["2", "4"])
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs):
+        # Four workers on six blocks outnumber the cores of a small runner.
+        script = (
+            "import multiprocessing, sys\n"
+            "from rigchar.cli import main\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *FIRST_FAILURE_GRID, "--jobs", jobs],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        assert proc.stdout == run_cli(*FIRST_FAILURE_GRID, "--jobs", "1", expect=1).stdout
+        assert json.loads(proc.stdout)["counterexample"]["context"]["params"]["k"] == 1
+
+    @pytest.mark.parametrize("what", sorted(_CHECKS))
+    def test_block_key_is_sound(self, what, monkeypatch, capsys):
+        # Run every point against an empty rigged-set cache: each piece it
+        # builds must have the point's k and M, or two blocks would build
+        # the same pieces.
+        from rigchar import cli, riggedsets
+
+        check = _CHECKS[what]
+        grid = ["--max-k", "2", "--max-M", "2", "--max-N", "2"]
+        if check.needs_weight:
+            grid += ["--max-weight", "2"]
+        m_at = len(check.labels(1)[0]) + 1  # M's place in a point
+        check_point = cli._check_point
+        built, stray = [], []
+
+        def isolated(task):
+            cache = {}
+            monkeypatch.setattr(riggedsets, "_R_CACHE", cache)
+            failure = check_point(task)
+            point = task[2]
+            built.extend(cache)
+            stray.extend(
+                (point, p.k, p.M) for p, *_ in cache if (p.k, p.M) != (point[0], point[m_at])
+            )
+            return failure
+
+        monkeypatch.setattr(cli, "_check_point", isolated)
+        assert cli.main(["verify", what, *grid, "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert built
+        assert stray == []
 
 
 class TestOutputFile:
