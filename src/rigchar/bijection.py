@@ -41,7 +41,7 @@ from .core import (
     vacancy_P,
     vacancy_Q,
 )
-from .riggedsets import RiggedSet, canonical_key, enumerate_R, satisfies_cutoffs
+from .riggedsets import canonical_key, enumerate_R, satisfies_cutoffs
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
     return out
 
 
-def _ambient(p: Params, m: int, n: int) -> RiggedSet:
+def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     """The cutoff set with the tau condition switched off (l3 = min)."""
     free = Params(p.k, p.l1, p.l2, min(p.l1, p.l2), p.M, p.N)
     return enumerate_R(free, m, n)
@@ -282,7 +282,7 @@ def _cover_scan(
     holds an element must also have rho <= P and sigma <= Q there; reason
     names a violation.
     """
-    target = set(enumerate_R(p, m, n).elements)
+    target = set(enumerate_R(p, m, n))
     ambient = _ambient(p, m, n)
     for x in ambient:
         covers = []

@@ -61,9 +61,6 @@ class LaurentPoly:
         """Items in canonical (exponent-lexicographic) order."""
         return sorted(self._terms.items())
 
-    def coeff(self, e1: int, e2: int, eq: int) -> int:
-        return self._terms.get((e1, e2, eq), 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 

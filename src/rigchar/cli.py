@@ -35,35 +35,23 @@ from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
 from .bijection import Report
-from .core import Params, RiggedPair, pair_from_obj, params_from_obj, params_to_obj
+from .core import Params, pair_from_obj, pair_to_obj, params_from_obj, params_to_obj
 
 JOBS_ENV_VAR = "RIGCHAR_JOBS"
 
 
 # ---------------------------------------------------------------- serialization
 
-def pair_to_obj(x: RiggedPair, l1: int | None = None, l2: int | None = None) -> dict:
-    """JSON object for one rigged pair; includes the degree when labels given."""
-    obj = core.pair_to_obj(x)
-    if l1 is not None and l2 is not None:
-        obj["degree"] = characters.rig_degree(x, l1, l2)
-    return obj
-
-
 def enum_document(p: Params) -> dict:
     """The full enumeration document: every nonempty piece in (m, n) order."""
-    mmax, nmax = riggedsets.weight_bound(p)
     pieces = []
-    for m, n in product(range(mmax + 1), range(nmax + 1)):
-        rs = riggedsets.enumerate_R(p, m, n)
-        if not rs.elements:
-            continue
+    for (m, n), piece in riggedsets.enumerate_total(p).items():
         elements = []
-        for x, degree in zip(rs, characters.piece_degrees(rs, p.l1, p.l2)):
+        for x, degree in zip(piece, characters.piece_degrees(piece, p.l1, p.l2)):
             obj = pair_to_obj(x)
             obj["degree"] = degree
             elements.append(obj)
-        pieces.append({"m": m, "n": n, "count": len(rs), "elements": elements})
+        pieces.append({"m": m, "n": n, "count": len(piece), "elements": elements})
     return {"params": params_to_obj(p), "pieces": pieces}
 
 
@@ -354,8 +342,9 @@ def _run_blocks(blocks: list[list], workers: int, total: int) -> dict | None:
 
 def run_verify(args) -> int:
     check = _CHECKS[args.what]
-    if check.needs_weight and args.max_weight is None:
-        print(f"error: verify {args.what} requires --max-weight", file=sys.stderr)
+    if check.needs_weight != (args.max_weight is not None):
+        need = "requires" if check.needs_weight else "does not take"
+        print(f"error: verify {args.what} {need} --max-weight", file=sys.stderr)
         return 2
     weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
     points = product(
@@ -373,6 +362,9 @@ def run_verify(args) -> int:
         task = (args.what, args.inject_tau_skew, (*kl, M, N, *mn))
         blocks.setdefault((kl[0], M), []).append((len(tasks), task))
         tasks.append(task)
+    if not tasks:
+        print(f"error: verify {args.what} has no grid points", file=sys.stderr)
+        return 2
     workers = min(_resolve_jobs(args), len(blocks))
     failure = None
     if workers > 1:

@@ -178,10 +178,6 @@ class Rigging:
                 if i and row[i - 1] < v:
                     raise ValueError(f"rigging row {row} is not weakly decreasing")
 
-    @classmethod
-    def zero(cls, p: Partition) -> "Rigging":
-        return cls(tuple((0,) * m for m in p.mult))
-
     def row(self, alpha: int) -> tuple[int, ...]:
         return self.rows[alpha - 1]
 

@@ -2,7 +2,8 @@
 
 This module is the oracle every identity verifier is checked against: it
 materialises the graded pieces of the cutoff sets by direct scan over all
-partitions and all riggings below the vacancy bounds.
+partitions and all riggings below the vacancy bounds.  A graded piece is a
+plain tuple of RiggedPair values, duplicate-free and in canonical_key order.
 
 Completeness of enumerate_total rests on the weight bound derived from the
 non-negativity of the k-th vacancy components: a nonempty piece forces
@@ -13,7 +14,6 @@ those bounds, so no nonempty piece can be missed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -36,29 +36,6 @@ class UncappedEnumerationError(ValueError):
 def canonical_key(x: RiggedPair):
     """Sort key: lexicographic on (mu, nu) row lists, then flattened riggings."""
     return (x.mu.rows(), x.nu.rows(), x.r.flat(), x.s.flat())
-
-
-@dataclass(frozen=True)
-class RiggedSet:
-    """A graded piece, as a duplicate-free canonically ordered element list.
-
-    params is None for sets enumerated without degree cutoffs (the capped
-    plain sets), otherwise the full parameter tuple the set belongs to.
-    """
-
-    params: Params | None
-    m: int
-    n: int
-    elements: tuple[RiggedPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x: RiggedPair) -> bool:
-        return x in self.elements
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +118,7 @@ def is_member_plain(x: RiggedPair, l1: int, l2: int, l3: int) -> bool:
 
 # Keyed by the tau skew too, so a piece built under one skew is never
 # served under another.
-_R_CACHE: dict[tuple[Params, int, int, int], RiggedSet] = {}
+_R_CACHE: dict[tuple[Params, int, int, int], tuple[RiggedPair, ...]] = {}
 
 
 def feasible_pairs(p: Params, m: int, n: int):
@@ -196,13 +173,14 @@ def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
             yield RiggedPair(mu, r_obj, nu, Rigging(ss))
 
 
-def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
-    """The graded piece at weights (m, n) of the full cutoff set.
+def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
+    """The graded piece at weights (m, n) of the full cutoff set, as a
+    duplicate-free tuple.
 
     An element is kept iff (a) both vacancy vectors are componentwise
     non-negative, (b) every top rigging is bounded by the matching vacancy
     entry, and (c) the bottom riggings meet the tau lower bounds.  Negative
-    weights give the empty set.
+    weights give the empty tuple.
 
     The elements come out in canonical_key order without a sort.
     enumerate_partitions lists mu (outer loop) and nu (inner loop) in
@@ -217,29 +195,27 @@ def enumerate_R(p: Params, m: int, n: int) -> RiggedSet:
     if hit is not None:
         return hit
     if m < 0 or n < 0:
-        rs = RiggedSet(p, m, n, ())
-        _R_CACHE[key] = rs
-        return rs
-
-    taumat = _tau_matrix(p)
-    out: list[RiggedPair] = []
-    for mu, nu, P, Q in feasible_pairs(p, m, n):
-        out.extend(_riggings(mu, nu, P.entries, Q.entries, taumat))
-
-    rs = RiggedSet(p, m, n, tuple(out))
-    _R_CACHE[key] = rs
-    return rs
+        piece = ()
+    else:
+        taumat = _tau_matrix(p)
+        piece = tuple(
+            x
+            for mu, nu, P, Q in feasible_pairs(p, m, n)
+            for x in _riggings(mu, nu, P.entries, Q.entries, taumat)
+        )
+    _R_CACHE[key] = piece
+    return piece
 
 
 def enumerate_R_plain(
     k: int, l1: int, l2: int, l3: int, m: int, n: int, cap: int | None = None
-) -> RiggedSet:
-    """The tau-restricted set with no vacancy conditions, riggings capped.
+) -> tuple[RiggedPair, ...]:
+    """The tau-restricted set with no vacancy conditions, riggings capped,
+    as a tuple in canonical_key order (for the reason given in enumerate_R).
 
     The uncapped set is infinite, so materialising it without a cap is
     refused with UncappedEnumerationError.  Membership testing of single
-    elements is available through is_member_plain regardless.  The elements
-    come out in canonical_key order, for the reason given in enumerate_R.
+    elements is available through is_member_plain regardless.
     """
     if cap is None:
         raise UncappedEnumerationError(
@@ -247,11 +223,12 @@ def enumerate_R_plain(
         )
     taumat = _tau_matrix(Params(k, l1, l2, l3, 0, 0))
     caps = (cap,) * k
-    out: list[RiggedPair] = []
-    for mu in enumerate_partitions(m, k):
-        for nu in enumerate_partitions(n, k):
-            out.extend(_riggings(mu, nu, caps, caps, taumat))
-    return RiggedSet(None, m, n, tuple(out))
+    return tuple(
+        x
+        for mu in enumerate_partitions(m, k)
+        for nu in enumerate_partitions(n, k)
+        for x in _riggings(mu, nu, caps, caps, taumat)
+    )
 
 
 def weight_bound(p: Params) -> tuple[int, int]:
@@ -262,13 +239,13 @@ def weight_bound(p: Params) -> tuple[int, int]:
     )
 
 
-def enumerate_total(p: Params) -> dict[tuple[int, int], RiggedSet]:
-    """Every nonempty graded piece, keyed by (m, n) in ascending order."""
+def enumerate_total(p: Params) -> dict[tuple[int, int], tuple[RiggedPair, ...]]:
+    """Every nonempty graded piece, keyed by (m, n) in ascending order: the
+    one walk over the weight box, shared by char_R and the enum document."""
     mmax, nmax = weight_bound(p)
-    pieces: dict[tuple[int, int], RiggedSet] = {}
-    for m in range(mmax + 1):
-        for n in range(nmax + 1):
-            rs = enumerate_R(p, m, n)
-            if rs.elements:
-                pieces[(m, n)] = rs
-    return pieces
+    return {
+        (m, n): piece
+        for m in range(mmax + 1)
+        for n in range(nmax + 1)
+        if (piece := enumerate_R(p, m, n))
+    }

@@ -79,7 +79,7 @@ def test_criterion_1_initial_condition():
             total = enumerate_total(p)
             if l1 == k and l2 == k:
                 ok = ok and list(total) == [(0, 0)] and len(total[(0, 0)]) == 1
-                x = total[(0, 0)].elements[0]
+                x = total[(0, 0)][0]
                 ok = ok and weight(x.mu) == 0 and weight(x.nu) == 0
             else:
                 ok = ok and total == {}

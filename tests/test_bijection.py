@@ -151,7 +151,7 @@ class TestLowerMember:
     def test_k1_single_element(self):
         p = Params(1, 1, 1, 1, 1, 1)
         I = J = IndexSet.of(1, (1,))
-        x = enumerate_R(p, 1, 1).elements[0]
+        x = enumerate_R(p, 1, 1)[0]
         assert lower_member(x, I, J, p)
 
 
@@ -291,7 +291,7 @@ class TestDecompositions:
 
     def test_empty_pair_covered_by_single_J(self):
         p = Params(2, 2, 2, 1, 1, 1)
-        empty = enumerate_R(p, 0, 0).elements[0]
+        empty = enumerate_R(p, 0, 0)[0]
         covers = [
             (I, J)
             for I in all_index_sets(2)

@@ -63,7 +63,7 @@ class TestEnum:
         from rigchar.riggedsets import enumerate_R
 
         for (m, n), elems in pieces.items():
-            assert tuple(elems) == enumerate_R(p, m, n).elements
+            assert tuple(elems) == enumerate_R(p, m, n)
 
     def test_invalid_labels_exit_2(self):
         run_cli(
@@ -192,6 +192,37 @@ class TestVerify:
             "verify", "recursion", "--max-k", "1", "--max-M", "1", "--max-N", "1",
             expect=2,
         )
+
+    @pytest.mark.parametrize("what", ["fermionic", "char-recursion"])
+    def test_unread_weight_bound_exit_2(self, what, capsys):
+        from rigchar import cli
+
+        argv = ["verify", what, "--max-k", "1", "--max-M", "0", "--max-N", "1",
+                "--max-weight", "5"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"verify {what} does not take --max-weight" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recursion", "--max-k", "3", "--max-weight", "4", "--max-M", "2",
+             "--max-N", "0"],
+            ["lower-decomp", "--max-k", "2", "--max-weight", "-1", "--max-M", "1",
+             "--max-N", "1"],
+            ["bijection", "--max-k", "0", "--max-weight", "1", "--max-M", "1",
+             "--max-N", "1"],
+        ],
+        ids=["no-N", "no-weight", "no-k"],
+    )
+    def test_empty_grid_exit_2(self, argv, capsys):
+        from rigchar import cli
+
+        assert cli.main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"verify {argv[0]} has no grid points" in err
 
     def test_unknown_check_exit_2(self):
         run_cli(

@@ -1,6 +1,10 @@
-"""Every module under src/rigchar uses each name it imports."""
+"""Every module under src/rigchar uses each name it imports, and every name
+the bench tracer looks up in rigchar exists."""
 
 import ast
+import importlib
+import importlib.util
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,28 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+
+def test_tracer_names_exist():
+    """Each name bench/traced.py patches or reads is defined in rigchar.
+
+    The tracer is loaded by path and inspected; install() is not called,
+    so nothing is patched.
+    """
+    path = SRC.parent.parent / "bench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    names = [(owner, name) for owner, name, _ in traced.PATCHES] + [
+        ("riggedsets", "_R_CACHE"),
+        ("characters", "_GAUSS_CACHE"),
+        ("characters", "LaurentPoly.__mul__"),
+    ]
+    missing = []
+    for owner, name in names:
+        try:
+            attrgetter(name)(importlib.import_module(f"rigchar.{owner}"))
+        except AttributeError:
+            missing.append(f"{owner}.{name}")
+    assert not missing, f"bench/traced.py needs names rigchar lacks: {', '.join(missing)}"

@@ -68,7 +68,7 @@ class TestEnumerateR:
                 piece = enumerate_R(p, 0, 0)
                 if l1 == k and l2 == k:
                     assert len(piece) == 1
-                    x = piece.elements[0]
+                    x = piece[0]
                     assert weight(x.mu) == 0 and weight(x.nu) == 0
                 else:
                     assert len(piece) == 0
@@ -78,7 +78,7 @@ class TestEnumerateR:
         p = Params(1, 1, 1, 1, 1, 1)
         piece = enumerate_R(p, 1, 1)
         assert len(piece) == 1
-        x = piece.elements[0]
+        x = piece[0]
         assert x.mu.mult == (1,) and x.nu.mult == (1,)
         assert x.r.rows == ((0,),) and x.s.rows == ((0,),)
 
@@ -91,7 +91,7 @@ class TestEnumerateR:
         p = Params(2, 2, 2, 0, 1, 1)
         for m in range(4):
             for n in range(4):
-                elems = enumerate_R(p, m, n).elements
+                elems = enumerate_R(p, m, n)
                 keys = [canonical_key(x) for x in elems]
                 assert keys == sorted(keys)
                 assert len(set(elems)) == len(elems)
@@ -124,7 +124,7 @@ class TestEnumerateR:
                                 filtered = tuple(
                                     x for x in plain if satisfies_cutoffs(x, p)
                                 )
-                                assert filtered == enumerate_R(p, m, n).elements
+                                assert filtered == enumerate_R(p, m, n)
 
 
 # Grids where some row length has multiplicity >= 2 and vacancy bound >= 2,
@@ -136,7 +136,7 @@ def order_grid_pieces():
     for p in ORDER_GRIDS:
         for m in range(5):
             for n in range(5):
-                yield p, m, n, enumerate_R(p, m, n).elements
+                yield p, m, n, enumerate_R(p, m, n)
 
 
 class TestCanonicalOrder:
@@ -144,8 +144,13 @@ class TestCanonicalOrder:
 
     def test_pieces_sorted_without_duplicates(self):
         for _, _, _, elems in order_grid_pieces():
+            assert type(elems) is tuple
             assert elems == tuple(sorted(elems, key=canonical_key))
             assert len(set(elems)) == len(elems)
+        for p in ORDER_GRIDS:
+            pieces = enumerate_total(p)
+            assert pieces
+            assert all(type(piece) is tuple for piece in pieces.values())
 
     def test_grid_has_rows_whose_order_matters(self):
         def long_row(mult, bounds):
@@ -190,8 +195,9 @@ class TestCanonicalOrder:
 
     def test_plain_set_sorted(self):
         rs = enumerate_R_plain(2, 2, 2, 0, 3, 3, cap=2)
-        assert rs.elements == tuple(sorted(rs.elements, key=canonical_key))
-        assert len(set(rs.elements)) == len(rs.elements)
+        assert type(rs) is tuple
+        assert rs == tuple(sorted(rs, key=canonical_key))
+        assert len(set(rs)) == len(rs)
 
 
 class TestEnumerateRPlain:
@@ -202,7 +208,7 @@ class TestEnumerateRPlain:
     def test_cap_zero_trivial_tau(self):
         rs = enumerate_R_plain(1, 1, 1, 1, 1, 1, cap=0)
         assert len(rs) == 1
-        assert rs.elements[0].r.rows == ((0,),)
+        assert rs[0].r.rows == ((0,),)
 
     def test_cap_zero_blocked_by_tau(self):
         assert len(enumerate_R_plain(1, 1, 1, 0, 1, 1, cap=0)) == 0
@@ -227,7 +233,7 @@ class TestEnumerateRPlain:
                                 if satisfies_tau(x, p):
                                     ref.append(x)
                     got = enumerate_R_plain(k, l1, l2, l3, m, n, cap=cap)
-                    assert got.elements == tuple(ref)
+                    assert got == tuple(ref)
 
     def test_membership_degenerates_when_l3_min(self):
         x = RiggedPair(
@@ -309,7 +315,7 @@ class TestSerializationRoundTrip:
         seen = 0
         for piece in enumerate_total(p).values():
             for x in piece:
-                obj = pair_to_obj(x, p.l1, p.l2)
+                obj = pair_to_obj(x)
                 assert pair_from_obj(p.k, obj) == x
                 seen += 1
         assert seen > 0
