@@ -1,9 +1,9 @@
 """Index-set machinery for admissible pairs.
 
 Staircase vectors kappa/epsilon, the labelling of the complement of J
-above l1, (l1,l2)-admissibility, the pair bijection between (I, J) and
-(tilde I, tilde J), minimal second components, and the bound vectors
-rho, sigma, rho', sigma', delta_r and delta_s.
+above l1, (l1,l2)-admissibility, the pair map from (I, J) to
+(tilde I, tilde J), and the bound vectors rho, sigma, rho', sigma',
+delta_r and delta_s.
 
 Every function recomputes from scratch: the sets involved have at most
 2^k elements and purity keeps the exhaustive tests trivial to trust.
@@ -83,13 +83,6 @@ def epsilon(I: IndexSet) -> KVector:
     )
 
 
-def set_leq(J: IndexSet, Jp: IndexSet) -> bool:
-    """Partial order: J <= Jp iff kappa(J) <= kappa(Jp) componentwise."""
-    if J.k != Jp.k:
-        raise ValueError("index sets live at different levels")
-    return kappa(J) <= kappa(Jp)
-
-
 @dataclass(frozen=True)
 class ComplementLabels:
     """Labelling of [l1+1, k] \\ J.
@@ -165,73 +158,6 @@ def tilde_pair(I: IndexSet, J: IndexSet, l1: int) -> tuple[IndexSet, IndexSet]:
     boundary = absorbed[0]
     tJ = IndexSet.of(k, tuple(v for v in J.members if v < boundary))
     return tI, tJ
-
-
-def untilde_pair(tI: IndexSet, tJ: IndexSet, l1: int) -> tuple[IndexSet, IndexSet]:
-    """The inverse of tilde_pair on pairs satisfying its image conditions.
-
-    The split size a is forced: |tJ| = a + u_{a+1} - l1 - 1 is strictly
-    increasing in a, so at most one a can match.
-    """
-    k = tI.k
-    u = tI.members
-    bt = len(tJ)
-    split = None
-    for a in range(len(u)):
-        if a + u[a] - l1 - 1 == bt:
-            split = a
-            break
-    if split is None:
-        raise ValueError("no admissible split: |tJ| matches no a")
-    ua1 = u[split]
-    if ua1 < l1 + 1:
-        raise ValueError(f"element u_{split + 1}={ua1} must be >= l1+1")
-    for i in range(split):
-        if tJ.members[i] > u[i]:
-            raise ValueError("condition v_i <= u_i fails")
-    if bt and tJ.members[-1] >= ua1:
-        raise ValueError("tilde J must stay below u_{a+1}")
-    I = IndexSet.of(k, u[:split])
-    extra = tuple(v for v in range(ua1, k + 1) if v not in tI.members)
-    J = IndexSet.of(k, tJ.members + extra)
-    return I, J
-
-
-def j_min(I: IndexSet, c: int, l1: int, tI: IndexSet | None = None) -> IndexSet:
-    """Minimal J in the kappa order among the admissible completions of I.
-
-    For l1 + c >= k only I is needed; otherwise the fixed tilde I must be
-    supplied and its first |I| members must be exactly I.
-    """
-    k = I.k
-    a = len(I)
-    b = a + c
-    if c < 0 or b > k:
-        raise ValueError(f"need 0 <= c and a+c <= k, got a={a}, c={c}")
-    if l1 + c >= k:
-        if tI is not None and tI != I:
-            raise ValueError("tilde I must equal I when l1 + c >= k")
-        head = [min(I.members[i - 1], k - b + i) for i in range(1, a + 1)]
-        return IndexSet.of(k, tuple(head) + tuple(range(k - c + 1, k + 1)))
-    if tI is None:
-        raise ValueError("the l1 + c < k branch needs tilde I")
-    if tI.members[:a] != I.members:
-        raise ValueError("tilde I must start with I")
-    if len(tI) != a + k - l1 - c:
-        raise ValueError("tilde I has the wrong cardinality")
-    ua1 = tI.members[a]
-    if ua1 < l1 + 1:
-        raise ValueError("tilde I violates u_{a+1} >= l1 + 1")
-    head = [min(I.members[i - 1], l1 - a + i) for i in range(1, a + 1)]
-    mid = list(range(l1 + 1, ua1))
-    rest = [v for v in range(ua1, k + 1) if v not in tI.members]
-    return IndexSet.of(k, tuple(head + mid + rest))
-
-
-def i_max(J: IndexSet, l1: int, l3: int) -> IndexSet:
-    """The largest admissible first component: the min(l3, p) smallest of J."""
-    p = label_complement(J, l1).p
-    return IndexSet.of(J.k, J.members[: min(l3, p)])
 
 
 def rho(I: IndexSet, J: IndexSet, l1: int) -> KVector:

@@ -21,11 +21,6 @@ def pos_part(x: int) -> int:
     return x if x > 0 else 0
 
 
-def neg_part(x: int) -> int:
-    """max(-x, 0), written x-."""
-    return -x if x < 0 else 0
-
-
 # Fault-injection knob for the verification harness self-test: a nonzero
 # skew corrupts tau, so a `verify` run must report a counterexample.
 # Set only around one verify grid point, and reset after it.
@@ -101,10 +96,6 @@ class KVector:
     def plus(self) -> "KVector":
         """Componentwise positive part x+."""
         return KVector(tuple(pos_part(a) for a in self.entries))
-
-    def minus(self) -> "KVector":
-        """Componentwise negative part x-."""
-        return KVector(tuple(neg_part(a) for a in self.entries))
 
     def is_nonneg(self) -> bool:
         return min(self.entries, default=0) >= 0

@@ -29,10 +29,6 @@ from .core import (
 )
 
 
-class UncappedEnumerationError(ValueError):
-    """Raised when asked to materialise an infinite rigged set without a cap."""
-
-
 def canonical_key(x: RiggedPair):
     """Sort key: lexicographic on (mu, nu) row lists, then flattened riggings."""
     return (x.mu.rows(), x.nu.rows(), x.r.flat(), x.s.flat())
@@ -108,12 +104,6 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
         if row and row[0] > Q[alpha]:
             return False
     return True
-
-
-def is_member_plain(x: RiggedPair, l1: int, l2: int, l3: int) -> bool:
-    """Membership in the uncapped set with the tau condition only."""
-    p = Params(x.k, l1, l2, l3, 0, 0)
-    return satisfies_tau(x, p)
 
 
 # Keyed by the tau skew too, so a piece built under one skew is never
@@ -205,30 +195,6 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
         )
     _R_CACHE[key] = piece
     return piece
-
-
-def enumerate_R_plain(
-    k: int, l1: int, l2: int, l3: int, m: int, n: int, cap: int | None = None
-) -> tuple[RiggedPair, ...]:
-    """The tau-restricted set with no vacancy conditions, riggings capped,
-    as a tuple in canonical_key order (for the reason given in enumerate_R).
-
-    The uncapped set is infinite, so materialising it without a cap is
-    refused with UncappedEnumerationError.  Membership testing of single
-    elements is available through is_member_plain regardless.
-    """
-    if cap is None:
-        raise UncappedEnumerationError(
-            "the tau-restricted set is infinite; pass a cap on rigging entries"
-        )
-    taumat = _tau_matrix(Params(k, l1, l2, l3, 0, 0))
-    caps = (cap,) * k
-    return tuple(
-        x
-        for mu in enumerate_partitions(m, k)
-        for nu in enumerate_partitions(n, k)
-        for x in _riggings(mu, nu, caps, caps, taumat)
-    )
 
 
 def weight_bound(p: Params) -> tuple[int, int]:

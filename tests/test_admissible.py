@@ -1,5 +1,5 @@
-"""Index-set machinery: staircase vectors, admissibility, the pair
-bijection, minimal completions and the bound vectors."""
+"""Index-set machinery: staircase vectors, admissibility, the pair map
+and the bound vectors."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,7 @@ from rigchar.admissible import (
     delta_r,
     delta_s,
     epsilon,
-    i_max,
     is_admissible,
-    is_l1_admissible,
-    j_min,
     kappa,
     kappa_interval,
     kappa_single,
@@ -22,11 +19,9 @@ from rigchar.admissible import (
     primed_labels,
     rho,
     rho_prime,
-    set_leq,
     sigma,
     sigma_prime,
     tilde_pair,
-    untilde_pair,
 )
 from rigchar.core import KVector, Partition, vacancy_P, vacancy_Q
 
@@ -94,22 +89,6 @@ class TestKappaEpsilon:
             for I in all_index_sets(k):
                 e = epsilon(I)
                 assert sum(a * e[a] for a in range(1, k + 1)) == len(I)
-
-
-class TestSetOrder:
-    def test_reflexive(self):
-        J = IndexSet.of(3, (1, 3))
-        assert set_leq(J, J)
-
-    def test_hand_example(self):
-        assert set_leq(IndexSet.of(3, (2,)), IndexSet.of(3, (1,)))
-        assert not set_leq(IndexSet.of(3, (1,)), IndexSet.of(3, (2,)))
-
-    def test_incomparable(self):
-        J = IndexSet.of(3, (1,))
-        Jp = IndexSet.of(3, (2, 3))
-        assert not set_leq(J, Jp)
-        assert not set_leq(Jp, J)
 
 
 class TestLabelComplement:
@@ -194,107 +173,21 @@ class TestPairBijection:
                     va = k + 1 if l1 + c >= k else tI.members[a]
                     assert len(tJ) == va + c - l1p - 1
 
-    def test_roundtrip_forward(self):
+    def test_injective_below_k(self):
+        # The branch l1 + c < k is where the map is not the identity.
         for k in range(1, 5):
             for l1 in range(k + 1):
-                for I, J in admissible_pairs(k, l1):
-                    if l1 + len(J) - len(I) >= k:
-                        continue
-                    tI, tJ = tilde_pair(I, J, l1)
-                    assert untilde_pair(tI, tJ, l1) == (I, J)
-
-    def test_roundtrip_backward(self):
-        for k in range(1, 5):
-            for l1 in range(k + 1):
-                for tI in all_index_sets(k):
-                    for tJ in all_index_sets(k):
-                        try:
-                            I, J = untilde_pair(tI, tJ, l1)
-                        except ValueError:
-                            continue
-                        assert is_l1_admissible(I, J, l1)
-                        if l1 + len(J) - len(I) < k:
-                            assert tilde_pair(I, J, l1) == (tI, tJ)
+                pairs = [
+                    (I, J)
+                    for I, J in admissible_pairs(k, l1)
+                    if l1 + len(J) - len(I) < k
+                ]
+                images = {tilde_pair(I, J, l1) for I, J in pairs}
+                assert len(images) == len(pairs)
 
     def test_rejects_non_admissible(self):
         with pytest.raises(ValueError):
             tilde_pair(IndexSet.of(2, (1,)), IndexSet.of(2, (2,)), 0)
-
-
-class TestJMin:
-    def test_hand_example(self):
-        got = j_min(IndexSet.of(2, (1,)), 1, 2)
-        assert got == IndexSet.of(2, (1, 2))
-
-    def test_minimality_and_membership(self):
-        for k in range(1, 5):
-            for l1 in range(k + 1):
-                for I in all_index_sets(k):
-                    a = len(I)
-                    if a > l1:
-                        continue
-                    for c in range(k - a + 1):
-                        b = a + c
-                        if l1 + c >= k:
-                            cands = [
-                                J
-                                for J in all_index_sets(k)
-                                if len(J) == b and is_l1_admissible(I, J, l1)
-                            ]
-                            if not cands:
-                                continue
-                            jm = j_min(I, c, l1)
-                            assert jm in cands
-                            for J in cands:
-                                assert set_leq(jm, J)
-                        else:
-                            groups = {}
-                            for J in all_index_sets(k):
-                                if len(J) != b or not is_l1_admissible(I, J, l1):
-                                    continue
-                                tI, _ = tilde_pair(I, J, l1)
-                                groups.setdefault(tI, []).append(J)
-                            for tI, cands in groups.items():
-                                jm = j_min(I, c, l1, tI)
-                                assert jm in cands
-                                assert tilde_pair(I, jm, l1)[0] == tI
-                                for J in cands:
-                                    assert set_leq(jm, J)
-
-    def test_sigma_prime_closed_form(self):
-        for k in range(1, 5):
-            for l1 in range(k + 1):
-                for I in all_index_sets(k):
-                    a = len(I)
-                    if a > l1:
-                        continue
-                    for c in range(k - a + 1):
-                        b = a + c
-                        if l1 + c >= k:
-                            jm = j_min(I, c, l1)
-                            closed = (
-                                kappa_interval(k, k - b + 1, k - c) - kappa(I)
-                            ).plus()
-                            assert sigma_prime(I, jm, l1) == closed
-                        else:
-                            for tI in all_index_sets(k):
-                                if (
-                                    len(tI) != a + k - l1 - c
-                                    or tI.members[:a] != I.members
-                                    or tI.members[a] < l1 + 1
-                                ):
-                                    continue
-                                jm = j_min(I, c, l1, tI)
-                                closed = (
-                                    kappa_interval(k, l1 - a + 1, k - c) - kappa(tI)
-                                ).plus()
-                                assert sigma_prime(I, jm, l1) == closed
-
-    def test_inconsistent_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            j_min(IndexSet.of(3, (1,)), 0, 1)  # l1 + c < k but no tilde I
-        with pytest.raises(ValueError):
-            j_min(IndexSet.of(3, (1,)), 0, 1, IndexSet.of(3, (2, 3)))
 
 
 class TestBoundVectors:
@@ -306,7 +199,9 @@ class TestBoundVectors:
                     for J in all_index_sets(k):
                         if len(J) > l2:
                             continue
-                        im = i_max(J, l1, l3)
+                        im = IndexSet.of(
+                            k, J.members[: min(l3, label_complement(J, l1).p)]
+                        )
                         assert is_admissible(im, J, l1, l2)
                         assert rho(im, J, l1) == KVector.zero(k)
 

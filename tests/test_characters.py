@@ -270,7 +270,10 @@ class TestVerifyFermionic:
         rep = verify_fermionic(Params(1, 1, 1, 1, 1, 1))
         assert rep.ok and rep.check == "fermionic"
         assert rep.context == {"k": 1, "l1": 1, "l2": 1, "M": 1, "N": 1}
-        assert rep.detail == {"closed_form": "1 + z1*z2*q", "bruteforce": "1 + z1*z2*q"}
+        # A passing report carries no texts; they are rendered on failure only.
+        assert rep.detail == {}
+        assert fermionic_char(1, 1, 1, 1, 1).to_text() == "1 + z1*z2*q"
+        assert char_R(Params(1, 1, 1, 1, 1, 1)).to_text() == "1 + z1*z2*q"
 
     def test_rejects_l3_below_min(self):
         # The closed form is the character at l3 = min(l1, l2) only.
@@ -281,8 +284,8 @@ class TestVerifyFermionic:
 class TestCharRecursion:
     def test_k1_hand_case(self):
         rep = char_recursion_check(1, 1, 1, 1, 1, 1)
-        assert rep.ok
-        assert rep.detail["lhs"] == "1 + z1*z2*q"
+        assert rep.ok and rep.detail == {}
+        assert char_R(Params(1, 1, 1, 1, 1, 1)).to_text() == "1 + z1*z2*q"
 
     def test_small_grid(self):
         for k in (1, 2):

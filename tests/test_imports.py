@@ -1,5 +1,6 @@
-"""Every module under src/rigchar uses each name it imports, and every name
-the bench tracer looks up in rigchar exists."""
+"""Every module under src/rigchar uses each name it imports, every name it
+defines at module level is read by the program, and every name the bench
+tracer looks up in rigchar exists."""
 
 import ast
 import importlib
@@ -41,6 +42,58 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
+
+# Module-level names no program code reads, each kept on purpose.
+READ_BY_TESTS_ONLY = {
+    "core.tau_min_form": "the eight-term form of tau, compared with tau()",
+    "core.boundary_ok": "the weight inequalities, compared with vacancy non-negativity",
+    "characters.gauss_binomial_product": "the product form, compared with q-Pascal",
+    "riggedsets.satisfies_tau": "the per-element tau predicate, the reference "
+    "that enumerate_R's bounded rows are checked against",
+    "cli.parse_enum_document": "the reader of the enum format, for its round trip",
+}
+
+
+def program_reads(paths) -> set[str]:
+    """Names read by a Name or Attribute node, and the dot-separated parts
+    of string constants outside __all__ (the tracer patches by name)."""
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(map(id, ast.walk(node.value)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in exported
+            ):
+                read.update(node.value.split("."))
+    return read
+
+
+def test_every_definition_is_read():
+    """Each module-level def or class in src/rigchar is read by src/rigchar
+    or bench/, or is listed with its reason in READ_BY_TESTS_ONLY, and each
+    listed name is still defined and still unread."""
+    read = program_reads([*SRC.glob("*.py"), *(SRC.parent.parent / "bench").glob("*.py")])
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read:
+                unread.append(f"{path.stem}.{node.name}")
+    extra = sorted(set(unread) - set(READ_BY_TESTS_ONLY))
+    assert not extra, f"defined but read by no program code: {', '.join(extra)}"
+    stale = sorted(set(READ_BY_TESTS_ONLY) - set(unread))
+    assert not stale, f"listed as read by tests only, but read or gone: {', '.join(stale)}"
 
 
 def test_tracer_names_exist():

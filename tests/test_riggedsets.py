@@ -1,17 +1,12 @@
 """Enumeration of the rigged sets: the oracle everything else leans on."""
 
-import pytest
-
 from rigchar.core import TAU_SKEW, Params, Partition, RiggedPair, Rigging, weight
 from rigchar.riggedsets import (
-    UncappedEnumerationError,
     canonical_key,
     enumerate_partitions,
     enumerate_R,
-    enumerate_R_plain,
     enumerate_total,
     feasible_pairs,
-    is_member_plain,
     _row_choices,
     satisfies_cutoffs,
     satisfies_tau,
@@ -103,28 +98,55 @@ class TestEnumerateR:
                 for m in range(4):
                     for n in range(4):
                         for x in enumerate_R(p, m, n):
-                            assert is_member_plain(x, l1, l2, l3)
+                            assert satisfies_tau(x, p)
 
     def test_two_step_definition(self):
-        for k in (1, 2):
+        # The piece is every rigged pair with rows capped by its largest
+        # vacancy entry that meets the cutoffs and tau, in canonical order.
+        from itertools import product
+
+        def reference(p, m, n):
+            for mu in enumerate_partitions(m, p.k):
+                for nu in enumerate_partitions(n, p.k):
+                    P = vacancy_P(mu, nu, p.M, p.l1)
+                    Q = vacancy_Q(mu, nu, p.N, p.l2)
+                    cap = max(0, *P.entries, *Q.entries)
+                    r_opts = [_row_choices(c, cap) for c in mu.mult]
+                    s_opts = [_row_choices(c, cap) for c in nu.mult]
+                    for rr, ss in product(product(*r_opts), product(*s_opts)):
+                        x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                        if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
+                            yield x
+
+        # k = 3 keeps the tau bounds of a 3 x 3 matrix in the grid.
+        for k in (1, 2, 3):
             for l1, l2, l3 in legal_labels(k):
                 for M in (0, 1):
                     for N in (0, 1):
                         p = Params(k, l1, l2, l3, M, N)
-                        for m in range(4):
+                        for m in range(-1, 4):
                             for n in range(4):
-                                cap = 0
-                                for mu in enumerate_partitions(m, k):
-                                    for nu in enumerate_partitions(n, k):
-                                        for v in vacancy_P(mu, nu, M, l1).entries:
-                                            cap = max(cap, abs(v))
-                                        for v in vacancy_Q(mu, nu, N, l2).entries:
-                                            cap = max(cap, abs(v))
-                                plain = enumerate_R_plain(k, l1, l2, l3, m, n, cap=cap)
-                                filtered = tuple(
-                                    x for x in plain if satisfies_cutoffs(x, p)
-                                )
-                                assert filtered == enumerate_R(p, m, n)
+                                assert enumerate_R(p, m, n) == tuple(reference(p, m, n))
+
+    def test_swap_symmetry(self):
+        # (mu, r, nu, s) -> (nu, s, mu, r) maps R(k,l1,l2,l3,M,N)_{m,n} onto
+        # R(k,l2,l1,l3,N,M)_{n,m}.  This is a property of the sets, not a
+        # fault detector: it holds under a skewed tau as well.
+        nonempty = 0
+        for k in (1, 2, 3):
+            for l1, l2, l3 in legal_labels(k):
+                for M, N in ((2, 1), (3, 2)):
+                    p = Params(k, l1, l2, l3, M, N)
+                    q = Params(k, l2, l1, l3, N, M)
+                    for m in range(7):
+                        for n in range(7):
+                            piece = enumerate_R(p, m, n)
+                            swapped = {RiggedPair(x.nu, x.s, x.mu, x.r) for x in piece}
+                            mirror = enumerate_R(q, n, m)
+                            assert len(swapped) == len(mirror) == len(piece)
+                            assert swapped == set(mirror)
+                            nonempty += bool(piece)
+        assert nonempty > 1000
 
 
 # Grids where some row length has multiplicity >= 2 and vacancy bound >= 2,
@@ -193,48 +215,7 @@ class TestCanonicalOrder:
                 )
                 assert again == x
 
-    def test_plain_set_sorted(self):
-        rs = enumerate_R_plain(2, 2, 2, 0, 3, 3, cap=2)
-        assert type(rs) is tuple
-        assert rs == tuple(sorted(rs, key=canonical_key))
-        assert len(set(rs)) == len(rs)
-
-
-class TestEnumerateRPlain:
-    def test_refuses_uncapped(self):
-        with pytest.raises(UncappedEnumerationError):
-            enumerate_R_plain(1, 1, 1, 1, 1, 1)
-
-    def test_cap_zero_trivial_tau(self):
-        rs = enumerate_R_plain(1, 1, 1, 1, 1, 1, cap=0)
-        assert len(rs) == 1
-        assert rs[0].r.rows == ((0,),)
-
-    def test_cap_zero_blocked_by_tau(self):
-        assert len(enumerate_R_plain(1, 1, 1, 0, 1, 1, cap=0)) == 0
-
-    @pytest.mark.parametrize("k, cap", [(1, 3), (2, 2), (3, 1)])
-    def test_equals_build_then_filter(self, k, cap):
-        # The plain set is every capped rigged pair that satisfies tau, in
-        # canonical order; tau only bounds the rows of s from below.
-        from itertools import product
-
-        for l1, l2, l3 in legal_labels(k):
-            p = Params(k, l1, l2, l3, 0, 0)
-            for m in range(-1, 4):
-                for n in range(4):
-                    ref = []
-                    for mu in enumerate_partitions(m, k):
-                        for nu in enumerate_partitions(n, k):
-                            r_opts = [_row_choices(c, cap) for c in mu.mult]
-                            s_opts = [_row_choices(c, cap) for c in nu.mult]
-                            for rr, ss in product(product(*r_opts), product(*s_opts)):
-                                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
-                                if satisfies_tau(x, p):
-                                    ref.append(x)
-                    got = enumerate_R_plain(k, l1, l2, l3, m, n, cap=cap)
-                    assert got == tuple(ref)
-
+class TestSatisfiesTau:
     def test_membership_degenerates_when_l3_min(self):
         x = RiggedPair(
             Partition(2, (1, 1)),
@@ -244,7 +225,7 @@ class TestEnumerateRPlain:
         )
         for l1 in range(3):
             for l2 in range(3):
-                assert is_member_plain(x, l1, l2, min(l1, l2))
+                assert satisfies_tau(x, Params(2, l1, l2, min(l1, l2), 0, 0))
 
 
 class TestFeasiblePairs:
