@@ -12,6 +12,7 @@ from rigchar.admissible import (
     delta_s,
     epsilon,
     is_admissible,
+    is_l1_admissible,
     kappa,
     kappa_interval,
     kappa_single,
@@ -33,6 +34,30 @@ def admissible_pairs(k, l1, l2=None):
         for J in all_index_sets(k):
             if is_admissible(I, J, l1, l2):
                 yield I, J
+
+
+def untilde_pair(tI, tJ, l1):
+    """The inverse of tilde_pair on pairs meeting its image conditions, from
+    the paper's formula; a reference for the round trips, not program code.
+
+    The split size a is forced: |tJ| = a + u_{a+1} - l1 - 1 is strictly
+    increasing in a, so at most one a can match.
+    """
+    u = tI.members
+    split = next(
+        (a for a in range(len(u)) if a + u[a] - l1 - 1 == len(tJ)), None
+    )
+    if split is None:
+        raise ValueError("no admissible split: |tJ| matches no a")
+    ua1 = u[split]
+    if ua1 < l1 + 1:
+        raise ValueError(f"element u_{split + 1}={ua1} must be >= l1+1")
+    if any(tJ.members[i] > u[i] for i in range(split)):
+        raise ValueError("condition v_i <= u_i fails")
+    if tJ.members and tJ.members[-1] >= ua1:
+        raise ValueError("tilde J must stay below u_{a+1}")
+    extra = tuple(v for v in range(ua1, tI.k + 1) if v not in u)
+    return IndexSet.of(tI.k, u[:split]), IndexSet.of(tI.k, tJ.members + extra)
 
 
 class TestKappaEpsilon:
@@ -184,6 +209,28 @@ class TestPairBijection:
                 ]
                 images = {tilde_pair(I, J, l1) for I, J in pairs}
                 assert len(images) == len(pairs)
+
+    def test_roundtrip_forward(self):
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for I, J in admissible_pairs(k, l1):
+                    if l1 + len(J) - len(I) >= k:
+                        continue
+                    tI, tJ = tilde_pair(I, J, l1)
+                    assert untilde_pair(tI, tJ, l1) == (I, J)
+
+    def test_roundtrip_backward(self):
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for tI in all_index_sets(k):
+                    for tJ in all_index_sets(k):
+                        try:
+                            I, J = untilde_pair(tI, tJ, l1)
+                        except ValueError:
+                            continue
+                        assert is_l1_admissible(I, J, l1)
+                        if l1 + len(J) - len(I) < k:
+                            assert tilde_pair(I, J, l1) == (tI, tJ)
 
     def test_rejects_non_admissible(self):
         with pytest.raises(ValueError):

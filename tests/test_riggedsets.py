@@ -1,5 +1,7 @@
 """Enumeration of the rigged sets: the oracle everything else leans on."""
 
+import pytest
+
 from rigchar.core import TAU_SKEW, Params, Partition, RiggedPair, Rigging, weight
 from rigchar.riggedsets import (
     canonical_key,
@@ -7,7 +9,9 @@ from rigchar.riggedsets import (
     enumerate_R,
     enumerate_total,
     feasible_pairs,
+    _riggings,
     _row_choices,
+    _tau_matrix,
     satisfies_cutoffs,
     satisfies_tau,
     weight_bound,
@@ -214,6 +218,34 @@ class TestCanonicalOrder:
                     Rigging(x.s.rows),
                 )
                 assert again == x
+
+
+class TestEnumerateRPlain:
+    @pytest.mark.parametrize("k, cap", [(1, 3), (2, 2), (3, 1)])
+    def test_equals_build_then_filter(self, k, cap):
+        # The plain set, without cutoffs: every rigged pair with rows capped
+        # by one bound that satisfies tau, in canonical order.  _riggings
+        # builds it with tau as a lower bound on the rows of s.
+        from itertools import product
+
+        for l1, l2, l3 in legal_labels(k):
+            p = Params(k, l1, l2, l3, 0, 0)
+            taumat = _tau_matrix(p)
+            for m in range(-1, 4):
+                for n in range(4):
+                    ref = []
+                    got = []
+                    for mu in enumerate_partitions(m, k):
+                        for nu in enumerate_partitions(n, k):
+                            r_opts = [_row_choices(c, cap) for c in mu.mult]
+                            s_opts = [_row_choices(c, cap) for c in nu.mult]
+                            for rr, ss in product(product(*r_opts), product(*s_opts)):
+                                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                                if satisfies_tau(x, p):
+                                    ref.append(x)
+                            got.extend(_riggings(mu, nu, (cap,) * k, (cap,) * k, taumat))
+                    assert got == ref
+
 
 class TestSatisfiesTau:
     def test_membership_degenerates_when_l3_min(self):
