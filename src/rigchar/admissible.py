@@ -43,14 +43,6 @@ class IndexSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        if set(self.members) & set(other.members):
-            raise ValueError("union of non-disjoint index sets")
-        return IndexSet.of(self.k, self.members + other.members)
-
 
 def all_index_sets(k: int):
     """All 2^k subsets in a fixed canonical (bitmask) order."""

@@ -19,8 +19,6 @@ from .bijection import Report
 from .core import Params, Partition, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
-_AXES = {"z1": 0, "z2": 1, "q": 2}
-
 
 class LaurentPoly:
     """Sparse Laurent polynomial in (z1, z2, q) over the integers.
@@ -32,12 +30,7 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    clean[(int(exps[0]), int(exps[1]), int(exps[2]))] = coeff
-        self._terms = clean
+        self._terms = {exps: c for exps, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -51,114 +44,54 @@ class LaurentPoly:
     def monomial(cls, coeff: int, e1: int = 0, e2: int = 0, eq: int = 0) -> "LaurentPoly":
         return cls({(e1, e2, eq): coeff})
 
-    @classmethod
-    def variable(cls, name: str) -> "LaurentPoly":
-        exps = [0, 0, 0]
-        exps[_AXES[name]] = 1
-        return cls({tuple(exps): 1})
-
     def terms(self):
         """Items in canonical (exponent-lexicographic) order."""
         return sorted(self._terms.items())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            new = out.get(exps, 0) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+            out[exps] = out.get(exps, 0) + coeff
+        return LaurentPoly(out)
 
-    __radd__ = __add__
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self + LaurentPoly.monomial(-1) * other
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({exps: -c for exps, c in self._terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({exps: c * other for exps, c in self._terms.items()})
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict = {}
         for (a1, a2, a3), ca in self._terms.items():
             for (b1, b2, b3), cb in other._terms.items():
                 key = (a1 + b1, a2 + b2, a3 + b3)
-                new = out.get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
-
-    __rmul__ = __mul__
+                out[key] = out.get(key, 0) + ca * cb
+        return LaurentPoly(out)
 
     def substitute(self, images: dict) -> "LaurentPoly":
-        """Substitute variables by monomials (names mapped to single-term
-        polynomials, possibly with negative exponents); a ring morphism."""
-        monos = {}
-        for name, poly in images.items():
-            axis = _AXES[name]
-            items = list(poly._terms.items())
-            if len(items) != 1:
-                raise ValueError(f"image of {name} must be a single monomial")
-            exps, coeff = items[0]
-            monos[axis] = (coeff, exps)
-        out: dict = {}
-        for exps, coeff in self._terms.items():
-            new = [0, 0, 0]
-            c = coeff
-            for axis in range(3):
-                e = exps[axis]
-                if axis in monos:
-                    mc, mexps = monos[axis]
-                    c *= _int_pow(mc, e)
-                    for i in range(3):
-                        new[i] += mexps[i] * e
-                else:
-                    new[axis] += e
-            key = tuple(new)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        """Substitute variables by monic monomials; a ring morphism.
 
-    def specialize(self, z1: int = 1, z2: int = 1, q: int = 1) -> int:
-        """Exact integer evaluation; negative exponents need unit values."""
-        total = 0
-        for (a, b, d), c in self._terms.items():
-            total += c * _int_pow(z1, a) * _int_pow(z2, b) * _int_pow(q, d)
-        return total
+        images maps "z1", "z2" or "q" to a LaurentPoly with a single term
+        of coefficient 1, possibly with negative exponents; any other
+        image raises ValueError.
+        """
+        axes = {"z1": (1, 0, 0), "z2": (0, 1, 0), "q": (0, 0, 1)}
+        for name, poly in images.items():
+            if name not in axes or list(poly._terms.values()) != [1]:
+                raise ValueError(f"image of {name} must be a monic monomial in z1, z2, q")
+            axes[name] = next(iter(poly._terms))
+        (x1, x2, x3), (y1, y2, y3), (w1, w2, w3) = axes.values()
+        out: dict = {}
+        for (a, b, c), coeff in self._terms.items():
+            key = (
+                a * x1 + b * y1 + c * w1,
+                a * x2 + b * y2 + c * w2,
+                a * x3 + b * y3 + c * w3,
+            )
+            out[key] = out.get(key, 0) + coeff
+        return LaurentPoly(out)
 
     def to_text(self, names: tuple[str, str, str] = ("z1", "z2", "q")) -> str:
         """Canonical text form, the golden-file format."""
@@ -183,16 +116,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
-
-
-def _int_pow(base: int, e: int) -> int:
-    if e >= 0:
-        return base ** e
-    if base == 1:
-        return 1
-    if base == -1:
-        return -1 if e % 2 else 1
-    raise ArithmeticError(f"negative power {e} of non-unit {base}")
 
 
 _GAUSS_CACHE: dict[tuple[int, int], LaurentPoly] = {}
@@ -398,9 +321,7 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
                 cell.append((degree_D(mu, nu, l1, l2), binoms))
             if cell:
                 _add_cell(acc, m, n, cell)
-    res = LaurentPoly.__new__(LaurentPoly)
-    res._terms = acc
-    return res
+    return LaurentPoly(acc)
 
 
 def verify_fermionic(p: Params) -> Report:

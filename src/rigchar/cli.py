@@ -68,9 +68,17 @@ def parse_enum_document(doc: dict):
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write text to the file output, or to stdout when output is None.
+
+    An output file that cannot be written is a usage error (exit 2), not a
+    failure report.
+    """
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -167,12 +175,11 @@ def _poly_payload(poly, args, names, meta: dict) -> int:
     if args.format == "text":
         _emit(poly.to_text(names) + "\n", args.output)
     else:
-        terms = [
-            {"z1": e1, "z2": e2, "q": eq, "coeff": c} for (e1, e2, eq), c in poly.terms()
-        ]
         if names[0] == "z":
+            terms = [{"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms()]
+        else:
             terms = [
-                {"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms()
+                {"z1": e1, "z2": e2, "q": eq, "coeff": c} for (e1, e2, eq), c in poly.terms()
             ]
         _emit(_json_text({**meta, "terms": terms, "text": poly.to_text(names)}), args.output)
     return 0

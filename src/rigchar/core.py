@@ -68,10 +68,6 @@ class KVector:
     def zero(k: int) -> "KVector":
         return KVector((0,) * k)
 
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
     def __getitem__(self, alpha: int) -> int:
         """1-based component access."""
         if not 1 <= alpha <= len(self.entries):
@@ -90,13 +86,6 @@ class KVector:
         self._check(other)
         return KVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "KVector":
-        return KVector(tuple(-a for a in self.entries))
-
-    def plus(self) -> "KVector":
-        """Componentwise positive part x+."""
-        return KVector(tuple(pos_part(a) for a in self.entries))
-
     def is_nonneg(self) -> bool:
         return min(self.entries, default=0) >= 0
 
@@ -104,10 +93,6 @@ class KVector:
         """Componentwise partial order."""
         self._check(other)
         return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    def __ge__(self, other: "KVector") -> bool:
-        self._check(other)
-        return all(a >= b for a, b in zip(self.entries, other.entries))
 
 
 @dataclass(frozen=True)
@@ -129,10 +114,6 @@ class Partition:
             raise ValueError(f"need {self.k} multiplicities, got {len(self.mult)}")
         if any(m < 0 for m in self.mult):
             raise ValueError("multiplicities must be >= 0")
-
-    @classmethod
-    def empty(cls, k: int) -> "Partition":
-        return cls(k, (0,) * k)
 
     @classmethod
     def from_rows(cls, k: int, rows) -> "Partition":

@@ -47,6 +47,7 @@ from rigchar.core import (
     Params,
     Partition,
     boundary_ok,
+    pos_part,
     vacancy_P,
     vacancy_Q,
     weight,
@@ -220,7 +221,7 @@ def test_criterion_7_property_suites():
             for I2 in sets:
                 if set(I1.members) & set(I2.members):
                     continue
-                u = I1.union(I2)
+                u = IndexSet.of(k, I1.members + I2.members)
                 ok = ok and kappa(u) == kappa(I1) + kappa(I2)
                 ok = ok and epsilon(u) == epsilon(I1) + epsilon(I2)
 
@@ -243,7 +244,8 @@ def test_criterion_7_property_suites():
         for l1 in range(k + 1):
             for J in all_index_sets(k):
                 b = len(J)
-                lhs = (kappa(J) - kappa_interval(k, l1 + 1, l1 + b)).plus()
+                diff = kappa(J) - kappa_interval(k, l1 + 1, l1 + b)
+                lhs = KVector(tuple(map(pos_part, diff.entries)))
                 lab = label_complement(J, l1)
                 rhs = KVector.zero(k)
                 for i in range(1, lab.p + 1):
@@ -294,7 +296,7 @@ def test_criterion_7_property_suites():
                 acc[(0, 0, e)] = acc.get((0, 0, e), 0) + 1
             g = gauss_binomial(M + n, n)
             ok = ok and LaurentPoly(acc) == g
-            ok = ok and g.specialize() == comb(M + n, n)
+            ok = ok and sum(c for _, c in g.terms()) == comb(M + n, n)
 
     # bound-change vectors against vacancy differences
     import random

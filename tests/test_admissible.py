@@ -24,7 +24,7 @@ from rigchar.admissible import (
     sigma_prime,
     tilde_pair,
 )
-from rigchar.core import KVector, Partition, vacancy_P, vacancy_Q
+from rigchar.core import KVector, Partition, pos_part, vacancy_P, vacancy_Q
 
 
 def admissible_pairs(k, l1, l2=None):
@@ -105,7 +105,7 @@ class TestKappaEpsilon:
                 for I2 in sets:
                     if set(I1.members) & set(I2.members):
                         continue
-                    u = I1.union(I2)
+                    u = IndexSet.of(k, I1.members + I2.members)
                     assert kappa(u) == kappa(I1) + kappa(I2)
                     assert epsilon(u) == epsilon(I1) + epsilon(I2)
 
@@ -142,7 +142,8 @@ class TestLabelComplement:
             for l1 in range(k + 1):
                 for J in all_index_sets(k):
                     b = len(J)
-                    lhs = (kappa(J) - kappa_interval(k, l1 + 1, l1 + b)).plus()
+                    diff = kappa(J) - kappa_interval(k, l1 + 1, l1 + b)
+                    lhs = KVector(tuple(map(pos_part, diff.entries)))
                     lab = label_complement(J, l1)
                     rhs = KVector.zero(k)
                     for i in range(1, lab.p + 1):

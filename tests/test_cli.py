@@ -281,7 +281,7 @@ class TestVerify:
         ]
         assert cli.main(argv) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "fail"
-        assert char_R(Params(3, 3, 3, 1, 2, 2)).specialize() == 84
+        assert sum(c for _, c in char_R(Params(3, 3, 3, 1, 2, 2)).terms()) == 84
         assert core.TAU_SKEW.get() == 0
 
     def test_skew_is_reset_when_a_verifier_raises(self, monkeypatch, capsys):
@@ -603,6 +603,32 @@ class TestOutputFile:
             "--format", "text", "--output", str(out),
         )
         assert out.read_text() == "1 + z1*z2*q\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"],
+            ["verify", "fermionic", "--max-k", "1", "--max-M", "0", "--max-N", "0"],
+        ],
+        ids=["char", "verify"],
+    )
+    def test_unwritable_output_exits_2(self, argv, tmp_path):
+        """Exit 1 means a counterexample, so a file that cannot be opened
+        is a usage error: exit 2, one error line, nothing on stdout."""
+        out = tmp_path / "missing" / "x.json"
+        proc = run_cli(*argv, "--output", str(out), expect=2)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert str(out) in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_exits_2(self):
+        """A write that fails after the file opened is a usage error too."""
+        argv = ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"]
+        proc = run_cli(*argv, "--output", "/dev/full", expect=2)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
 
 
 # Keys mix plain text with the characters a JSON string must escape.

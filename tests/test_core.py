@@ -105,13 +105,13 @@ class TestVacancy:
         assert vacancy_Q(one, one, 1, 1).entries == (0,)
 
     def test_empty_zero(self):
-        e = Partition.empty(3)
+        e = Partition(3, (0, 0, 0))
         assert vacancy_P(e, e, 0, 3) == KVector.zero(3)
         assert vacancy_Q(e, e, 0, 3) == KVector.zero(3)
 
     def test_k2_hand_value(self):
         mu = Partition(2, (1, 0))
-        nu = Partition.empty(2)
+        nu = Partition(2, (0, 0))
         assert vacancy_P(mu, nu, 1, 2).entries == (-1, 0)
 
     @given(st.data())
@@ -158,7 +158,7 @@ class TestBoundary:
 
     def test_M0_equality_case(self):
         p = Params(2, 2, 0, 0, 0, 1)
-        e = Partition.empty(2)
+        e = Partition(2, (0, 0))
         assert boundary_ok(p, e, e)
 
 
@@ -203,13 +203,6 @@ class TestKVector:
         b = KVector((0, 5, -1))
         assert (a + b).entries == (1, 3, 2)
         assert (a - b).entries == (1, -7, 4)
-        assert (-a).entries == (-1, 2, -3)
-
-    def test_plus_minus_parts(self):
-        a = KVector((1, -2, 0))
-        assert a.plus().entries == (1, 0, 0)
-        assert (-a).plus().entries == (0, 2, 0)
-        assert a.plus() - a == (-a).plus()
 
     def test_one_based_indexing(self):
         a = KVector((4, 5, 6))
@@ -221,12 +214,6 @@ class TestKVector:
         assert KVector((1, 2)) <= KVector((1, 3))
         assert not KVector((1, 2)) <= KVector((0, 3))
         assert KVector((2, 2)) >= KVector((1, 2))
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5))
-    def test_plus_minus_decomposition(self, entries):
-        v = KVector(tuple(entries))
-        assert v.plus() - v == (-v).plus()
-        assert v.plus().is_nonneg() and (-v).plus().is_nonneg()
 
 
 class TestRiggedTypes:

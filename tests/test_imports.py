@@ -1,6 +1,6 @@
 """Every module under src/rigchar uses each name it imports, every name it
-defines at module level is read by the program, and every name the bench
-tracer looks up in rigchar exists."""
+defines at module level or as a method is read by the program, and every
+name the bench tracer looks up in rigchar exists."""
 
 import ast
 import importlib
@@ -43,7 +43,7 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-# Module-level names no program code reads, each kept on purpose.
+# Definitions no program code reads, each kept on purpose.
 READ_BY_TESTS_ONLY = {
     "core.tau_min_form": "the eight-term form of tau, compared with tau()",
     "core.boundary_ok": "the weight inequalities, compared with vacancy non-negativity",
@@ -80,16 +80,33 @@ def program_reads(paths) -> set[str]:
     return read
 
 
+def definitions(path):
+    """Dotted names of the module-level defs and classes of a module, and
+    of the non-dunder defs in its class bodies (methods, classmethods,
+    staticmethods and properties), each with its bare name."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_definition_is_read():
-    """Each module-level def or class in src/rigchar is read by src/rigchar
-    or bench/, or is listed with its reason in READ_BY_TESTS_ONLY, and each
-    listed name is still defined and still unread."""
+    """Each module-level def or class in src/rigchar, and each non-dunder
+    def in a class body, is read by src/rigchar or bench/, or is listed
+    with its reason in READ_BY_TESTS_ONLY, and each listed name is still
+    defined and still unread."""
     read = program_reads([*SRC.glob("*.py"), *(SRC.parent.parent / "bench").glob("*.py")])
-    unread = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read:
-                unread.append(f"{path.stem}.{node.name}")
+    unread = [
+        dotted
+        for path in sorted(SRC.glob("*.py"))
+        for dotted, name in definitions(path)
+        if name not in read
+    ]
     extra = sorted(set(unread) - set(READ_BY_TESTS_ONLY))
     assert not extra, f"defined but read by no program code: {', '.join(extra)}"
     stale = sorted(set(READ_BY_TESTS_ONLY) - set(unread))

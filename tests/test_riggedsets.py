@@ -28,7 +28,7 @@ def legal_labels(k):
 
 class TestEnumeratePartitions:
     def test_zero(self):
-        assert enumerate_partitions(0, 3) == (Partition.empty(3),)
+        assert enumerate_partitions(0, 3) == (Partition(3, (0, 0, 0)),)
 
     def test_three_at_level_two(self):
         got = enumerate_partitions(3, 2)
