@@ -30,7 +30,6 @@ import json
 import os
 import sys
 from itertools import product
-from multiprocessing import Pool, RawValue
 from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
@@ -147,10 +146,23 @@ def _add_output_flags(sp, with_format: bool) -> None:
 
 
 def _resolve_jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-    return max(1, jobs)
+    """The worker count from --jobs, else from $RIGCHAR_JOBS, else 1.
+
+    A count below 1, or an environment value that is not an integer, is a
+    usage error that names where it came from.
+    """
+    if args.jobs is not None:
+        jobs, source = args.jobs, "--jobs"
+    else:
+        raw = os.environ.get(JOBS_ENV_VAR, "1")
+        source = f"${JOBS_ENV_VAR}"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def run_enum(args) -> int:
@@ -329,6 +341,10 @@ def _run_blocks(blocks: list[list], workers: int, total: int) -> dict | None:
     Every block's result is read, since a block that finishes later may
     hold an earlier failure.
     """
+    # Imported here, not at module level, so that the commands and grids
+    # that start no pool do not pay for the import.
+    from multiprocessing import Pool, RawValue
+
     stop_at = RawValue("q", total)
     failure = None
     done = 0
@@ -353,6 +369,7 @@ def run_verify(args) -> int:
         need = "requires" if check.needs_weight else "does not take"
         print(f"error: verify {args.what} {need} --max-weight", file=sys.stderr)
         return 2
+    jobs = _resolve_jobs(args)
     weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
     points = product(
         [(k, *labels) for k in range(1, args.max_k + 1) for labels in check.labels(k)],
@@ -372,7 +389,7 @@ def run_verify(args) -> int:
     if not tasks:
         print(f"error: verify {args.what} has no grid points", file=sys.stderr)
         return 2
-    workers = min(_resolve_jobs(args), len(blocks))
+    workers = min(jobs, len(blocks))
     failure = None
     if workers > 1:
         # Descending (k, M): the costliest blocks start first.

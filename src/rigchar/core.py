@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 
 def pos_part(x: int) -> int:
@@ -267,26 +268,27 @@ def min_sums(mult: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _vacancy_base(k: int, M: int, l: int) -> tuple[int, ...]:
-    """The partition-free part alpha*M - (alpha-l)+ of every vacancy entry."""
-    return tuple(alpha * M - pos_part(alpha - l) for alpha in range(1, k + 1))
+def _vacancy_mu_part(mult: tuple[int, ...], M: int, l: int) -> tuple[int, ...]:
+    """The part alpha*M - (alpha-l)+ - 2 A(mu)_alpha of vacancy_P that does
+    not depend on nu, for the multiplicities mult of mu."""
+    return tuple(
+        alpha * M - pos_part(alpha - l) - 2 * a
+        for alpha, a in enumerate(min_sums(mult), start=1)
+    )
 
 
 def vacancy_P(mu: Partition, nu: Partition, M: int, l: int) -> KVector:
     """Upper bounds P on the riggings of mu, depending on both partitions.
 
     P_alpha = alpha*M - (alpha-l)+ + sum_beta min(alpha, beta) (nu_beta - 2 mu_beta).
+
+    That is A(nu)_alpha (min_sums) added to the cached part that depends
+    on mu, M and l alone; a scan over the partitions nu for a fixed mu
+    reuses that part for every nu.
     """
     if mu.k != nu.k:
         raise ValueError("mu and nu must share a level")
-    return KVector(
-        tuple(
-            b + a - 2 * c
-            for b, a, c in zip(
-                _vacancy_base(mu.k, M, l), min_sums(nu.mult), min_sums(mu.mult)
-            )
-        )
-    )
+    return KVector(tuple(map(add, _vacancy_mu_part(mu.mult, M, l), min_sums(nu.mult))))
 
 
 def vacancy_Q(mu: Partition, nu: Partition, N: int, l: int) -> KVector:

@@ -118,13 +118,15 @@ def feasible_pairs(p: Params, m: int, n: int):
     mu is the outer and nu the inner loop, each in enumerate_partitions
     order; Q is computed only for pairs whose P is non-negative.
     """
+    M, N, l1, l2 = p.M, p.N, p.l1, p.l2
+    nus = enumerate_partitions(n, p.k)
     for mu in enumerate_partitions(m, p.k):
-        for nu in enumerate_partitions(n, p.k):
-            P = vacancy_P(mu, nu, p.M, p.l1)
-            if not P.is_nonneg():
+        for nu in nus:
+            P = vacancy_P(mu, nu, M, l1)
+            if min(P.entries) < 0:
                 continue
-            Q = vacancy_Q(mu, nu, p.N, p.l2)
-            if Q.is_nonneg():
+            Q = vacancy_Q(mu, nu, N, l2)
+            if min(Q.entries) >= 0:
                 yield mu, nu, P, Q
 
 

@@ -434,6 +434,34 @@ class TestVerify:
         assert "progress:" not in plain.stderr
 
     @pytest.mark.parametrize(
+        "flag, env_value, source",
+        [
+            (["--jobs", "0"], None, "--jobs"),
+            (["--jobs", "-3"], None, "--jobs"),
+            ([], "0", "RIGCHAR_JOBS"),
+            ([], "abc", "RIGCHAR_JOBS"),
+        ],
+    )
+    def test_bad_job_count_exits_2(self, flag, env_value, source):
+        import os
+
+        env = {key: val for key, val in os.environ.items() if key != "RIGCHAR_JOBS"}
+        if env_value is not None:
+            env["RIGCHAR_JOBS"] = env_value
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "rigchar",
+                "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+                "--max-M", "1", "--max-N", "1", *flag,
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert source in proc.stderr
+
+    @pytest.mark.parametrize(
         "what", ["upper-decomp", "bijection", "char-recursion"]
     )
     def test_remaining_checks_pass(self, what):
@@ -453,9 +481,12 @@ class TestVerify:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace cli.Pool with a stand-in that records the worker count it
-    is asked for and checks each block in this process, in dispatch order,
-    when the caller asks for its result.  Returns the stand-ins created."""
+    """Replace multiprocessing.Pool with a stand-in that records the worker
+    count it is asked for and checks each block in this process, in
+    dispatch order, when the caller asks for its result.  Returns the
+    stand-ins created."""
+    import multiprocessing
+
     from rigchar import cli
 
     pools = []
@@ -487,7 +518,7 @@ def inline_pool(monkeypatch):
             pass
 
     monkeypatch.setattr(cli, "_STOP_AT", None)
-    monkeypatch.setattr(cli, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     return pools
 
 
@@ -516,10 +547,14 @@ class TestBlockScheduler:
         assert capsys.readouterr().out == pooled
 
     def test_one_block_grid_starts_no_pool(self, inline_pool, monkeypatch, capsys):
+        import multiprocessing
+
         from rigchar import cli
 
         raw_values = []
-        monkeypatch.setattr(cli, "RawValue", lambda *args: raw_values.append(args))
+        monkeypatch.setattr(
+            multiprocessing, "RawValue", lambda *args: raw_values.append(args)
+        )
         one_block = [
             "verify", "recursion", "--max-k", "1", "--max-weight", "0",
             "--max-M", "0", "--max-N", "1", "--jobs", "2",
@@ -593,6 +628,24 @@ class TestBlockScheduler:
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
         assert built
         assert stray == []
+
+
+class TestImportCost:
+    def test_char_does_not_import_multiprocessing(self):
+        # Only verify's worker pool needs multiprocessing; the commands that
+        # start no pool do not import it.
+        script = (
+            "import sys\n"
+            "from rigchar.cli import main\n"
+            "code = main(['char', '--k', '2', '--l1', '2', '--l2', '1',"
+            " '--M', '2', '--N', '2'])\n"
+            "print('multiprocessing' in sys.modules, code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 class TestOutputFile:

@@ -277,6 +277,60 @@ class TestFeasiblePairs:
                                         ref.append((mu, nu, P, Q))
                             assert list(feasible_pairs(p, m, n)) == ref
 
+    def test_scan_call_contract(self, monkeypatch):
+        # bench/traced.py counts the scan at these two bindings: one
+        # vacancy_P call per box pair, mu outer and nu inner, and one
+        # vacancy_Q call on the same objects right after each pair whose P
+        # is non-negative.  Its recorded counts hold only while this does.
+        from rigchar import characters, riggedsets
+
+        calls = []
+        real_P, real_Q = riggedsets.vacancy_P, riggedsets.vacancy_Q
+
+        def counted_P(mu, nu, M, l):
+            calls.append(("P", mu, nu))
+            return real_P(mu, nu, M, l)
+
+        def counted_Q(mu, nu, N, l):
+            calls.append(("Q", mu, nu))
+            return real_Q(mu, nu, N, l)
+
+        def P_by_definition(mu, nu, M, l):
+            return [
+                alpha * M
+                - max(alpha - l, 0)
+                + sum(
+                    min(alpha, beta) * (nu.m(beta) - 2 * mu.m(beta))
+                    for beta in range(1, mu.k + 1)
+                )
+                for alpha in range(1, mu.k + 1)
+            ]
+
+        monkeypatch.setattr(riggedsets, "vacancy_P", counted_P)
+        monkeypatch.setattr(riggedsets, "vacancy_Q", counted_Q)
+        k = l1 = l2 = M = N = 3
+        characters.fermionic_char(k, l1, l2, M, N)
+
+        mmax, nmax = weight_bound(Params(k, l1, l2, min(l1, l2), M, N))
+        expected = []
+        for m in range(mmax + 1):
+            for n in range(nmax + 1):
+                for mu in enumerate_partitions(m, k):
+                    for nu in enumerate_partitions(n, k):
+                        expected.append(("P", mu, nu))
+                        if min(P_by_definition(mu, nu, M, l1)) >= 0:
+                            expected.append(("Q", mu, nu))
+        box = sum(
+            len(enumerate_partitions(m, k)) * len(enumerate_partitions(n, k))
+            for m in range(mmax + 1)
+            for n in range(nmax + 1)
+        )
+        assert sum(kind == "P" for kind, _, _ in calls) == box
+        assert calls == expected
+        for before, (kind, mu, nu) in zip(calls, calls[1:]):
+            if kind == "Q":
+                assert before[1] is mu and before[2] is nu
+
 
 class TestEnumerateTotal:
     def test_initial_condition(self):
