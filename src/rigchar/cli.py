@@ -7,8 +7,8 @@ whole blocks to min(N, number of blocks) worker processes; with one, the
 grid runs in-process.  The failing point with the lowest grid index is
 reported, so the output does not depend on N.  Exit codes: 0 pass,
 1 verified failure with a counterexample report, 2 usage error, 3 internal
-invariant failure (an escaping AssertionError or ArithmeticError), reported
-as one JSON line on stdout.
+invariant failure (an escaping AssertionError, ArithmeticError or
+core.InvariantError), reported as one JSON line on stdout.
 
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
@@ -34,7 +34,14 @@ from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
 from .bijection import Report
-from .core import Params, pair_from_obj, pair_to_obj, params_from_obj, params_to_obj
+from .core import (
+    InvariantError,
+    Params,
+    pair_from_obj,
+    pair_to_obj,
+    params_from_obj,
+    params_to_obj,
+)
 
 JOBS_ENV_VAR = "RIGCHAR_JOBS"
 
@@ -85,7 +92,7 @@ def _emit(text: str, output: str | None) -> None:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_value(obj, nl: str) -> str:
+def _json_value(obj, nl: str, memo: dict) -> str:
     """obj as json.dumps(indent=2, sort_keys=True) writes it at the nesting
     whose line break and indent is nl.
 
@@ -93,17 +100,30 @@ def _json_value(obj, nl: str) -> str:
     values with one join, and any other value by json.dumps.  Dict keys
     must be str, as in every document the CLI writes; another key raises
     TypeError.
+
+    A tuple is written as the list of its items, once per object and
+    nesting: memo maps (id(t), nl) to the text of each tuple t written so
+    far.  The rows of an enum document are tuples shared by many elements,
+    so each is rendered once.  Keying on identity, not equality, keeps
+    (True, False) and (1.0, 0) apart from (1, 0); an id stays valid because
+    the document holds every tuple in it alive while it is written.
     """
     if type(obj) is int:
         return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, tuple):
+        key = (id(obj), nl)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _json_value(list(obj), nl, memo)
+        return text
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = nl + "  "
         if all(type(v) is int for v in obj):
             body = map(int.__repr__, obj)
         else:
-            body = [_json_value(v, inner) for v in obj]
+            body = [_json_value(v, inner, memo) for v in obj]
         return "[" + inner + ("," + inner).join(body) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -113,7 +133,7 @@ def _json_value(obj, nl: str) -> str:
         if all(type(v) is int for _, v in items):
             body = [_encode_str(k) + ": " + int.__repr__(v) for k, v in items]
         else:
-            body = [_encode_str(k) + ": " + _json_value(v, inner) for k, v in items]
+            body = [_encode_str(k) + ": " + _json_value(v, inner, memo) for k, v in items]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
     return json.dumps(obj)
 
@@ -122,9 +142,10 @@ def _json_text(obj) -> str:
     """The bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
 
     With an indent, json.dumps runs its pure-Python encoder, which is
-    slower than _json_value on the CLI's documents.
+    slower than _json_value on the CLI's documents.  The tuple memo lives
+    for this one call, so nothing outlives the document.
     """
-    return _json_value(obj, "\n") + "\n"
+    return _json_value(obj, "\n", {}) + "\n"
 
 
 # ---------------------------------------------------------------- subcommands
@@ -175,8 +196,10 @@ def run_enum(args) -> int:
         for piece in doc["pieces"]:
             lines.append(f"piece m={piece['m']} n={piece['n']} count={piece['count']}")
             for el in piece["elements"]:
+                # The element's tuples, printed in the list notation of JSON.
                 lines.append(
-                    f"  mu={el['mu']} r={el['r']} nu={el['nu']} s={el['s']}"
+                    f"  mu={list(el['mu'])} r={list(map(list, el['r']))}"
+                    f" nu={list(el['nu'])} s={list(map(list, el['s']))}"
                     f" degree={el['degree']}"
                 )
         _emit("\n".join(lines) + "\n" if lines else "", args.output)
@@ -471,13 +494,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, ArithmeticError) as exc:
+    # InvariantError is a ValueError, so it must be caught first.
+    except (InvariantError, AssertionError, ArithmeticError) as exc:
         report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(report, sort_keys=True))
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,6 +22,16 @@ def pos_part(x: int) -> int:
     return x if x > 0 else 0
 
 
+class InvariantError(ValueError):
+    """A value that breaks an invariant of the types below.
+
+    Partition, Rigging, RiggedPair, KVector and vacancy_P raise it.  The
+    CLI builds these values itself, so one raised mid-run is an internal
+    fault (exit 3), not a usage error; it subclasses ValueError so that
+    callers validating untrusted input can still catch ValueError.
+    """
+
+
 # Fault-injection knob for the verification harness self-test: a nonzero
 # skew corrupts tau, so a `verify` run must report a counterexample.
 # Set only around one verify grid point, and reset after it.
@@ -77,7 +87,7 @@ class KVector:
 
     def _check(self, other: "KVector") -> None:
         if len(self.entries) != len(other.entries):
-            raise ValueError("k-vector length mismatch")
+            raise InvariantError("k-vector length mismatch")
 
     def __add__(self, other: "KVector") -> "KVector":
         self._check(other)
@@ -110,18 +120,18 @@ class Partition:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvariantError("k must be >= 1")
         if len(self.mult) != self.k:
-            raise ValueError(f"need {self.k} multiplicities, got {len(self.mult)}")
+            raise InvariantError(f"need {self.k} multiplicities, got {len(self.mult)}")
         if any(m < 0 for m in self.mult):
-            raise ValueError("multiplicities must be >= 0")
+            raise InvariantError("multiplicities must be >= 0")
 
     @classmethod
     def from_rows(cls, k: int, rows) -> "Partition":
         mult = [0] * k
         for part in rows:
             if not 1 <= part <= k:
-                raise ValueError(f"row length {part} outside 1..{k}")
+                raise InvariantError(f"row length {part} outside 1..{k}")
             mult[part - 1] += 1
         return cls(k, tuple(mult))
 
@@ -147,9 +157,9 @@ class Rigging:
         for row in self.rows:
             for i, v in enumerate(row):
                 if v < 0:
-                    raise ValueError("rigging entries must be >= 0")
+                    raise InvariantError("rigging entries must be >= 0")
                 if i and row[i - 1] < v:
-                    raise ValueError(f"rigging row {row} is not weakly decreasing")
+                    raise InvariantError(f"rigging row {row} is not weakly decreasing")
 
     def row(self, alpha: int) -> tuple[int, ...]:
         return self.rows[alpha - 1]
@@ -175,11 +185,11 @@ class RiggedPair:
 
     def __post_init__(self) -> None:
         if self.mu.k != self.nu.k:
-            raise ValueError("mu and nu must share a level")
+            raise InvariantError("mu and nu must share a level")
         if tuple(map(len, self.r.rows)) != self.mu.mult:
-            raise ValueError("r row counts do not match mu multiplicities")
+            raise InvariantError("r row counts do not match mu multiplicities")
         if tuple(map(len, self.s.rows)) != self.nu.mult:
-            raise ValueError("s row counts do not match nu multiplicities")
+            raise InvariantError("s row counts do not match nu multiplicities")
 
     @property
     def k(self) -> int:
@@ -187,13 +197,13 @@ class RiggedPair:
 
 
 def pair_to_obj(x: RiggedPair) -> dict:
-    """JSON object for one rigged pair: multiplicities and rigging rows."""
-    return {
-        "mu": list(x.mu.mult),
-        "r": [list(row) for row in x.r.rows],
-        "nu": list(x.nu.mult),
-        "s": [list(row) for row in x.s.rows],
-    }
+    """JSON object for one rigged pair: multiplicities and rigging rows.
+
+    The values are the element's own immutable tuples, not copies; JSON
+    writes a tuple as a list.  Elements of one piece share these tuples
+    (see riggedsets._riggings), which cli._json_text renders once each.
+    """
+    return {"mu": x.mu.mult, "r": x.r.rows, "nu": x.nu.mult, "s": x.s.rows}
 
 
 def pair_from_obj(k: int, obj: dict) -> RiggedPair:
@@ -287,7 +297,7 @@ def vacancy_P(mu: Partition, nu: Partition, M: int, l: int) -> KVector:
     reuses that part for every nu.
     """
     if mu.k != nu.k:
-        raise ValueError("mu and nu must share a level")
+        raise InvariantError("mu and nu must share a level")
     return KVector(tuple(map(add, _vacancy_mu_part(mu.mult, M, l), min_sums(nu.mult))))
 
 

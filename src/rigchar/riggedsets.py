@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from operator import sub
 
 from .core import (
     Params,
@@ -130,10 +131,21 @@ def feasible_pairs(p: Params, m: int, n: int):
                 yield mu, nu, P, Q
 
 
-def _tau_matrix(p: Params) -> list[list[int]] | None:
+def _tau_matrix(p: Params) -> tuple[tuple[int, ...], ...] | None:
     """tau(alpha, beta, p) for alpha, beta = 1..k, or None if no entry is
-    positive: riggings are non-negative, so then tau bounds nothing."""
-    mat = [[tau(a, b, p) for b in range(1, p.k + 1)] for a in range(1, p.k + 1)]
+    positive: riggings are non-negative, so then tau bounds nothing.
+
+    The matrix depends on the labels and the tau skew alone, so it is
+    memoised on those, as _R_CACHE is keyed by the skew too.
+    """
+    return _tau_table(p.k, p.l1, p.l2, p.l3, TAU_SKEW.get())
+
+
+@lru_cache(maxsize=1024)
+def _tau_table(k: int, l1: int, l2: int, l3: int, skew: int):
+    # tau reads the skew from TAU_SKEW, which holds `skew` during this call.
+    p = Params(k, l1, l2, l3, 0, 0)
+    mat = tuple(tuple(tau(a, b, p) for b in range(1, k + 1)) for a in range(1, k + 1))
     return mat if any(v > 0 for row in mat for v in row) else None
 
 
@@ -144,25 +156,37 @@ def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
 
     For a fixed r, the tau condition is one lower bound on the bottom
     entry of each row of s, so the rows of s are drawn from choices
-    already bounded below.
+    already bounded below.  Those bounds, need_j = max(0, max_i
+    taumat[i][j] - r_i[-1]) over the nonempty rows j of nu (the empty
+    vector when tau bounds nothing), are all that the riggings s depend
+    on.  So the s riggings of each distinct bound vector are built, and
+    validated, once per call, and the elements of every r with that
+    vector share them.
     """
     k = mu.k
     r_opts = [_row_choices(mu.mult[i], r_caps[i]) for i in range(k)]
     s_opts = [_row_choices(nu.mult[i], s_caps[i]) for i in range(k)]
     mu_rows = [i for i in range(k) if mu.mult[i] > 0]
-    nu_rows = [i for i in range(k) if nu.mult[i] > 0]
-    check = taumat is not None and mu_rows and nu_rows
+    # (j, tau bounds of the rows of mu on row j of s) for each row j of nu
+    cols = []
+    if taumat is not None and mu_rows:
+        cols = [(j, [taumat[i][j] for i in mu_rows]) for j in range(k) if nu.mult[j]]
+    s_by_need: dict[tuple[int, ...], list[Rigging]] = {}
+    need: tuple[int, ...] = ()
     for rr in product(*r_opts):
         r_obj = Rigging(rr)
-        s_now = s_opts
-        if check:
+        if cols:
+            bottoms = [rr[i][-1] for i in mu_rows]
+            need = tuple(max(0, max(map(sub, col, bottoms))) for _, col in cols)
+        s_objs = s_by_need.get(need)
+        if s_objs is None:
             s_now = list(s_opts)
-            for j in nu_rows:
-                need = max(taumat[i][j] - rr[i][-1] for i in mu_rows)
-                if need > 0:
-                    s_now[j] = _row_choices(nu.mult[j], s_caps[j], need)
-        for ss in product(*s_now):
-            yield RiggedPair(mu, r_obj, nu, Rigging(ss))
+            for (j, _), low in zip(cols, need):
+                if low:
+                    s_now[j] = _row_choices(nu.mult[j], s_caps[j], low)
+            s_objs = s_by_need[need] = [Rigging(ss) for ss in product(*s_now)]
+        for s_obj in s_objs:
+            yield RiggedPair(mu, r_obj, nu, s_obj)
 
 
 def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:

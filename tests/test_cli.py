@@ -80,6 +80,9 @@ class TestEnum:
         assert lines[0] == "piece m=0 n=0 count=1"
         assert lines[2] == "piece m=1 n=1 count=1"
         assert "degree=1" in lines[3]
+        # Multiplicities and rigging rows print in list notation.
+        assert lines[1] == "  mu=[0] r=[[]] nu=[0] s=[[]] degree=0"
+        assert lines[3] == "  mu=[1] r=[[0]] nu=[1] s=[[0]] degree=1"
 
 
 class TestChar:
@@ -401,6 +404,45 @@ class TestVerify:
             "message": "packed cell lost a coefficient",
         }
 
+    def test_invariant_failure_exits_3(self, monkeypatch, capsys):
+        # The CLI builds every rigging itself, so one that fails its own
+        # validation is an internal fault, not a usage error.
+        from rigchar import cli, riggedsets
+
+        real = riggedsets._row_choices
+
+        def reversed_rows(count, bound, low=0):
+            return tuple(row[::-1] for row in real(count, bound, low))
+
+        monkeypatch.setattr(riggedsets, "_row_choices", reversed_rows)
+        monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+        code = cli.main("char-bruteforce --k 1 --l1 1 --l2 1 --l3 0 --M 4 --N 4".split())
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {
+            "status": "internal-error",
+            "error": "InvariantError",
+            "message": "rigging row (0, 1) is not weakly decreasing",
+        }
+        assert "error:" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "char-bruteforce --k 2 --l1 2 --l2 1 --l3 2 --M 1 --N 1",
+            "sl2-char --k 2 --l 3 --M 1 --N 1",
+        ],
+        ids=["l3", "sl2 --l"],
+    )
+    def test_usage_errors_still_exit_2(self, argv, capsys):
+        from rigchar import cli
+
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_jobs_do_not_change_output(self):
         base = [
             "verify", "lower-decomp", "--max-k", "2", "--max-weight", "3",
@@ -706,6 +748,19 @@ json_docs = st.recursive(
 )
 
 
+# Tuples, lists and dicts of ints, bools and strs; equal tuples of
+# different scalar types, and one tuple object reused, are likely.
+tuple_leaves = st.integers(-2, 2) | st.booleans() | st.sampled_from(["", "a", "é"])
+tuple_docs = st.recursive(
+    tuple_leaves,
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | inner.map(lambda t: [t, {"again": t}, (t, t)]),
+    max_leaves=25,
+)
+
+
 def reference_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -721,6 +776,25 @@ class TestJsonWriter:
     def test_empty_and_nested_containers(self):
         for doc in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [1]]}):
             assert _json_text(doc) == reference_json(doc)
+
+    def test_shared_tuples(self):
+        # The writer renders each tuple object once per nesting level.
+        row = (3, 1)
+        rows = (row, (), row)
+        docs = [
+            {"a": row, "b": [row], "c": [[row, rows]], "d": rows},
+            [row, [3, 1], (3, 1), list(row)],
+            [(1, 0), (True, False), (1.0, 0), (1, 0), [(True, False)], {"x": (1.0, 0)}],
+            [(), ((),), [(), ((),)], {"e": ()}, ((), ((),))],
+            [{"t": (1, (2, 3)), "u": [{"v": ((4,), (4,))}]}, {"t": (1, (2, 3))}],
+        ]
+        for doc in docs:
+            assert _json_text(doc) == reference_json(doc)
+
+    @given(tuple_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_with_tuples(self, doc):
+        assert _json_text(doc) == reference_json(doc)
 
     def test_enum_document(self):
         doc = enum_document(Params(2, 2, 2, 0, 2, 2))

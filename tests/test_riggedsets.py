@@ -26,6 +26,27 @@ def legal_labels(k):
                 yield l1, l2, l3
 
 
+def two_step_piece(p, m, n):
+    """The piece by definition: every rigged pair with rows capped by its
+    largest vacancy entry that meets the cutoffs and tau, in canonical
+    order."""
+    from itertools import product
+
+    piece = []
+    for mu in enumerate_partitions(m, p.k):
+        for nu in enumerate_partitions(n, p.k):
+            P = vacancy_P(mu, nu, p.M, p.l1)
+            Q = vacancy_Q(mu, nu, p.N, p.l2)
+            cap = max(0, *P.entries, *Q.entries)
+            r_opts = [_row_choices(c, cap) for c in mu.mult]
+            s_opts = [_row_choices(c, cap) for c in nu.mult]
+            for rr, ss in product(product(*r_opts), product(*s_opts)):
+                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
+                    piece.append(x)
+    return tuple(piece)
+
+
 class TestEnumeratePartitions:
     def test_zero(self):
         assert enumerate_partitions(0, 3) == (Partition(3, (0, 0, 0)),)
@@ -105,23 +126,6 @@ class TestEnumerateR:
                             assert satisfies_tau(x, p)
 
     def test_two_step_definition(self):
-        # The piece is every rigged pair with rows capped by its largest
-        # vacancy entry that meets the cutoffs and tau, in canonical order.
-        from itertools import product
-
-        def reference(p, m, n):
-            for mu in enumerate_partitions(m, p.k):
-                for nu in enumerate_partitions(n, p.k):
-                    P = vacancy_P(mu, nu, p.M, p.l1)
-                    Q = vacancy_Q(mu, nu, p.N, p.l2)
-                    cap = max(0, *P.entries, *Q.entries)
-                    r_opts = [_row_choices(c, cap) for c in mu.mult]
-                    s_opts = [_row_choices(c, cap) for c in nu.mult]
-                    for rr, ss in product(product(*r_opts), product(*s_opts)):
-                        x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
-                        if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
-                            yield x
-
         # k = 3 keeps the tau bounds of a 3 x 3 matrix in the grid.
         for k in (1, 2, 3):
             for l1, l2, l3 in legal_labels(k):
@@ -130,7 +134,59 @@ class TestEnumerateR:
                         p = Params(k, l1, l2, l3, M, N)
                         for m in range(-1, 4):
                             for n in range(4):
-                                assert enumerate_R(p, m, n) == tuple(reference(p, m, n))
+                                assert enumerate_R(p, m, n) == two_step_piece(p, m, n)
+
+    @staticmethod
+    def _count_constructions(monkeypatch):
+        # Every Rigging and RiggedPair that enumerate_R builds goes through
+        # these bindings, so each counted construction ran its checks.
+        from collections import Counter
+
+        from rigchar import riggedsets
+
+        counts = Counter()
+
+        def counted(cls):
+            def construct(*args):
+                counts[cls.__name__] += 1
+                return cls(*args)
+
+            return construct
+
+        monkeypatch.setattr(riggedsets, "Rigging", counted(Rigging))
+        monkeypatch.setattr(riggedsets, "RiggedPair", counted(RiggedPair))
+        monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+        return counts
+
+    def test_riggings_of_a_tau_vacuous_piece_are_built_once(self, monkeypatch):
+        # l3 = min(l1, l2): tau bounds nothing, so every r of a pair shares
+        # one list of s riggings.
+        p, m, n = Params(2, 2, 2, 2, 4, 4), 4, 4
+        assert _tau_matrix(p) is None
+        expected = two_step_piece(p, m, n)
+        riggings = 0
+        for mu, nu, P, Q in feasible_pairs(p, m, n):
+            for part, caps in ((mu, P.entries), (nu, Q.entries)):
+                count = 1
+                for c, cap in zip(part.mult, caps):
+                    count *= len(_row_choices(c, cap))
+                riggings += count
+        counts = self._count_constructions(monkeypatch)
+        piece = enumerate_R(p, m, n)
+        assert piece == expected
+        assert counts["Rigging"] == riggings
+        assert riggings * 4 < len(piece)
+        assert counts["RiggedPair"] == len(piece)
+
+    def test_riggings_of_a_tau_active_piece_are_shared(self, monkeypatch):
+        p, m, n = Params(2, 2, 2, 0, 4, 4), 4, 4
+        assert _tau_matrix(p) is not None
+        expected = two_step_piece(p, m, n)
+        counts = self._count_constructions(monkeypatch)
+        piece = enumerate_R(p, m, n)
+        assert piece == expected
+        assert counts["Rigging"] < len(piece)
+        assert counts["RiggedPair"] == len(piece)
 
     def test_swap_symmetry(self):
         # (mu, r, nu, s) -> (nu, s, mu, r) maps R(k,l1,l2,l3,M,N)_{m,n} onto
