@@ -11,24 +11,25 @@ Every function recomputes from scratch: the sets involved have at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import KVector, pos_part
+from .core import KVector, Record, pos_part
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing subset of {1, ..., k} with its ambient level."""
+class IndexSet(Record):
+    """A strictly increasing subset of {1, ..., k} with its ambient level.
 
-    k: int
-    members: tuple[int, ...]
+    len, iteration and `in` are over the members.
+    """
 
-    def __post_init__(self) -> None:
-        for i, v in enumerate(self.members):
-            if not 1 <= v <= self.k:
-                raise ValueError(f"member {v} outside 1..{self.k}")
-            if i and self.members[i - 1] >= v:
+    __slots__ = ()
+    _fields = ("k", "members")
+
+    def __new__(cls, k: int, members: tuple[int, ...]) -> "IndexSet":
+        for i, v in enumerate(members):
+            if not 1 <= v <= k:
+                raise ValueError(f"member {v} outside 1..{k}")
+            if i and members[i - 1] >= v:
                 raise ValueError("members must be strictly increasing")
+        return tuple.__new__(cls, (k, members))
 
     @classmethod
     def of(cls, k: int, members) -> "IndexSet":
@@ -42,6 +43,9 @@ class IndexSet:
 
     def __iter__(self):
         return iter(self.members)
+
+    def __contains__(self, v) -> bool:
+        return v in self.members
 
 
 def all_index_sets(k: int):
@@ -75,8 +79,7 @@ def epsilon(I: IndexSet) -> KVector:
     )
 
 
-@dataclass(frozen=True)
-class ComplementLabels:
+class ComplementLabels(Record):
     """Labelling of [l1+1, k] \\ J.
 
     vprime[i-1] is v'_i for i = 1..p, with the literal padding value k+1
@@ -84,10 +87,13 @@ class ComplementLabels:
     l1 + |J| < k.
     """
 
-    p: int
-    t: int
-    vprime: tuple[int, ...]
-    w: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("p", "t", "vprime", "w")
+
+    def __new__(
+        cls, p: int, t: int, vprime: tuple[int, ...], w: tuple[int, ...]
+    ) -> "ComplementLabels":
+        return tuple.__new__(cls, (p, t, vprime, w))
 
 
 def label_complement(J: IndexSet, l1: int) -> ComplementLabels:

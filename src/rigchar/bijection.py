@@ -11,7 +11,6 @@ up at every grid point and element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -34,6 +33,7 @@ from .core import (
     KVector,
     Params,
     Partition,
+    Record,
     RiggedPair,
     Rigging,
     pair_to_obj,
@@ -44,8 +44,7 @@ from .core import (
 from .riggedsets import canonical_key, enumerate_R, satisfies_cutoffs
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Outcome of one verification, with provenance for failures.
 
     context identifies the grid point; detail carries either the summary
@@ -53,18 +52,21 @@ class Report:
     covering pairs, per-term cardinalities) of a failing one.
     """
 
-    ok: bool
-    check: str
-    context: dict
-    detail: dict
+    __slots__ = ()
+    _fields = ("ok", "check", "context", "detail")
+
+    def __new__(cls, ok: bool, check: str, context: dict, detail: dict) -> "Report":
+        return tuple.__new__(cls, (ok, check, context, detail))
 
 
-@dataclass(frozen=True)
-class MarkedBound:
+class MarkedBound(Record):
     """A bound vector whose components are equalities where marked."""
 
-    value: tuple[int, ...]
-    marked: tuple[bool, ...]
+    __slots__ = ()
+    _fields = ("value", "marked")
+
+    def __new__(cls, value: tuple[int, ...], marked: tuple[bool, ...]) -> "MarkedBound":
+        return tuple.__new__(cls, (value, marked))
 
     def satisfied_by(self, rig: Rigging) -> bool:
         """Whether the bottom rigging of the rows of each length alpha

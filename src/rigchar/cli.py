@@ -76,8 +76,9 @@ def parse_enum_document(doc: dict):
 def _emit(text: str, output: str | None) -> None:
     """Write text to the file output, or to stdout when output is None.
 
-    An output file that cannot be written is a usage error (exit 2), not a
-    failure report.
+    An output that cannot be written is a usage error (exit 2), not a
+    failure report.  stdout is flushed here, so a failed write is seen
+    here and not when the interpreter exits.
     """
     if output:
         try:
@@ -86,7 +87,30 @@ def _emit(text: str, output: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --output {output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point the file descriptor of stdout at os.devnull.
+
+    Text a failed write left in stdout's buffer would fail again when the
+    interpreter flushes stdout at exit, which prints a traceback and turns
+    the exit code into 120.  A stdout with no descriptor is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -106,11 +130,13 @@ def _json_value(obj, nl: str, memo: dict) -> str:
     far.  The rows of an enum document are tuples shared by many elements,
     so each is rendered once.  Keying on identity, not equality, keeps
     (True, False) and (1.0, 0) apart from (1, 0); an id stays valid because
-    the document holds every tuple in it alive while it is written.
+    the document holds every tuple in it alive while it is written.  A
+    tuple subclass (a core.Record value or a named tuple) is not a JSON
+    value here and raises TypeError, where json.dumps would write a list.
     """
     if type(obj) is int:
         return int.__repr__(obj)
-    if isinstance(obj, tuple):
+    if type(obj) is tuple:
         key = (id(obj), nl)
         text = memo.get(key)
         if text is None:
@@ -135,6 +161,8 @@ def _json_value(obj, nl: str, memo: dict) -> str:
         else:
             body = [_encode_str(k) + ": " + _json_value(v, inner, memo) for k, v in items]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if isinstance(obj, tuple):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return json.dumps(obj)
 
 

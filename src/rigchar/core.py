@@ -12,9 +12,8 @@ vacancy helpers and the TAU_SKEW fault-injection context variable, which
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 
 
 def pos_part(x: int) -> int:
@@ -38,8 +37,71 @@ class InvariantError(ValueError):
 TAU_SKEW: ContextVar[int] = ContextVar("TAU_SKEW", default=0)
 
 
-@dataclass(frozen=True)
-class Params:
+# Bound once: a global read is cheaper than looking the slot up on tuple
+# in every comparison.
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class Record(tuple):
+    """Base of the immutable values built in inner loops, stored as a tuple.
+
+    A subclass lists its field names in _fields and defines __new__, which
+    runs the type's checks and then calls tuple.__new__: that is the only
+    way to build one.  Each field is read through a property.  Equality
+    holds only between values of one type, the hash is the tuple's, values
+    are not ordered, and the repr names each field.  So building one costs
+    a single Python call, and hashing one is the C-level tuple hash.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not type(self) or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __repr__(self) -> str:
+        # tuple.__iter__: a subclass may iterate over something else.
+        fields = zip(self._fields, tuple.__iter__(self))
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self):
+        # Unpickling and copying rebuild the value through its checks.
+        return type(self), tuple.__getitem__(self, slice(len(self._fields)))
+
+
+class _Frozen:
+    """Base of the values whose fields are slots, read in the vacancy scan's
+    inner loop, where a slot read is about half the cost of a property.
+
+    __init__ runs the checks and sets each slot once, past __setattr__;
+    assigning or deleting a field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(Record):
     """The parameter tuple (k, l1, l2, l3, M, N).
 
     k is the level, l1/l2/l3 the highest-weight labels subject to
@@ -47,33 +109,42 @@ class Params:
     cutoffs.  Illegal labels are rejected at construction.
     """
 
-    k: int
-    l1: int
-    l2: int
-    l3: int
-    M: int
-    N: int
+    __slots__ = ()
+    _fields = ("k", "l1", "l2", "l3", "M", "N")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"level k must be >= 1, got {self.k}")
-        if not (0 <= self.l1 <= self.k and 0 <= self.l2 <= self.k):
-            raise ValueError(
-                f"labels l1={self.l1}, l2={self.l2} must lie in [0, {self.k}]"
-            )
-        if not (0 <= self.l3 <= min(self.l1, self.l2)):
-            raise ValueError(
-                f"label l3={self.l3} must lie in [0, min(l1, l2)={min(self.l1, self.l2)}]"
-            )
-        if self.M < 0 or self.N < 0:
-            raise ValueError(f"cutoffs M={self.M}, N={self.N} must be >= 0")
+    def __new__(cls, k: int, l1: int, l2: int, l3: int, M: int, N: int) -> "Params":
+        if k < 1:
+            raise ValueError(f"level k must be >= 1, got {k}")
+        if not (0 <= l1 <= k and 0 <= l2 <= k):
+            raise ValueError(f"labels l1={l1}, l2={l2} must lie in [0, {k}]")
+        if not (0 <= l3 <= min(l1, l2)):
+            raise ValueError(f"label l3={l3} must lie in [0, min(l1, l2)={min(l1, l2)}]")
+        if M < 0 or N < 0:
+            raise ValueError(f"cutoffs M={M}, N={N} must be >= 0")
+        return tuple.__new__(cls, (k, l1, l2, l3, M, N))
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(_Frozen):
     """An integer vector indexed 1..k (the ambient level)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        _set_entries(self, entries)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"KVector(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return KVector, (self.entries,)
 
     @staticmethod
     def zero(k: int) -> "KVector":
@@ -106,8 +177,12 @@ class KVector:
         return all(a <= b for a, b in zip(self.entries, other.entries))
 
 
-@dataclass(frozen=True)
-class Partition:
+# vacancy_P builds a KVector for every pair it scans; setting the slot
+# through its descriptor costs about a third less than object.__setattr__.
+_set_entries = KVector.entries.__set__
+
+
+class Partition(_Frozen):
     """A level-k restricted partition stored as row-length multiplicities.
 
     mult[alpha-1] is the number of rows of length alpha, for alpha = 1..k.
@@ -115,16 +190,31 @@ class Partition:
     restriction structural and matches how every formula is written.
     """
 
-    k: int
-    mult: tuple[int, ...]
+    __slots__ = ("k", "mult")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, mult: tuple[int, ...]) -> None:
+        if k < 1:
             raise InvariantError("k must be >= 1")
-        if len(self.mult) != self.k:
-            raise InvariantError(f"need {self.k} multiplicities, got {len(self.mult)}")
-        if any(m < 0 for m in self.mult):
+        if len(mult) != k:
+            raise InvariantError(f"need {k} multiplicities, got {len(mult)}")
+        if any(m < 0 for m in mult):
             raise InvariantError("multiplicities must be >= 0")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mult", mult)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and self.mult == other.mult
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.mult))
+
+    def __repr__(self) -> str:
+        return f"Partition(k={self.k!r}, mult={self.mult!r})"
+
+    def __reduce__(self):
+        return Partition, (self.k, self.mult)
 
     @classmethod
     def from_rows(cls, k: int, rows) -> "Partition":
@@ -147,25 +237,32 @@ class Partition:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Rigging:
-    """One weakly decreasing list of non-negative integers per row length."""
+class Rigging(Record):
+    """One weakly decreasing list of non-negative integers per row length.
 
-    rows: tuple[tuple[int, ...], ...]
+    The row lengths (lengths) and the sum of all entries (total()) are
+    computed once, at construction, and stored after the rows; they are
+    functions of the rows, so equality and hashing are still on the rows.
+    """
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
+    __slots__ = ()
+    _fields = ("rows",)
+    lengths = property(itemgetter(1))
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "Rigging":
+        for row in rows:
             for i, v in enumerate(row):
                 if v < 0:
                     raise InvariantError("rigging entries must be >= 0")
                 if i and row[i - 1] < v:
                     raise InvariantError(f"rigging row {row} is not weakly decreasing")
+        return tuple.__new__(cls, (rows, tuple(map(len, rows)), sum(map(sum, rows))))
 
     def row(self, alpha: int) -> tuple[int, ...]:
         return self.rows[alpha - 1]
 
     def total(self) -> int:
-        return sum(map(sum, self.rows))
+        return self[2]
 
     def flat(self) -> tuple[int, ...]:
         out = []
@@ -174,22 +271,20 @@ class Rigging:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class RiggedPair:
+class RiggedPair(Record):
     """A pair of rigged partitions (mu, r; nu, s) at a common level."""
 
-    mu: Partition
-    r: Rigging
-    nu: Partition
-    s: Rigging
+    __slots__ = ()
+    _fields = ("mu", "r", "nu", "s")
 
-    def __post_init__(self) -> None:
-        if self.mu.k != self.nu.k:
+    def __new__(cls, mu: Partition, r: Rigging, nu: Partition, s: Rigging) -> "RiggedPair":
+        if mu.k != nu.k:
             raise InvariantError("mu and nu must share a level")
-        if tuple(map(len, self.r.rows)) != self.mu.mult:
+        if r.lengths != mu.mult:
             raise InvariantError("r row counts do not match mu multiplicities")
-        if tuple(map(len, self.s.rows)) != self.nu.mult:
+        if s.lengths != nu.mult:
             raise InvariantError("s row counts do not match nu multiplicities")
+        return tuple.__new__(cls, (mu, r, nu, s))
 
     @property
     def k(self) -> int:

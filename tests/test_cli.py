@@ -1,6 +1,8 @@
 """End-to-end CLI tests: flags, output schema, exit codes, determinism."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -724,6 +726,54 @@ class TestOutputFile:
         proc = run_cli(*argv, "--output", "/dev/full", expect=2)
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+
+    def test_failed_stdout_write_exits_2(self, monkeypatch, capsys):
+        """Without --output, a stdout that cannot be written is a usage
+        error too: exit 2 and one error line, not a traceback and exit 1."""
+        from rigchar import cli
+
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        argv = ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"],
+            ["char", "--k", "2", "--l1", "2", "--l2", "1", "--M", "10", "--N", "10"],
+        ],
+        ids=["short", "long"],
+    )
+    def test_stdout_to_full_device_exits_2(self, argv, unbuffered):
+        """A short text fails only when stdout is flushed, a long one at the
+        write; buffered, the interpreter's flush at exit must not fail again
+        and turn exit 2 into 120."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rigchar", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 # Keys mix plain text with the characters a JSON string must escape.

@@ -1,9 +1,15 @@
 """Foundational types: parameters, partitions, riggings, k-vectors, bounds."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigchar.admissible import ComplementLabels, IndexSet
+from rigchar.bijection import MarkedBound, Report
+from rigchar.cli import _json_text
 from rigchar.core import (
     KVector,
     Params,
@@ -236,3 +242,135 @@ class TestRiggedTypes:
         p = Partition(3, (2, 0, 1))
         assert p.rows() == (3, 1, 1)
         assert Partition.from_rows(3, p.rows()) == p
+
+
+MU = Partition(2, (1, 0))
+NU = Partition(2, (0, 1))
+R = Rigging(((3,), ()))
+S = Rigging(((), (0,)))
+
+# One value of each immutable type, with the repr a frozen dataclass gave it.
+VALUES = {
+    "Params": (Params(3, 1, 2, 1, 0, 4), "Params(k=3, l1=1, l2=2, l3=1, M=0, N=4)"),
+    "KVector": (KVector((1, -2, 3)), "KVector(entries=(1, -2, 3))"),
+    "Partition": (MU, "Partition(k=2, mult=(1, 0))"),
+    "Rigging": (R, "Rigging(rows=((3,), ()))"),
+    "RiggedPair": (
+        RiggedPair(MU, R, NU, S),
+        "RiggedPair(mu=Partition(k=2, mult=(1, 0)), r=Rigging(rows=((3,), ())), "
+        "nu=Partition(k=2, mult=(0, 1)), s=Rigging(rows=((), (0,))))",
+    ),
+    "IndexSet": (IndexSet(3, (1, 3)), "IndexSet(k=3, members=(1, 3))"),
+    "ComplementLabels": (
+        ComplementLabels(1, 1, (4,), ()),
+        "ComplementLabels(p=1, t=1, vprime=(4,), w=())",
+    ),
+    "MarkedBound": (
+        MarkedBound((0, 1), (True, False)),
+        "MarkedBound(value=(0, 1), marked=(True, False))",
+    ),
+    "Report": (
+        Report(True, "recursion", {"m": 0}, {}),
+        "Report(ok=True, check='recursion', context={'m': 0}, detail={})",
+    ),
+}
+FIRST_FIELD = {
+    "Params": "k", "KVector": "entries", "Partition": "k", "Rigging": "rows",
+    "RiggedPair": "mu", "IndexSet": "k", "ComplementLabels": "p",
+    "MarkedBound": "value", "Report": "ok",
+}
+each_type = pytest.mark.parametrize("name", sorted(VALUES))
+
+
+class TestValueSemantics:
+    """The immutable value types compare, hash, print and pickle as the
+    frozen dataclasses they replaced did."""
+
+    @each_type
+    def test_equal_only_within_a_type(self, name):
+        x = VALUES[name][0]
+        assert x == copy.copy(x) and not x != copy.copy(x)
+        for other_name, (y, _) in VALUES.items():
+            if other_name != name:
+                assert x != y and not x == y
+        if isinstance(x, tuple):
+            items = tuple.__getitem__(x, slice(None))
+            assert x != items and not x == items and not items == x
+
+    def test_equal_items_of_two_types_differ(self):
+        assert IndexSet(2, (1,)) != MarkedBound(2, (1,))
+        assert Params(1, 0, 0, 0, 0, 0) != (1, 0, 0, 0, 0, 0)
+
+    def test_hash_follows_equality(self):
+        assert hash(Params(3, 1, 2, 1, 0, 4)) == hash(Params(3, 1, 2, 1, 0, 4))
+        assert hash(Rigging(((3,), ()))) == hash(R)
+        with pytest.raises(TypeError):
+            hash(VALUES["Report"][0])
+
+    @each_type
+    def test_not_ordered(self, name):
+        x = VALUES[name][0]
+        with pytest.raises(TypeError):
+            x < x
+        with pytest.raises(TypeError):
+            x > x
+        if name != "KVector":
+            with pytest.raises(TypeError):
+                x >= x
+            with pytest.raises(TypeError):
+                x <= x
+
+    def test_kvector_keeps_its_partial_order(self):
+        a, b = KVector((1, 2)), KVector((1, 3))
+        assert a <= b and b >= a
+        assert not b <= a and not a >= b
+
+    @each_type
+    def test_fields_cannot_be_assigned(self, name):
+        x = VALUES[name][0]
+        field = FIRST_FIELD[name]
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        assert getattr(x, field) is not None
+
+    @each_type
+    def test_repr(self, name):
+        x, text = VALUES[name]
+        assert repr(x) == text
+
+    @each_type
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, name, protocol):
+        x = VALUES[name][0]
+        y = pickle.loads(pickle.dumps(x, protocol))
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+
+    def test_unpickling_runs_the_checks(self):
+        # Protocol 0 is text: swap the row (2, 1) for (1, 2) in the stream.
+        data = pickle.dumps(Rigging(((2, 1),)), 0)
+        assert data.count(b"I2\nI1\n") == 1
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            pickle.loads(data.replace(b"I2\nI1\n", b"I1\nI2\n"))
+
+    def test_index_set_iterates_its_members(self):
+        I = IndexSet(3, (1,))
+        assert len(I) == 1 and list(I) == [1]
+        assert 1 in I
+        assert 3 not in I and (1,) not in I
+        assert not IndexSet(3, ())
+
+    def test_rigging_stores_lengths_and_total(self):
+        rig = Rigging(((4, 2), (), (1,)))
+        assert rig.lengths == (2, 0, 1)
+        assert rig.total() == 7
+        assert rig.rows == ((4, 2), (), (1,))
+
+    @each_type
+    def test_not_a_json_value(self, name):
+        x = VALUES[name][0]
+        with pytest.raises(TypeError):
+            _json_text(x)
+        with pytest.raises(TypeError):
+            _json_text({"value": [x]})

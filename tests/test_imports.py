@@ -1,10 +1,14 @@
 """Every module under src/rigchar uses each name it imports, every name it
-defines at module level or as a method is read by the program, and every
-name the bench tracer looks up in rigchar exists."""
+defines at module level or as a method is read by the program, the CLI
+does not import dataclasses, and every name the bench tracer looks up in
+rigchar exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -111,6 +115,23 @@ def test_every_definition_is_read():
     assert not extra, f"defined but read by no program code: {', '.join(extra)}"
     stale = sorted(set(READ_BY_TESTS_ONLY) - set(unread))
     assert not stale, f"listed as read by tests only, but read or gone: {', '.join(stale)}"
+
+
+def test_cli_does_not_import_dataclasses():
+    """Every command pays for its imports before it does any work, and
+    dataclasses pulls in inspect, dis, ast and tokenize.  -S keeps site
+    packages, which may import it themselves, out of the check."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, rigchar.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_tracer_names_exist():
