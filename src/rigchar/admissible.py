@@ -3,7 +3,8 @@
 Staircase vectors kappa/epsilon, the labelling of the complement of J
 above l1, (l1,l2)-admissibility, the pair map from (I, J) to
 (tilde I, tilde J), and the bound vectors rho, sigma, rho', sigma',
-delta_r and delta_s.
+delta_r and delta_s.  A bound vector is a plain tuple whose entry alpha-1
+is its component alpha, each one a single staircase difference (kappa).
 
 Every function recomputes from scratch: the sets involved have at most
 2^k elements and purity keeps the exhaustive tests trivial to trust.
@@ -11,7 +12,7 @@ Every function recomputes from scratch: the sets involved have at most
 
 from __future__ import annotations
 
-from .core import KVector, Record, pos_part
+from .core import Record, pos_part
 
 
 class IndexSet(Record):
@@ -54,29 +55,22 @@ def all_index_sets(k: int):
         yield IndexSet.of(k, tuple(i + 1 for i in range(k) if mask >> i & 1))
 
 
-def kappa(I: IndexSet) -> KVector:
-    """Entry alpha counts the members <= alpha."""
-    return KVector(tuple(sum(1 for i in I.members if i <= a) for a in range(1, I.k + 1)))
+def kappa(k: int, plus, minus=()) -> tuple[int, ...]:
+    """The staircase difference kappa(plus) - kappa(minus) at level k.
 
-
-def kappa_single(k: int, i: int) -> KVector:
-    """kappa of the singleton {i}; elements above k contribute nothing."""
-    return KVector(tuple(1 if i <= a else 0 for a in range(1, k + 1)))
-
-
-def kappa_interval(k: int, lo: int, hi: int) -> KVector:
-    """kappa of the interval [lo, hi]; empty when lo > hi."""
-    return KVector(
-        tuple(max(0, min(hi, a) - lo + 1) if lo <= hi else 0 for a in range(1, k + 1))
+    Entry alpha counts the values of the multiset plus that are <= alpha,
+    less those of minus; a value above k counts nowhere, one below 1
+    everywhere.  Every bound vector below is one such difference.
+    """
+    return tuple(
+        sum(v <= a for v in plus) - sum(v <= a for v in minus) for a in range(1, k + 1)
     )
 
 
-def epsilon(I: IndexSet) -> KVector:
+def epsilon(I: IndexSet) -> tuple[int, ...]:
     """Entry alpha is [alpha in I] - [alpha+1 in I]."""
-    ms = set(I.members)
-    return KVector(
-        tuple((1 if a in ms else 0) - (1 if a + 1 in ms else 0) for a in range(1, I.k + 1))
-    )
+    ms = I.members
+    return tuple((a in ms) - (a + 1 in ms) for a in range(1, I.k + 1))
 
 
 class ComplementLabels(Record):
@@ -158,81 +152,58 @@ def tilde_pair(I: IndexSet, J: IndexSet, l1: int) -> tuple[IndexSet, IndexSet]:
     return tI, tJ
 
 
-def rho(I: IndexSet, J: IndexSet, l1: int) -> KVector:
-    """Lower bounds on the bottom riggings of mu, from the pair (I, J)."""
+def rho(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+    """Lower bounds on the bottom riggings of mu, from the pair (I, J):
+    kappa(v_1..v_p) - kappa(u_1..u_a) - kappa(v'_(a+1)..v'_p)."""
     if not is_l1_admissible(I, J, l1):
         raise ValueError("pair is not l1-admissible")
-    k = I.k
     labels = label_complement(J, l1)
-    a = len(I)
-    out = KVector.zero(k)
-    for i in range(1, a + 1):
-        out = out + kappa_single(k, J.members[i - 1]) - kappa_single(k, I.members[i - 1])
-    for i in range(a + 1, labels.p + 1):
-        out = out + kappa_single(k, J.members[i - 1]) - kappa_single(k, labels.vprime[i - 1])
-    return out
+    return kappa(I.k, J.members[: labels.p], I.members + labels.vprime[len(I):])
 
 
-def sigma(J: IndexSet, l2: int) -> KVector:
+def sigma(J: IndexSet, l2: int) -> tuple[int, ...]:
     """Lower bounds on the bottom riggings of nu: kappa[1, l2] - kappa(J)."""
     if len(J) > l2:
         raise ValueError(f"|J|={len(J)} exceeds l2={l2}")
-    return kappa_interval(J.k, 1, l2) - kappa(J)
+    return kappa(J.k, range(1, l2 + 1), J.members)
 
 
-def delta_r(I: IndexSet, J: IndexSet, l1: int, l2: int) -> KVector:
-    """Change of the r upper bounds across one recursion step.
+def delta_r(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+    """Change of the r upper bounds across one recursion step:
+    kappa(J) + kappa[l1'+1, k] - 2 kappa(I) - kappa[l1+1, k].
 
     Equals vacancy_P at (l1) minus vacancy_P at (l1') whenever the
-    partitions differ by epsilon(I), epsilon(J); l2 plays no role here
-    and is accepted only for symmetry with delta_s.
+    partitions differ by epsilon(I), epsilon(J).
     """
     k = I.k
     a = len(I)
-    c = len(J) - a
-    l1p, _, _ = primed_labels(k, l1, a, c)
-    return (
-        kappa(J)
-        - kappa(I)
-        - kappa(I)
-        + kappa_interval(k, l1p + 1, k)
-        - kappa_interval(k, l1 + 1, k)
-    )
+    l1p, _, _ = primed_labels(k, l1, a, len(J) - a)
+    return kappa(k, (*J, *range(l1p + 1, k + 1)), (*I, *I, *range(l1 + 1, k + 1)))
 
 
-def delta_s(I: IndexSet, J: IndexSet, l1: int, l2: int) -> KVector:
-    """Change of the s upper bounds across one recursion step."""
+def delta_s(I: IndexSet, J: IndexSet, l1: int, l2: int) -> tuple[int, ...]:
+    """Change of the s upper bounds across one recursion step:
+    kappa(I) + kappa[1, l2] + kappa[l2'+1, k] - 2 kappa(J)."""
     k = I.k
     a = len(I)
-    c = len(J) - a
-    _, l2p, _ = primed_labels(k, l1, a, c)
-    return (
-        kappa(I)
-        - kappa(J)
-        - kappa(J)
-        + kappa_interval(k, 1, l2)
-        + kappa_interval(k, l2p + 1, k)
-    )
+    _, l2p, _ = primed_labels(k, l1, a, len(J) - a)
+    return kappa(k, (*I, *range(1, l2 + 1), *range(l2p + 1, k + 1)), (*J, *J))
 
 
-def rho_prime(I: IndexSet, J: IndexSet, l1: int) -> KVector:
+def rho_prime(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
     """Shifted lower bounds for r: kappa(tilde I) - kappa[l1'+1, k]."""
-    if not is_l1_admissible(I, J, l1):
-        raise ValueError("pair is not l1-admissible")
     k = I.k
     a = len(I)
-    c = len(J) - a
-    l1p, _, _ = primed_labels(k, l1, a, c)
-    tI, _ = tilde_pair(I, J, l1)
-    return kappa(tI) - kappa_interval(k, l1p + 1, k)
+    l1p, _, _ = primed_labels(k, l1, a, len(J) - a)
+    tI, _ = tilde_pair(I, J, l1)  # rejects a pair that is not l1-admissible
+    return kappa(k, tI.members, range(l1p + 1, k + 1))
 
 
-def sigma_prime(I: IndexSet, J: IndexSet, l1: int) -> KVector:
+def sigma_prime(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
     """Shifted lower bounds for s: kappa(J) - kappa(I) - kappa[l2'+1, k]."""
     if not is_l1_admissible(I, J, l1):
         raise ValueError("pair is not l1-admissible")
     k = I.k
     a = len(I)
-    c = len(J) - a
-    _, l2p, _ = primed_labels(k, l1, a, c)
-    return kappa(J) - kappa(I) - kappa_interval(k, l2p + 1, k)
+    _, l2p, _ = primed_labels(k, l1, a, len(J) - a)
+    return kappa(k, J.members, (*I, *range(l2p + 1, k + 1)))

@@ -3,15 +3,16 @@ exhaustive verifiers for the recursion and both decomposition statements.
 
 The verifiers return structured Report values carrying the first
 counterexample with full provenance; they never assume the statements
-they are checking.  The per-pair data they read (marked bounds, rho,
-sigma, epsilon, delta and the primed labels) depends only on the labels,
-so it is built once per label pair by lower_table / upper_table and looked
-up at every grid point and element.
+they are checking.  The per-pair data they read (marked bounds, whose
+values are the bound vectors, epsilon, delta and the primed labels)
+depends only on the labels, so it is built once per label pair by
+lower_table / upper_table and looked up at every grid point and element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -30,7 +31,6 @@ from .admissible import (
     sigma_prime,
 )
 from .core import (
-    KVector,
     Params,
     Partition,
     Record,
@@ -89,11 +89,9 @@ def lower_bounds(I: IndexSet, J: IndexSet, p: Params) -> tuple[MarkedBound, Mark
     the pair is not (l1, l2)-admissible."""
     if not is_admissible(I, J, p.l1, p.l2):
         return None
-    rv = rho(I, J, p.l1)
-    sv = sigma(J, p.l2)
     return (
-        MarkedBound(rv.entries, tuple(e == 1 for e in epsilon(I).entries)),
-        MarkedBound(sv.entries, tuple(e == 1 for e in epsilon(J).entries)),
+        MarkedBound(rho(I, J, p.l1), tuple(e == 1 for e in epsilon(I))),
+        MarkedBound(sigma(J, p.l2), tuple(e == 1 for e in epsilon(J))),
     )
 
 
@@ -101,32 +99,28 @@ def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> tuple[MarkedBound, Marked
     """Marked lower bounds of the upper subset, or None if not l1-admissible."""
     if not is_l1_admissible(I, J, l1):
         return None
-    rv = rho_prime(I, J, l1)
-    sv = sigma_prime(I, J, l1)
     return (
-        MarkedBound(rv.entries, tuple(e == -1 for e in epsilon(I).entries)),
-        MarkedBound(sv.entries, tuple(e == -1 for e in epsilon(J).entries)),
+        MarkedBound(rho_prime(I, J, l1), tuple(e == -1 for e in epsilon(I))),
+        MarkedBound(sigma_prime(I, J, l1), tuple(e == -1 for e in epsilon(J))),
     )
 
 
 class LowerEntry(NamedTuple):
-    """What the lower subset of one (l1, l2)-admissible pair reads."""
+    """What the lower subset of one (l1, l2)-admissible pair reads; the
+    values of its bounds are rho and sigma."""
 
     bounds: tuple[MarkedBound, MarkedBound]
-    rho: KVector
-    sigma: KVector
-    eps_I: KVector
-    eps_J: KVector
-    delta_r: KVector
-    delta_s: KVector
+    eps_I: tuple[int, ...]
+    eps_J: tuple[int, ...]
+    delta_r: tuple[int, ...]
+    delta_s: tuple[int, ...]
 
 
 class UpperEntry(NamedTuple):
-    """What the upper subset of one l1-admissible pair reads."""
+    """What the upper subset of one l1-admissible pair reads; the values of
+    its bounds are rho' and sigma'."""
 
     bounds: tuple[MarkedBound, MarkedBound]
-    rho_prime: KVector
-    sigma_prime: KVector
     primed: tuple[int, int, int]
 
 
@@ -142,13 +136,7 @@ def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[IndexSet, IndexSet], 
             if bounds is None:
                 continue
             table[I, J] = LowerEntry(
-                bounds,
-                rho(I, J, l1),
-                sigma(J, l2),
-                epsilon(I),
-                epsilon(J),
-                delta_r(I, J, l1, l2),
-                delta_s(I, J, l1, l2),
+                bounds, epsilon(I), epsilon(J), delta_r(I, J, l1), delta_s(I, J, l1, l2)
             )
     return MappingProxyType(table)
 
@@ -163,12 +151,7 @@ def upper_table(k: int, l1: int) -> Mapping[tuple[IndexSet, IndexSet], UpperEntr
             bounds = upper_bounds(I, J, l1)
             if bounds is None:
                 continue
-            table[I, J] = UpperEntry(
-                bounds,
-                rho_prime(I, J, l1),
-                sigma_prime(I, J, l1),
-                primed_labels(k, l1, len(I), len(J) - len(I)),
-            )
+            table[I, J] = UpperEntry(bounds, primed_labels(k, l1, len(I), len(J) - len(I)))
     return MappingProxyType(table)
 
 
@@ -221,21 +204,17 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
     def shift(part: Partition, rig: Rigging, eps, delta, new_bottom):
         mult = []
         rows = []
-        for alpha in range(1, k + 1):
-            old = list(rig.row(alpha))
-            d = delta[alpha]
-            if eps[alpha] == -1:
-                new = [v + d for v in old[:-1]]
-            else:
-                new = [v + d for v in old]
-                if eps[alpha] == 1:
-                    new.append(new_bottom[alpha])
-            mult.append(part.m(alpha) + eps[alpha])
+        for m, row, e, d, bottom in zip(part.mult, rig.rows, eps, delta, new_bottom):
+            new = [v + d for v in (row[:-1] if e == -1 else row)]
+            if e == 1:
+                new.append(bottom)
+            mult.append(m + e)
             rows.append(tuple(new))
         return Partition(k, tuple(mult)), Rigging(tuple(rows))
 
-    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, entry.rho)
-    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, entry.sigma)
+    br, bs = entry.bounds
+    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, br.value)
+    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, bs.value)
     out = RiggedPair(mu, r, nu, s)
     if not lower_member(out, I, J, p):
         raise AssertionError(
@@ -278,23 +257,24 @@ def _cover_scan(
 ) -> Report:
     """Exact-cover check of the graded piece of p at (m, n).
 
-    pairs holds (I, J, marked bounds, rho, sigma) per subset.  Every element
-    of the ambient cutoff set is scanned: one in the tau-restricted set must
-    lie in exactly one subset, any other in none.  If vacancy, a subset that
-    holds an element must also have rho <= P and sigma <= Q there; reason
-    names a violation.
+    pairs holds (I, J, br, bs) per subset, its marked bounds for r and s.
+    Every element of the ambient cutoff set is scanned: one in the
+    tau-restricted set must lie in exactly one subset, any other in none.
+    If vacancy, a subset that holds an element must also have
+    br.value <= P and bs.value <= Q componentwise there; reason names a
+    violation.
     """
     target = set(enumerate_R(p, m, n))
     ambient = _ambient(p, m, n)
     for x in ambient:
         covers = []
-        for I, J, (br, bs), rv, sv in pairs:
+        for I, J, br, bs in pairs:
             if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
                 covers.append((I, J))
                 if vacancy:
                     P = vacancy_P(x.mu, x.nu, p.M, p.l1)
                     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
-                    if not (rv <= P and sv <= Q):
+                    if not all(map(le, br.value + bs.value, P.entries + Q.entries)):
                         return Report(
                             False,
                             check,
@@ -328,7 +308,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     bounds rho <= P and sigma <= Q (valid for N >= 1).
     """
     pairs = [
-        (I, J, entry.bounds, entry.rho, entry.sigma)
+        (I, J, *entry.bounds)
         for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
         if len(I) <= p.l3
     ]
@@ -364,7 +344,7 @@ def verify_upper_decomposition(
         "n": n,
     }
     pairs = [
-        (I, J, entry.bounds, entry.rho_prime, entry.sigma_prime)
+        (I, J, *entry.bounds)
         for (I, J), entry in upper_table(k, l1).items()
         if len(I) == a and len(J) == b
     ]

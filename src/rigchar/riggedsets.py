@@ -97,12 +97,9 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
     if not Q.is_nonneg():
         return False
-    for alpha in range(1, x.k + 1):
-        row = x.r.row(alpha)
-        if row and row[0] > P[alpha]:
-            return False
-        row = x.s.row(alpha)
-        if row and row[0] > Q[alpha]:
+    # One row of r per entry of P, then one row of s per entry of Q.
+    for row, bound in zip(x.r.rows + x.s.rows, P.entries + Q.entries):
+        if row and row[0] > bound:
             return False
     return True
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations_with_replacement
+from operator import add, sub
 
 from rigchar.admissible import (
     IndexSet,
@@ -20,8 +21,6 @@ from rigchar.admissible import (
     is_admissible,
     is_l1_admissible,
     kappa,
-    kappa_interval,
-    kappa_single,
     label_complement,
     primed_labels,
     rho,
@@ -43,7 +42,6 @@ from rigchar.characters import (
     gauss_binomial,
 )
 from rigchar.core import (
-    KVector,
     Params,
     Partition,
     boundary_ok,
@@ -214,7 +212,7 @@ def test_criterion_7_property_suites():
     ok = True
 
     # staircase vectors: worked example and additivity
-    ok = ok and kappa(IndexSet.of(5, (2, 4, 5))).entries == (0, 1, 1, 2, 3)
+    ok = ok and kappa(5, IndexSet.of(5, (2, 4, 5))) == (0, 1, 1, 2, 3)
     for k in range(1, 6):
         sets = list(all_index_sets(k))
         for I1 in sets:
@@ -222,8 +220,8 @@ def test_criterion_7_property_suites():
                 if set(I1.members) & set(I2.members):
                     continue
                 u = IndexSet.of(k, I1.members + I2.members)
-                ok = ok and kappa(u) == kappa(I1) + kappa(I2)
-                ok = ok and epsilon(u) == epsilon(I1) + epsilon(I2)
+                ok = ok and kappa(k, u) == tuple(map(add, kappa(k, I1), kappa(k, I2)))
+                ok = ok and epsilon(u) == tuple(map(add, epsilon(I1), epsilon(I2)))
 
     # bound vectors: non-negativity and vanishing k-th entries
     for k in range(1, 5):
@@ -232,29 +230,26 @@ def test_criterion_7_property_suites():
                 for J in all_index_sets(k):
                     if not is_l1_admissible(I, J, l1):
                         continue
-                    ok = ok and rho(I, J, l1).is_nonneg()
-                    ok = ok and sigma(J, k).is_nonneg()
+                    ok = ok and min(rho(I, J, l1)) >= 0
+                    ok = ok and min(sigma(J, k)) >= 0
                     rp = rho_prime(I, J, l1)
                     sp = sigma_prime(I, J, l1)
-                    ok = ok and rp.is_nonneg() and sp.is_nonneg()
-                    ok = ok and rp[k] == 0 and sp[k] == 0
+                    ok = ok and min(rp) >= 0 and min(sp) >= 0
+                    ok = ok and rp[-1] == 0 and sp[-1] == 0
 
     # labelled-complement identity
     for k in range(1, 5):
         for l1 in range(k + 1):
             for J in all_index_sets(k):
                 b = len(J)
-                diff = kappa(J) - kappa_interval(k, l1 + 1, l1 + b)
-                lhs = KVector(tuple(map(pos_part, diff.entries)))
+                diff = kappa(k, J, range(l1 + 1, l1 + b + 1))
                 lab = label_complement(J, l1)
-                rhs = KVector.zero(k)
-                for i in range(1, lab.p + 1):
-                    rhs = (
-                        rhs
-                        + kappa_single(k, J.members[i - 1])
-                        - kappa_single(k, lab.vprime[i - 1])
-                    )
-                ok = ok and lhs == rhs
+                # sum over i <= p of kappa(v_i) - kappa(v'_i), one index at a time
+                rhs = (0,) * k
+                for i in range(lab.p):
+                    step = kappa(k, (J.members[i],), (lab.vprime[i],))
+                    rhs = tuple(map(add, rhs, step))
+                ok = ok and tuple(map(pos_part, diff)) == rhs
 
     # boundary equivalence by exhaustive counterexample search
     for k in (1, 2, 3):
@@ -270,20 +265,18 @@ def test_criterion_7_property_suites():
                                         P = vacancy_P(mu, nu, M, l1)
                                         Q = vacancy_Q(mu, nu, N, l2)
                                         feasible = all(
-                                            P[a] >= 0
-                                            for a in range(1, k + 1)
-                                            if mu.m(a) > 0
-                                        ) and all(
-                                            Q[a] >= 0
-                                            for a in range(1, k + 1)
-                                            if nu.m(a) > 0
+                                            x >= 0
+                                            for x, c in zip(
+                                                P.entries + Q.entries, mu.mult + nu.mult
+                                            )
+                                            if c > 0
                                         )
                                         if not feasible:
                                             continue
                                         coc = P.is_nonneg() and Q.is_nonneg()
                                         ok = ok and coc == boundary_ok(p, mu, nu)
                                         if M >= 1:
-                                            ok = ok and P[k] >= 0
+                                            ok = ok and P.entries[-1] >= 0
 
     # Gaussian binomials: bounded-sum identity and q=1 specialization
     from math import comb
@@ -313,18 +306,17 @@ def test_criterion_7_property_suites():
         l1, l2 = rng.randint(0, k), rng.randint(0, k)
         mup = Partition(k, tuple(rng.randint(0, 2) for _ in range(k)))
         nup = Partition(k, tuple(rng.randint(0, 2) for _ in range(k)))
-        em, en = epsilon(I), epsilon(J)
-        mm = tuple(x + em[i + 1] for i, x in enumerate(mup.mult))
-        nn = tuple(x + en[i + 1] for i, x in enumerate(nup.mult))
+        mm = tuple(map(add, mup.mult, epsilon(I)))
+        nn = tuple(map(add, nup.mult, epsilon(J)))
         if any(v < 0 for v in mm) or any(v < 0 for v in nn):
             continue
         mu, nu = Partition(k, mm), Partition(k, nn)
         M, N = rng.randint(0, 2), rng.randint(1, 2)
         l1p, l2p, _ = primed_labels(k, l1, a, b - a)
-        dr = vacancy_P(mu, nu, M, l1) - vacancy_P(mup, nup, M, l1p)
-        ds = vacancy_Q(mu, nu, N, l2) - vacancy_Q(mup, nup, N - 1, l2p)
-        ok = ok and dr == delta_r(I, J, l1, l2)
-        ok = ok and ds == delta_s(I, J, l1, l2)
+        dr = map(sub, vacancy_P(mu, nu, M, l1).entries, vacancy_P(mup, nup, M, l1p).entries)
+        ds = map(sub, vacancy_Q(mu, nu, N, l2).entries, vacancy_Q(mup, nup, N - 1, l2p).entries)
+        ok = ok and tuple(dr) == delta_r(I, J, l1)
+        ok = ok and tuple(ds) == delta_s(I, J, l1, l2)
         checked += 1
 
     _report(7, "property-suites", ok)

@@ -186,14 +186,12 @@ class TestDegrees:
         nu = Partition(k, tuple(data.draw(st.integers(0, 3)) for _ in range(k)))
         l1 = data.draw(st.integers(0, k))
         l2 = data.draw(st.integers(0, k))
-        rows = range(1, k + 1)
-        expected = sum(
-            max(a - l1, 0) * mu.m(a) + max(a - l2, 0) * nu.m(a) for a in rows
-        )
+        rows = list(enumerate(zip(mu.mult, nu.mult), start=1))
+        expected = sum(max(a - l1, 0) * ma + max(a - l2, 0) * na for a, (ma, na) in rows)
         expected += sum(
-            min(a, b) * (mu.m(a) * mu.m(b) + nu.m(a) * nu.m(b) - mu.m(a) * nu.m(b))
-            for a in rows
-            for b in rows
+            min(a, b) * (ma * mb + na * nb - ma * nb)
+            for a, (ma, na) in rows
+            for b, (mb, nb) in rows
         )
         assert degree_D(mu, nu, l1, l2) == expected
 
@@ -236,9 +234,8 @@ def sparse_fermionic(k, l1, l2, M, N):
                     if not (P.is_nonneg() and Q.is_nonneg()):
                         continue
                     term = LaurentPoly.monomial(1, m, n, degree_D(mu, nu, l1, l2))
-                    for a in range(1, k + 1):
-                        term = term * gauss_binomial(P[a] + mu.m(a), mu.m(a))
-                        term = term * gauss_binomial(Q[a] + nu.m(a), nu.m(a))
+                    for x, c in zip(P.entries + Q.entries, mu.mult + nu.mult):
+                        term = term * gauss_binomial(x + c, c)
                     total = total + term
     return total
 

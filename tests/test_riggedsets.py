@@ -356,7 +356,7 @@ class TestFeasiblePairs:
                 alpha * M
                 - max(alpha - l, 0)
                 + sum(
-                    min(alpha, beta) * (nu.m(beta) - 2 * mu.m(beta))
+                    min(alpha, beta) * (nu.mult[beta - 1] - 2 * mu.mult[beta - 1])
                     for beta in range(1, mu.k + 1)
                 )
                 for alpha in range(1, mu.k + 1)
