@@ -48,7 +48,6 @@ from .characters import (
 from .core import (
     KVector,
     Params,
-    Partition,
     RiggedPair,
     Rigging,
     boundary_ok,
@@ -71,7 +70,6 @@ __all__ = [
     "LaurentPoly",
     "MarkedBound",
     "Params",
-    "Partition",
     "Report",
     "RiggedPair",
     "Rigging",

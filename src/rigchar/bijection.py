@@ -12,7 +12,7 @@ lower_table / upper_table and looked up at every grid point and element.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
+from operator import add, le
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -32,7 +32,6 @@ from .admissible import (
 )
 from .core import (
     Params,
-    Partition,
     Record,
     RiggedPair,
     Rigging,
@@ -197,20 +196,17 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
         raise ValueError("|J| exceeds l2: the target lower subset is empty")
     if not upper_member(x, I, J, p.l1, p):
         raise ValueError("input is not a member of the upper subset")
-    k = p.k
     # An l1-admissible pair with |J| <= l2 is (l1, l2)-admissible.
-    entry = lower_table(k, p.l1, p.l2)[I, J]
+    entry = lower_table(p.k, p.l1, p.l2)[I, J]
 
-    def shift(part: Partition, rig: Rigging, eps, delta, new_bottom):
-        mult = []
+    def shift(mult: tuple[int, ...], rig: Rigging, eps, delta, new_bottom):
         rows = []
-        for m, row, e, d, bottom in zip(part.mult, rig.rows, eps, delta, new_bottom):
+        for row, e, d, bottom in zip(rig.rows, eps, delta, new_bottom):
             new = [v + d for v in (row[:-1] if e == -1 else row)]
             if e == 1:
                 new.append(bottom)
-            mult.append(m + e)
             rows.append(tuple(new))
-        return Partition(k, tuple(mult)), Rigging(tuple(rows))
+        return tuple(map(add, mult, eps)), Rigging(tuple(rows))
 
     br, bs = entry.bounds
     mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, br.value)
@@ -274,7 +270,7 @@ def _cover_scan(
                 if vacancy:
                     P = vacancy_P(x.mu, x.nu, p.M, p.l1)
                     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
-                    if not all(map(le, br.value + bs.value, P.entries + Q.entries)):
+                    if not all(map(le, br.value + bs.value, P + Q)):
                         return Report(
                             False,
                             check,
@@ -365,7 +361,9 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     uppers = upper_table(k, p.l1)
     for I, J in lower_table(k, p.l1, p.l2):
         l1p, l2p, _ = uppers[I, J].primed
-        upper_ambient = _ambient(Params(k, l1p, l2p, 0, p.M, p.N - 1), m - len(I), n - len(J))
+        # The primed cutoff set with tau switched off, as _ambient builds it.
+        primed = Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1)
+        upper_ambient = enumerate_R(primed, m - len(I), n - len(J))
         ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
         try:
             images = [map_m(x, I, J, p) for x in ups]

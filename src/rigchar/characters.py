@@ -16,7 +16,7 @@ from math import comb
 
 from .admissible import primed_labels
 from .bijection import Report
-from .core import Params, Partition, RiggedPair, min_sums, params_to_obj, pos_part
+from .core import Params, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
 
@@ -194,18 +194,18 @@ def gauss_binomial_product(m: int, n: int) -> LaurentPoly:
     return LaurentPoly({(0, 0, e): c for e, c in quot.items()})
 
 
-def degree_D(mu: Partition, nu: Partition, l1: int, l2: int) -> int:
+def degree_D(mu: tuple[int, ...], nu: tuple[int, ...], l1: int, l2: int) -> int:
     """The quadratic base degree attached to a partition pair.
 
     sum_a (a-l1)+ mu_a + (a-l2)+ nu_a
     + sum_{a,b} min(a, b) (mu_a mu_b + nu_a nu_b - mu_a nu_b),
     with the double sum read off the O(k) vectors min_sums(mu), min_sums(nu).
     """
-    if mu.k != nu.k:
+    if len(mu) != len(nu):
         raise ValueError("mu and nu must share a level")
     total = 0
     for alpha, (x, y, ax, ay) in enumerate(
-        zip(mu.mult, nu.mult, min_sums(mu.mult), min_sums(nu.mult)), start=1
+        zip(mu, nu, min_sums(mu), min_sums(nu)), start=1
     ):
         total += pos_part(alpha - l1) * x + pos_part(alpha - l2) * y
         total += x * (ax - ay) + y * ay
@@ -316,8 +316,8 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
         for n in range(nmax + 1):
             cell = []
             for mu, nu, P, Q in feasible_pairs(p, m, n):
-                binoms = [(x + c, c) for x, c in zip(P.entries, mu.mult) if c]
-                binoms += [(x + c, c) for x, c in zip(Q.entries, nu.mult) if c]
+                binoms = [(x + c, c) for x, c in zip(P, mu) if c]
+                binoms += [(x + c, c) for x, c in zip(Q, nu) if c]
                 cell.append((degree_D(mu, nu, l1, l2), binoms))
             if cell:
                 _add_cell(acc, m, n, cell)

@@ -1,12 +1,16 @@
 """Foundational types for level-restricted rigged partitions.
 
-Parameters, partitions stored by row-length multiplicities, riggings,
-the tau lower bound on riggings, the vacancy-number upper bounds (KVector),
-and the JSON objects of a parameter tuple and a rigged pair (shared
-by the CLI and the verifiers' failure reports).  Every type here is an
-immutable value.  The functions are pure apart from the memo caches of the
-vacancy helpers and the TAU_SKEW fault-injection context variable, which
-`rigchar verify` sets for one grid point at a time.
+Parameters, riggings, the tau lower bound on riggings, the vacancy-number
+upper bounds (KVector), and the JSON objects of a parameter tuple and a
+rigged pair (shared by the CLI and the verifiers' failure reports).
+
+A level-k partition is a plain tuple of k row-length multiplicities:
+mult[alpha-1] rows of length alpha, which is all the formulas read.  The
+other types are immutable values: Record subclasses, whose fields are
+properties, and KVector, a tuple subclass whose items are its entries.
+The functions are pure apart from the memo caches of the vacancy helpers
+and the TAU_SKEW fault-injection context variable, which `rigchar verify`
+sets for one grid point at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ def pos_part(x: int) -> int:
 class InvariantError(ValueError):
     """A value that breaks an invariant of the types below.
 
-    Partition, Rigging, RiggedPair and vacancy_P raise it.  The
+    Rigging, RiggedPair, pair_from_obj and vacancy_P raise it.  The
     CLI builds these values itself, so one raised mid-run is an internal
     fault (exit 3), not a usage error; it subclasses ValueError so that
     callers validating untrusted input can still catch ValueError.
@@ -85,23 +89,6 @@ class Record(tuple):
         return type(self), tuple.__getitem__(self, slice(len(self._fields)))
 
 
-class _Frozen:
-    """Base of the values whose fields are slots, read in the vacancy scan's
-    inner loop, where a slot read is about half the cost of a property.
-
-    __init__ runs the checks and sets each slot once, past __setattr__;
-    assigning or deleting a field afterwards raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class Params(Record):
     """The parameter tuple (k, l1, l2, l3, M, N).
 
@@ -125,87 +112,36 @@ class Params(Record):
         return tuple.__new__(cls, (k, l1, l2, l3, M, N))
 
 
-class KVector(_Frozen):
-    """The vacancy numbers P or Q of one pair of partitions: entries[alpha-1]
-    bounds the riggings of the rows of length alpha, for alpha = 1..k."""
+class KVector(tuple):
+    """The vacancy numbers P or Q of one pair of partitions: item alpha-1
+    bounds the riggings of the rows of length alpha, for alpha = 1..k.
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        _set_entries(self, entries)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"KVector(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return KVector, (self.entries,)
-
-    def is_nonneg(self) -> bool:
-        return min(self.entries, default=0) >= 0
-
-
-# vacancy_P builds a KVector for every pair it scans; setting the slot
-# through its descriptor costs about a third less than object.__setattr__.
-_set_entries = KVector.entries.__set__
-
-
-class Partition(_Frozen):
-    """A level-k restricted partition stored as row-length multiplicities.
-
-    mult[alpha-1] is the number of rows of length alpha, for alpha = 1..k.
-    Storing multiplicities rather than row lists makes the level
-    restriction structural and matches how every formula is written.
+    A plain tuple subclass rather than a Record: vacancy_P builds one for
+    every pair it scans and the scans read its items, while a Record reads
+    its fields through properties, each about four times the cost of a
+    slot read.  It compares, hashes and refuses to order as a Record does.
     """
 
-    __slots__ = ("k", "mult")
-
-    def __init__(self, k: int, mult: tuple[int, ...]) -> None:
-        if k < 1:
-            raise InvariantError("k must be >= 1")
-        if len(mult) != k:
-            raise InvariantError(f"need {k} multiplicities, got {len(mult)}")
-        if any(m < 0 for m in mult):
-            raise InvariantError("multiplicities must be >= 0")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "mult", mult)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.k == other.k and self.mult == other.mult
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.mult))
+    __slots__ = ()
+    __eq__ = Record.__eq__
+    __ne__ = Record.__ne__
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = Record.__lt__
 
     def __repr__(self) -> str:
-        return f"Partition(k={self.k!r}, mult={self.mult!r})"
+        return f"KVector(entries={tuple(self)!r})"
 
-    def __reduce__(self):
-        return Partition, (self.k, self.mult)
+    def is_nonneg(self) -> bool:
+        return min(self, default=0) >= 0
 
-    @classmethod
-    def from_rows(cls, k: int, rows) -> "Partition":
-        mult = [0] * k
-        for part in rows:
-            if not 1 <= part <= k:
-                raise InvariantError(f"row length {part} outside 1..{k}")
-            mult[part - 1] += 1
-        return cls(k, tuple(mult))
 
-    def rows(self) -> tuple[int, ...]:
-        """Row lengths in weakly decreasing order."""
-        out = []
-        for alpha in range(self.k, 0, -1):
-            out.extend([alpha] * self.mult[alpha - 1])
-        return tuple(out)
+def partition_rows(mult: tuple[int, ...]) -> tuple[int, ...]:
+    """Row lengths, weakly decreasing, of the partition whose multiplicities
+    are mult: mult[alpha-1] rows of length alpha, for alpha = 1..len(mult)."""
+    rows: list[int] = []
+    for alpha in range(len(mult), 0, -1):
+        rows += [alpha] * mult[alpha - 1]
+    return tuple(rows)
 
 
 class Rigging(Record):
@@ -241,23 +177,25 @@ class Rigging(Record):
 
 
 class RiggedPair(Record):
-    """A pair of rigged partitions (mu, r; nu, s) at a common level."""
+    """A pair of rigged partitions (mu, r; nu, s) at a common level.
+
+    mu and nu are multiplicity tuples.  The rows of a rigging count at
+    least 0, so matching them checks that no multiplicity is negative.
+    """
 
     __slots__ = ()
     _fields = ("mu", "r", "nu", "s")
 
-    def __new__(cls, mu: Partition, r: Rigging, nu: Partition, s: Rigging) -> "RiggedPair":
-        if mu.k != nu.k:
+    def __new__(
+        cls, mu: tuple[int, ...], r: Rigging, nu: tuple[int, ...], s: Rigging
+    ) -> "RiggedPair":
+        if len(mu) != len(nu):
             raise InvariantError("mu and nu must share a level")
-        if r.lengths != mu.mult:
+        if r.lengths != mu:
             raise InvariantError("r row counts do not match mu multiplicities")
-        if s.lengths != nu.mult:
+        if s.lengths != nu:
             raise InvariantError("s row counts do not match nu multiplicities")
         return tuple.__new__(cls, (mu, r, nu, s))
-
-    @property
-    def k(self) -> int:
-        return self.mu.k
 
 
 def pair_to_obj(x: RiggedPair) -> dict:
@@ -267,15 +205,19 @@ def pair_to_obj(x: RiggedPair) -> dict:
     writes a tuple as a list.  Elements of one piece share these tuples
     (see riggedsets._riggings), which cli._json_text renders once each.
     """
-    return {"mu": x.mu.mult, "r": x.r.rows, "nu": x.nu.mult, "s": x.s.rows}
+    return {"mu": x.mu, "r": x.r.rows, "nu": x.nu, "s": x.s.rows}
 
 
 def pair_from_obj(k: int, obj: dict) -> RiggedPair:
-    """Inverse of pair_to_obj; a "degree" field, if present, is ignored."""
+    """Inverse of pair_to_obj at level k; a "degree" field, if present, is
+    ignored."""
+    mu = tuple(obj["mu"])
+    if len(mu) != k:
+        raise InvariantError(f"need {k} multiplicities, got {len(mu)}")
     return RiggedPair(
-        Partition(k, tuple(obj["mu"])),
+        mu,
         Rigging(tuple(tuple(row) for row in obj["r"])),
-        Partition(k, tuple(obj["nu"])),
+        tuple(obj["nu"]),
         Rigging(tuple(tuple(row) for row in obj["s"])),
     )
 
@@ -288,9 +230,9 @@ def params_from_obj(obj: dict) -> Params:
     return Params(obj["k"], obj["l1"], obj["l2"], obj["l3"], obj["M"], obj["N"])
 
 
-def weight(p: Partition) -> int:
+def weight(mult: tuple[int, ...]) -> int:
     """Total number of boxes, sum over alpha of alpha * m_alpha."""
-    return sum(alpha * m for alpha, m in enumerate(p.mult, start=1))
+    return sum(alpha * m for alpha, m in enumerate(mult, start=1))
 
 
 def tau(alpha: int, beta: int, p: Params) -> int:
@@ -351,7 +293,7 @@ def _vacancy_mu_part(mult: tuple[int, ...], M: int, l: int) -> tuple[int, ...]:
     )
 
 
-def vacancy_P(mu: Partition, nu: Partition, M: int, l: int) -> KVector:
+def vacancy_P(mu: tuple[int, ...], nu: tuple[int, ...], M: int, l: int) -> KVector:
     """Upper bounds P on the riggings of mu, depending on both partitions.
 
     P_alpha = alpha*M - (alpha-l)+ + sum_beta min(alpha, beta) (nu_beta - 2 mu_beta).
@@ -360,17 +302,17 @@ def vacancy_P(mu: Partition, nu: Partition, M: int, l: int) -> KVector:
     on mu, M and l alone; a scan over the partitions nu for a fixed mu
     reuses that part for every nu.
     """
-    if mu.k != nu.k:
+    if len(mu) != len(nu):
         raise InvariantError("mu and nu must share a level")
-    return KVector(tuple(map(add, _vacancy_mu_part(mu.mult, M, l), min_sums(nu.mult))))
+    return KVector(map(add, _vacancy_mu_part(mu, M, l), min_sums(nu)))
 
 
-def vacancy_Q(mu: Partition, nu: Partition, N: int, l: int) -> KVector:
+def vacancy_Q(mu: tuple[int, ...], nu: tuple[int, ...], N: int, l: int) -> KVector:
     """Upper bounds Q on the riggings of nu: vacancy_P with the roles swapped."""
     return vacancy_P(nu, mu, N, l)
 
 
-def boundary_ok(p: Params, mu: Partition, nu: Partition) -> bool:
+def boundary_ok(p: Params, mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
     """The M=0 / N=0 boundary inequalities on the weights.
 
     Given the rigging upper bounds, this is equivalent to requiring both

@@ -20,10 +20,10 @@ from operator import sub
 
 from .core import (
     Params,
-    Partition,
     RiggedPair,
     Rigging,
     TAU_SKEW,
+    partition_rows,
     tau,
     vacancy_P,
     vacancy_Q,
@@ -32,29 +32,34 @@ from .core import (
 
 def canonical_key(x: RiggedPair):
     """Sort key: lexicographic on (mu, nu) row lists, then flattened riggings."""
-    return (x.mu.rows(), x.nu.rows(), x.r.flat(), x.s.flat())
+    return (partition_rows(x.mu), partition_rows(x.nu), x.r.flat(), x.s.flat())
 
 
 @lru_cache(maxsize=None)
-def enumerate_partitions(m: int, k: int) -> tuple[Partition, ...]:
-    """All level-k restricted partitions of m, ordered lexicographically by rows."""
+def enumerate_partitions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All level-k restricted partitions of m as multiplicity tuples, in
+    ascending lexicographic order of their weakly decreasing rows.
+
+    The search picks the rows largest first and tries the lengths of each
+    in ascending order, which yields exactly that order.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         return ()
-    found: list[Partition] = []
+    found: list[tuple[int, ...]] = []
+    mult = [0] * k
 
-    def descend(remaining: int, largest: int, acc: list[int]) -> None:
+    def descend(remaining: int, largest: int) -> None:
         if remaining == 0:
-            found.append(Partition.from_rows(k, acc))
+            found.append(tuple(mult))
             return
-        for part in range(min(largest, remaining), 0, -1):
-            acc.append(part)
-            descend(remaining - part, part, acc)
-            acc.pop()
+        for part in range(1, min(largest, remaining) + 1):
+            mult[part - 1] += 1
+            descend(remaining - part, part)
+            mult[part - 1] -= 1
 
-    descend(m, k, [])
-    found.sort(key=lambda p: p.rows())
+    descend(m, k)
     return tuple(found)
 
 
@@ -98,7 +103,7 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
     if not Q.is_nonneg():
         return False
     # One row of r per entry of P, then one row of s per entry of Q.
-    for row, bound in zip(x.r.rows + x.s.rows, P.entries + Q.entries):
+    for row, bound in zip(x.r.rows + x.s.rows, P + Q):
         if row and row[0] > bound:
             return False
     return True
@@ -121,10 +126,10 @@ def feasible_pairs(p: Params, m: int, n: int):
     for mu in enumerate_partitions(m, p.k):
         for nu in nus:
             P = vacancy_P(mu, nu, M, l1)
-            if min(P.entries) < 0:
+            if min(P) < 0:
                 continue
             Q = vacancy_Q(mu, nu, N, l2)
-            if min(Q.entries) >= 0:
+            if min(Q) >= 0:
                 yield mu, nu, P, Q
 
 
@@ -146,7 +151,7 @@ def _tau_table(k: int, l1: int, l2: int, l3: int, skew: int):
     return mat if any(v > 0 for row in mat for v in row) else None
 
 
-def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
+def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
     """Every rigged pair on (mu, nu) whose rows of length alpha are capped
     by r_caps[alpha-1] and s_caps[alpha-1] and whose bottom riggings meet
     the tau bounds taumat (None: no bound), in canonical_key order.
@@ -160,14 +165,14 @@ def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
     validated, once per call, and the elements of every r with that
     vector share them.
     """
-    k = mu.k
-    r_opts = [_row_choices(mu.mult[i], r_caps[i]) for i in range(k)]
-    s_opts = [_row_choices(nu.mult[i], s_caps[i]) for i in range(k)]
-    mu_rows = [i for i in range(k) if mu.mult[i] > 0]
+    k = len(mu)
+    r_opts = list(map(_row_choices, mu, r_caps))
+    s_opts = list(map(_row_choices, nu, s_caps))
+    mu_rows = [i for i in range(k) if mu[i] > 0]
     # (j, tau bounds of the rows of mu on row j of s) for each row j of nu
     cols = []
     if taumat is not None and mu_rows:
-        cols = [(j, [taumat[i][j] for i in mu_rows]) for j in range(k) if nu.mult[j]]
+        cols = [(j, [taumat[i][j] for i in mu_rows]) for j in range(k) if nu[j]]
     s_by_need: dict[tuple[int, ...], list[Rigging]] = {}
     need: tuple[int, ...] = ()
     for rr in product(*r_opts):
@@ -180,7 +185,7 @@ def _riggings(mu: Partition, nu: Partition, r_caps, s_caps, taumat):
             s_now = list(s_opts)
             for (j, _), low in zip(cols, need):
                 if low:
-                    s_now[j] = _row_choices(nu.mult[j], s_caps[j], low)
+                    s_now[j] = _row_choices(nu[j], s_caps[j], low)
             s_objs = s_by_need[need] = [Rigging(ss) for ss in product(*s_now)]
         for s_obj in s_objs:
             yield RiggedPair(mu, r_obj, nu, s_obj)
@@ -214,7 +219,7 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
         piece = tuple(
             x
             for mu, nu, P, Q in feasible_pairs(p, m, n)
-            for x in _riggings(mu, nu, P.entries, Q.entries, taumat)
+            for x in _riggings(mu, nu, P, Q, taumat)
         )
     _R_CACHE[key] = piece
     return piece

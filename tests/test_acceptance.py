@@ -43,7 +43,6 @@ from rigchar.characters import (
 )
 from rigchar.core import (
     Params,
-    Partition,
     boundary_ok,
     pos_part,
     vacancy_P,
@@ -267,7 +266,7 @@ def test_criterion_7_property_suites():
                                         feasible = all(
                                             x >= 0
                                             for x, c in zip(
-                                                P.entries + Q.entries, mu.mult + nu.mult
+                                                P + Q, mu + nu
                                             )
                                             if c > 0
                                         )
@@ -276,7 +275,7 @@ def test_criterion_7_property_suites():
                                         coc = P.is_nonneg() and Q.is_nonneg()
                                         ok = ok and coc == boundary_ok(p, mu, nu)
                                         if M >= 1:
-                                            ok = ok and P.entries[-1] >= 0
+                                            ok = ok and P[-1] >= 0
 
     # Gaussian binomials: bounded-sum identity and q=1 specialization
     from math import comb
@@ -304,17 +303,16 @@ def test_criterion_7_property_suites():
         if b < a:
             continue
         l1, l2 = rng.randint(0, k), rng.randint(0, k)
-        mup = Partition(k, tuple(rng.randint(0, 2) for _ in range(k)))
-        nup = Partition(k, tuple(rng.randint(0, 2) for _ in range(k)))
-        mm = tuple(map(add, mup.mult, epsilon(I)))
-        nn = tuple(map(add, nup.mult, epsilon(J)))
-        if any(v < 0 for v in mm) or any(v < 0 for v in nn):
+        mup = tuple(rng.randint(0, 2) for _ in range(k))
+        nup = tuple(rng.randint(0, 2) for _ in range(k))
+        mu = tuple(map(add, mup, epsilon(I)))
+        nu = tuple(map(add, nup, epsilon(J)))
+        if min(mu + nu) < 0:
             continue
-        mu, nu = Partition(k, mm), Partition(k, nn)
         M, N = rng.randint(0, 2), rng.randint(1, 2)
         l1p, l2p, _ = primed_labels(k, l1, a, b - a)
-        dr = map(sub, vacancy_P(mu, nu, M, l1).entries, vacancy_P(mup, nup, M, l1p).entries)
-        ds = map(sub, vacancy_Q(mu, nu, N, l2).entries, vacancy_Q(mup, nup, N - 1, l2p).entries)
+        dr = map(sub, vacancy_P(mu, nu, M, l1), vacancy_P(mup, nup, M, l1p))
+        ds = map(sub, vacancy_Q(mu, nu, N, l2), vacancy_Q(mup, nup, N - 1, l2p))
         ok = ok and tuple(dr) == delta_r(I, J, l1)
         ok = ok and tuple(ds) == delta_s(I, J, l1, l2)
         checked += 1

@@ -24,7 +24,7 @@ from rigchar.admissible import (
     sigma_prime,
     tilde_pair,
 )
-from rigchar.core import Partition, pos_part, vacancy_P, vacancy_Q
+from rigchar.core import pos_part, vacancy_P, vacancy_Q
 
 
 def admissible_pairs(k, l1, l2=None):
@@ -385,17 +385,16 @@ class TestDeltaVectors:
             a, b = b, a
         l1 = data.draw(st.integers(0, k))
         l2 = data.draw(st.integers(0, k))
-        mup = Partition(k, tuple(data.draw(st.integers(0, 2)) for _ in range(k)))
-        nup = Partition(k, tuple(data.draw(st.integers(0, 2)) for _ in range(k)))
-        mm = tuple(map(add, mup.mult, epsilon(I)))
-        nn = tuple(map(add, nup.mult, epsilon(J)))
-        if any(v < 0 for v in mm) or any(v < 0 for v in nn):
+        mup = tuple(data.draw(st.integers(0, 2)) for _ in range(k))
+        nup = tuple(data.draw(st.integers(0, 2)) for _ in range(k))
+        mu = tuple(map(add, mup, epsilon(I)))
+        nu = tuple(map(add, nup, epsilon(J)))
+        if min(mu + nu) < 0:
             return
-        mu, nu = Partition(k, mm), Partition(k, nn)
         M = data.draw(st.integers(0, 2))
         N = data.draw(st.integers(1, 2))
         l1p, l2p, _ = primed_labels(k, l1, a, b - a)
-        dr = map(sub, vacancy_P(mu, nu, M, l1).entries, vacancy_P(mup, nup, M, l1p).entries)
-        ds = map(sub, vacancy_Q(mu, nu, N, l2).entries, vacancy_Q(mup, nup, N - 1, l2p).entries)
+        dr = map(sub, vacancy_P(mu, nu, M, l1), vacancy_P(mup, nup, M, l1p))
+        ds = map(sub, vacancy_Q(mu, nu, N, l2), vacancy_Q(mup, nup, N - 1, l2p))
         assert tuple(dr) == delta_r(I, J, l1)
         assert tuple(ds) == delta_s(I, J, l1, l2)

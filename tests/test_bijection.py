@@ -34,7 +34,7 @@ from rigchar.bijection import (
     verify_upper_decomposition,
 )
 from rigchar.characters import LaurentPoly, rig_degree
-from rigchar.core import Params, Partition, RiggedPair, Rigging, weight
+from rigchar.core import Params, RiggedPair, Rigging, weight
 from rigchar.riggedsets import enumerate_R
 
 
@@ -50,9 +50,7 @@ def ambient(p, m, n):
     return enumerate_R(free, m, n)
 
 
-EMPTY1 = RiggedPair(
-    Partition(1, (0,)), Rigging(((),)), Partition(1, (0,)), Rigging(((),))
-)
+EMPTY1 = RiggedPair((0,), Rigging(((),)), (0,), Rigging(((),)))
 
 
 class TestBoundTables:
@@ -204,6 +202,8 @@ class TestMapM:
                             if not upper_member(x, I, J, p.l1, p):
                                 continue
                             y = map_m(x, I, J, p)
+                            # cli._json_value writes exact tuples only.
+                            assert type(y.mu) is tuple and type(y.nu) is tuple
                             assert weight(y.mu) == weight(x.mu) + a
                             assert weight(y.nu) == weight(x.nu) + b
 
@@ -227,18 +227,30 @@ class TestMapM:
                     assert y.r == x.r
                     for got, row, d in zip(y.s.rows, x.s.rows, shift):
                         assert got == tuple(v + d for v in row)
-                    if any(x.nu.mult):
+                    if any(x.nu):
                         moved += 1
         assert moved > 0
 
     def test_rejects_non_members(self):
         p = Params(1, 1, 1, 1, 1, 1)
         I = J = IndexSet.of(1, (1,))
-        bad = RiggedPair(
-            Partition(1, (1,)), Rigging(((5,),)), Partition(1, (0,)), Rigging(((),))
-        )
+        bad = RiggedPair((1,), Rigging(((5,),)), (0,), Rigging(((),)))
         with pytest.raises(ValueError):
             map_m(bad, I, J, p)
+
+    def test_a_non_member_image_is_a_hard_error(self, monkeypatch):
+        import rigchar.bijection as bijection
+
+        p = Params(1, 1, 1, 1, 1, 1)
+        I = J = IndexSet.of(1, ())
+        monkeypatch.setattr(bijection, "lower_member", lambda *args: False)
+        message = (
+            "rigging map produced a non-member of the lower subset: "
+            "RiggedPair(mu=(0,), r=Rigging(rows=((),)), nu=(0,), s=Rigging(rows=((),)))"
+        )
+        with pytest.raises(AssertionError) as exc:
+            map_m(EMPTY1, I, J, p)
+        assert str(exc.value) == message
 
     def test_bijectivity_smoke(self):
         for k in (1, 2):
@@ -410,5 +422,5 @@ class TestBoundInequalities:
                                             continue
                                         P = vacancy_P(x.mu, x.nu, p.M, l1)
                                         Q = vacancy_Q(x.mu, x.nu, p.N, l2)
-                                        assert all(map(le, rho(I, J, l1), P.entries))
-                                        assert all(map(le, sigma(J, l2), Q.entries))
+                                        assert all(map(le, rho(I, J, l1), P))
+                                        assert all(map(le, sigma(J, l2), Q))

@@ -14,10 +14,11 @@ from rigchar.core import (
     InvariantError,
     KVector,
     Params,
-    Partition,
     RiggedPair,
     Rigging,
     boundary_ok,
+    pair_from_obj,
+    partition_rows,
     tau,
     tau_min_form,
     vacancy_P,
@@ -34,9 +35,7 @@ def legal_labels(k):
 
 
 def partitions_strategy(k):
-    return st.tuples(*[st.integers(0, 3) for _ in range(k)]).map(
-        lambda t: Partition(k, t)
-    )
+    return st.tuples(*[st.integers(0, 3) for _ in range(k)])
 
 
 class TestParams:
@@ -62,13 +61,13 @@ class TestParams:
 
 class TestWeight:
     def test_empty(self):
-        assert weight(Partition(2, (0, 0))) == 0
+        assert weight((0, 0)) == 0
 
     def test_mixed(self):
-        assert weight(Partition(2, (1, 1))) == 3
+        assert weight((1, 1)) == 3
 
     def test_k3(self):
-        assert weight(Partition(3, (2, 0, 1))) == 5
+        assert weight((2, 0, 1)) == 5
 
 
 class TestTau:
@@ -107,19 +106,17 @@ class TestTau:
 
 class TestVacancy:
     def test_k1_balanced(self):
-        one = Partition(1, (1,))
-        assert vacancy_P(one, one, 1, 1).entries == (0,)
-        assert vacancy_Q(one, one, 1, 1).entries == (0,)
+        one = (1,)
+        assert vacancy_P(one, one, 1, 1) == KVector((0,))
+        assert vacancy_Q(one, one, 1, 1) == KVector((0,))
 
     def test_empty_zero(self):
-        e = Partition(3, (0, 0, 0))
+        e = (0, 0, 0)
         assert vacancy_P(e, e, 0, 3) == KVector((0, 0, 0))
         assert vacancy_Q(e, e, 0, 3) == KVector((0, 0, 0))
 
     def test_k2_hand_value(self):
-        mu = Partition(2, (1, 0))
-        nu = Partition(2, (0, 0))
-        assert vacancy_P(mu, nu, 1, 2).entries == (-1, 0)
+        assert vacancy_P((1, 0), (0, 0), 1, 2) == KVector((-1, 0))
 
     @given(st.data())
     @settings(max_examples=200)
@@ -143,30 +140,26 @@ class TestVacancy:
             alpha * M
             - max(alpha - l, 0)
             + sum(
-                min(alpha, beta) * (nu.mult[beta - 1] - 2 * mu.mult[beta - 1])
+                min(alpha, beta) * (nu[beta - 1] - 2 * mu[beta - 1])
                 for beta in range(1, k + 1)
             )
             for alpha in range(1, k + 1)
         )
-        assert vacancy_P(mu, nu, M, l).entries == expected
+        assert vacancy_P(mu, nu, M, l) == KVector(expected)
 
 
 class TestBoundary:
     def test_positive_cutoffs_vacuous(self):
         p = Params(2, 0, 0, 0, 1, 1)
-        mu = Partition(2, (2, 1))
-        nu = Partition(2, (0, 2))
-        assert boundary_ok(p, mu, nu)
+        assert boundary_ok(p, (2, 1), (0, 2))
 
     def test_N0_violation(self):
         p = Params(1, 1, 1, 1, 1, 0)
-        one = Partition(1, (1,))
-        assert not boundary_ok(p, one, one)
+        assert not boundary_ok(p, (1,), (1,))
 
     def test_M0_equality_case(self):
         p = Params(2, 2, 0, 0, 0, 1)
-        e = Partition(2, (0, 0))
-        assert boundary_ok(p, e, e)
+        assert boundary_ok(p, (0, 0), (0, 0))
 
 
 class TestCutpro:
@@ -190,7 +183,7 @@ class TestCutpro:
                                             feasible = all(
                                                 x >= 0
                                                 for x, c in zip(
-                                                    P.entries + Q.entries, mu.mult + nu.mult
+                                                    P + Q, mu + nu
                                                 )
                                                 if c > 0
                                             )
@@ -199,7 +192,7 @@ class TestCutpro:
                                             coc = P.is_nonneg() and Q.is_nonneg()
                                             assert coc == boundary_ok(p, mu, nu)
                                             if M >= 1:
-                                                assert P.entries[-1] >= 0
+                                                assert P[-1] >= 0
 
 
 class TestRiggedTypes:
@@ -225,22 +218,56 @@ class TestRiggedTypes:
             assert str(exc.value) == "rigging entries must be >= 0"
 
     def test_pair_row_counts_checked(self):
-        mu = Partition(2, (1, 0))
-        nu = Partition(2, (0, 1))
+        mu = (1, 0)
+        nu = (0, 1)
         r = Rigging(((3,), ()))
         s = Rigging(((), (0,)))
         RiggedPair(mu, r, nu, s)
         with pytest.raises(ValueError):
             RiggedPair(mu, s, nu, r)
 
+    @pytest.mark.parametrize(
+        "mu, nu, message",
+        [
+            ((1, -1), (0, 0), "r row counts do not match mu multiplicities"),
+            ((0, 0), (0, -1), "s row counts do not match nu multiplicities"),
+            ((0, 0), (0, 0, 0), "mu and nu must share a level"),
+        ],
+        ids=["negative mu", "negative nu", "levels differ"],
+    )
+    def test_pair_checks_its_partitions(self, mu, nu, message):
+        r = Rigging(tuple(() for _ in mu))
+        s = Rigging(tuple(() for _ in nu))
+        with pytest.raises(InvariantError, match=message):
+            RiggedPair(mu, r, nu, s)
+        obj = {"mu": mu, "r": r.rows, "nu": nu, "s": s.rows}
+        with pytest.raises(InvariantError, match=message):
+            pair_from_obj(len(mu), obj)
+
+    def test_pair_from_obj_checks_the_level(self):
+        obj = {"mu": [1, 0], "r": [[0], []], "nu": [0, 0], "s": [[], []]}
+        assert pair_from_obj(2, obj).mu == (1, 0)
+        for k in (1, 3):
+            with pytest.raises(InvariantError, match=f"need {k} multiplicities, got 2"):
+                pair_from_obj(k, obj)
+
+    def test_kvector_items_are_its_entries(self):
+        P, Q = vacancy_P((1, 0), (0, 0), 1, 2), vacancy_Q((1, 0), (0, 0), 1, 2)
+        assert tuple(P) == (-1, 0) and tuple(Q) == (2, 3)
+        assert min(P) == -1 and not P.is_nonneg() and Q.is_nonneg()
+        assert type(P + Q) is tuple and P + Q == (-1, 0, 2, 3)
+        assert list(zip(P, (1, 0))) == [(-1, 1), (0, 0)]
+        assert KVector(()).is_nonneg()
+
     def test_rows_roundtrip(self):
-        p = Partition(3, (2, 0, 1))
-        assert p.rows() == (3, 1, 1)
-        assert Partition.from_rows(3, p.rows()) == p
+        mult = (2, 0, 1)
+        rows = partition_rows(mult)
+        assert rows == (3, 1, 1)
+        assert tuple(rows.count(alpha) for alpha in (1, 2, 3)) == mult
 
 
-MU = Partition(2, (1, 0))
-NU = Partition(2, (0, 1))
+MU = (1, 0)
+NU = (0, 1)
 R = Rigging(((3,), ()))
 S = Rigging(((), (0,)))
 
@@ -248,12 +275,11 @@ S = Rigging(((), (0,)))
 VALUES = {
     "Params": (Params(3, 1, 2, 1, 0, 4), "Params(k=3, l1=1, l2=2, l3=1, M=0, N=4)"),
     "KVector": (KVector((1, -2, 3)), "KVector(entries=(1, -2, 3))"),
-    "Partition": (MU, "Partition(k=2, mult=(1, 0))"),
     "Rigging": (R, "Rigging(rows=((3,), ()))"),
     "RiggedPair": (
         RiggedPair(MU, R, NU, S),
-        "RiggedPair(mu=Partition(k=2, mult=(1, 0)), r=Rigging(rows=((3,), ())), "
-        "nu=Partition(k=2, mult=(0, 1)), s=Rigging(rows=((), (0,))))",
+        "RiggedPair(mu=(1, 0), r=Rigging(rows=((3,), ())), "
+        "nu=(0, 1), s=Rigging(rows=((), (0,))))",
     ),
     "IndexSet": (IndexSet(3, (1, 3)), "IndexSet(k=3, members=(1, 3))"),
     "ComplementLabels": (
@@ -269,10 +295,10 @@ VALUES = {
         "Report(ok=True, check='recursion', context={'m': 0}, detail={})",
     ),
 }
+# KVector has no named field: its items are its entries.
 FIRST_FIELD = {
-    "Params": "k", "KVector": "entries", "Partition": "k", "Rigging": "rows",
-    "RiggedPair": "mu", "IndexSet": "k", "ComplementLabels": "p",
-    "MarkedBound": "value", "Report": "ok",
+    "Params": "k", "Rigging": "rows", "RiggedPair": "mu", "IndexSet": "k",
+    "ComplementLabels": "p", "MarkedBound": "value", "Report": "ok",
 }
 each_type = pytest.mark.parametrize("name", sorted(VALUES))
 
@@ -317,6 +343,12 @@ class TestValueSemantics:
     @each_type
     def test_fields_cannot_be_assigned(self, name):
         x = VALUES[name][0]
+        if name == "KVector":
+            with pytest.raises(TypeError):
+                x[0] = 0
+            with pytest.raises(AttributeError):
+                x.entries = x
+            return
         field = FIRST_FIELD[name]
         with pytest.raises(AttributeError):
             setattr(x, field, 0)

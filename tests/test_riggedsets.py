@@ -2,7 +2,7 @@
 
 import pytest
 
-from rigchar.core import TAU_SKEW, Params, Partition, RiggedPair, Rigging, weight
+from rigchar.core import TAU_SKEW, Params, RiggedPair, Rigging, partition_rows, weight
 from rigchar.riggedsets import (
     canonical_key,
     enumerate_partitions,
@@ -37,9 +37,9 @@ def two_step_piece(p, m, n):
         for nu in enumerate_partitions(n, p.k):
             P = vacancy_P(mu, nu, p.M, p.l1)
             Q = vacancy_Q(mu, nu, p.N, p.l2)
-            cap = max(0, *P.entries, *Q.entries)
-            r_opts = [_row_choices(c, cap) for c in mu.mult]
-            s_opts = [_row_choices(c, cap) for c in nu.mult]
+            cap = max(0, *P, *Q)
+            r_opts = [_row_choices(c, cap) for c in mu]
+            s_opts = [_row_choices(c, cap) for c in nu]
             for rr, ss in product(product(*r_opts), product(*s_opts)):
                 x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
                 if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
@@ -49,11 +49,10 @@ def two_step_piece(p, m, n):
 
 class TestEnumeratePartitions:
     def test_zero(self):
-        assert enumerate_partitions(0, 3) == (Partition(3, (0, 0, 0)),)
+        assert enumerate_partitions(0, 3) == ((0, 0, 0),)
 
     def test_three_at_level_two(self):
-        got = enumerate_partitions(3, 2)
-        assert [p.mult for p in got] == [(3, 0), (1, 1)]
+        assert enumerate_partitions(3, 2) == ((3, 0), (1, 1))
 
     def test_negative_empty(self):
         assert enumerate_partitions(-1, 2) == ()
@@ -62,9 +61,18 @@ class TestEnumeratePartitions:
         for m in range(8):
             ps = enumerate_partitions(m, 3)
             assert all(weight(p) == m for p in ps)
-            rows = [p.rows() for p in ps]
+            rows = [partition_rows(p) for p in ps]
             assert rows == sorted(rows)
             assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_brute_force(self, k):
+        # Every multiplicity tuple of weight m, in the order of its rows.
+        from itertools import product
+
+        for m in range(9):
+            every = [mult for mult in product(range(m + 1), repeat=k) if weight(mult) == m]
+            assert enumerate_partitions(m, k) == tuple(sorted(every, key=partition_rows))
 
 
 class TestEnumerateR:
@@ -99,8 +107,19 @@ class TestEnumerateR:
         piece = enumerate_R(p, 1, 1)
         assert len(piece) == 1
         x = piece[0]
-        assert x.mu.mult == (1,) and x.nu.mult == (1,)
+        assert x.mu == (1,) and x.nu == (1,)
         assert x.r.rows == ((0,),) and x.s.rows == ((0,),)
+
+    def test_partitions_are_plain_tuples(self):
+        # cli._json_value writes exact tuples only, and the scan's identity
+        # checks rely on each partition being one shared object.
+        p = Params(2, 2, 2, 0, 2, 2)
+        piece = enumerate_R(p, 2, 2)
+        assert piece
+        for x in piece:
+            assert type(x.mu) is tuple and type(x.nu) is tuple
+            assert x.mu in enumerate_partitions(2, 2)
+            assert any(x.mu is mu for mu in enumerate_partitions(2, 2))
 
     def test_negative_weights_empty(self):
         p = Params(2, 1, 1, 0, 2, 2)
@@ -166,9 +185,9 @@ class TestEnumerateR:
         expected = two_step_piece(p, m, n)
         riggings = 0
         for mu, nu, P, Q in feasible_pairs(p, m, n):
-            for part, caps in ((mu, P.entries), (nu, Q.entries)):
+            for part, caps in ((mu, P), (nu, Q)):
                 count = 1
-                for c, cap in zip(part.mult, caps):
+                for c, cap in zip(part, caps):
                     count *= len(_row_choices(c, cap))
                 riggings += count
         counts = self._count_constructions(monkeypatch)
@@ -236,7 +255,7 @@ class TestCanonicalOrder:
 
     def test_grid_has_rows_whose_order_matters(self):
         def long_row(mult, bounds):
-            return any(c >= 2 and b >= 2 for c, b in zip(mult, bounds.entries))
+            return any(c >= 2 and b >= 2 for c, b in zip(mult, bounds))
 
         found = 0
         for p, _, _, elems in order_grid_pieces():
@@ -244,7 +263,7 @@ class TestCanonicalOrder:
             for mu, nu in pairs:
                 P = vacancy_P(mu, nu, p.M, p.l1)
                 Q = vacancy_Q(mu, nu, p.N, p.l2)
-                if long_row(mu.mult, P) or long_row(nu.mult, Q):
+                if long_row(mu, P) or long_row(nu, Q):
                     found += 1
         assert found > 0
 
@@ -267,12 +286,7 @@ class TestCanonicalOrder:
     def test_elements_rebuild_through_public_constructors(self):
         for p, _, _, elems in order_grid_pieces():
             for x in elems:
-                again = RiggedPair(
-                    Partition(p.k, x.mu.mult),
-                    Rigging(x.r.rows),
-                    Partition(p.k, x.nu.mult),
-                    Rigging(x.s.rows),
-                )
+                again = RiggedPair(x.mu, Rigging(x.r.rows), x.nu, Rigging(x.s.rows))
                 assert again == x
 
 
@@ -293,8 +307,8 @@ class TestEnumerateRPlain:
                     got = []
                     for mu in enumerate_partitions(m, k):
                         for nu in enumerate_partitions(n, k):
-                            r_opts = [_row_choices(c, cap) for c in mu.mult]
-                            s_opts = [_row_choices(c, cap) for c in nu.mult]
+                            r_opts = [_row_choices(c, cap) for c in mu]
+                            s_opts = [_row_choices(c, cap) for c in nu]
                             for rr, ss in product(product(*r_opts), product(*s_opts)):
                                 x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
                                 if satisfies_tau(x, p):
@@ -306,9 +320,9 @@ class TestEnumerateRPlain:
 class TestSatisfiesTau:
     def test_membership_degenerates_when_l3_min(self):
         x = RiggedPair(
-            Partition(2, (1, 1)),
+            (1, 1),
             Rigging(((5,), (0,))),
-            Partition(2, (2, 0)),
+            (2, 0),
             Rigging(((3, 1), ())),
         )
         for l1 in range(3):
@@ -356,10 +370,10 @@ class TestFeasiblePairs:
                 alpha * M
                 - max(alpha - l, 0)
                 + sum(
-                    min(alpha, beta) * (nu.mult[beta - 1] - 2 * mu.mult[beta - 1])
-                    for beta in range(1, mu.k + 1)
+                    min(alpha, beta) * (nu[beta - 1] - 2 * mu[beta - 1])
+                    for beta in range(1, len(mu) + 1)
                 )
-                for alpha in range(1, mu.k + 1)
+                for alpha in range(1, len(mu) + 1)
             ]
 
         monkeypatch.setattr(riggedsets, "vacancy_P", counted_P)
