@@ -359,11 +359,11 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
     uppers = upper_table(k, p.l1)
+    # The primed cutoff sets with tau switched off, as _ambient builds them.
+    primed = lru_cache(None)(lambda l1p, l2p: Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1))
     for I, J in lower_table(k, p.l1, p.l2):
         l1p, l2p, _ = uppers[I, J].primed
-        # The primed cutoff set with tau switched off, as _ambient builds it.
-        primed = Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1)
-        upper_ambient = enumerate_R(primed, m - len(I), n - len(J))
+        upper_ambient = enumerate_R(primed(l1p, l2p), m - len(I), n - len(J))
         ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
         try:
             images = [map_m(x, I, J, p) for x in ups]

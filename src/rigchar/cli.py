@@ -29,7 +29,9 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
+from collections.abc import Iterator
+from contextlib import nullcontext
+from itertools import chain, product
 from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
@@ -48,21 +50,19 @@ JOBS_ENV_VAR = "RIGCHAR_JOBS"
 
 # ---------------------------------------------------------------- serialization
 
-def enum_document(p: Params) -> dict:
-    """The full enumeration document: every nonempty piece in (m, n) order."""
-    pieces = []
-    for (m, n), piece in riggedsets.enumerate_total(p).items():
+def _enum_pieces(p: Params, pieces: dict):
+    """enum's pieces, given enumerate_total(p), each built when reached."""
+    for (m, n), piece in pieces.items():
         elements = []
         for x, degree in zip(piece, characters.piece_degrees(piece, p.l1, p.l2)):
             obj = pair_to_obj(x)
             obj["degree"] = degree
             elements.append(obj)
-        pieces.append({"m": m, "n": n, "count": len(piece), "elements": elements})
-    return {"params": params_to_obj(p), "pieces": pieces}
+        yield {"m": m, "n": n, "count": len(piece), "elements": elements}
 
 
 def parse_enum_document(doc: dict):
-    """Round-trip parser for enum_document output."""
+    """Round-trip parser for the JSON document of enum."""
     p = params_from_obj(doc["params"])
     pieces = {}
     for piece in doc["pieces"]:
@@ -73,26 +73,23 @@ def parse_enum_document(doc: dict):
     return p, pieces
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write text to the file output, or to stdout when output is None.
+def _emit(chunks, output: str | None) -> None:
+    """Write each string of chunks to the file output, or to stdout if None.
 
     An output that cannot be written is a usage error (exit 2), not a
     failure report.  stdout is flushed here, so a failed write is seen
     here and not when the interpreter exits.
     """
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
+    try:
+        with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+    except OSError as exc:
+        if output:
             raise ValueError(f"cannot write --output {output}: {exc.strerror}") from exc
-    else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            _discard_stdout()
-            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
+        _discard_stdout()
+        raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _discard_stdout() -> None:
@@ -115,33 +112,35 @@ def _discard_stdout() -> None:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+_CHUNK = 1 << 16  # characters: a batch of list items reaches it, a JSON chunk never exceeds it
+
 
 def _json_value(obj, nl: str, memo: dict) -> str:
     """obj as json.dumps(indent=2, sort_keys=True) writes it at the nesting
     whose line break and indent is nl.
 
-    Lists and dicts are written here, a list of ints or a dict of int
-    values with one join, and any other value by json.dumps.  Dict keys
-    must be str, as in every document the CLI writes; another key raises
-    TypeError.
+    Lists and dicts are written here, a list of ints with one join, and
+    any other value by json.dumps.  Dict keys must be str, as in every
+    document the CLI writes; another key raises TypeError.
 
-    A tuple is written as the list of its items, once per object and
-    nesting: memo maps (id(t), nl) to the text of each tuple t written so
-    far.  The rows of an enum document are tuples shared by many elements,
-    so each is rendered once.  Keying on identity, not equality, keeps
-    (True, False) and (1.0, 0) apart from (1, 0); an id stays valid because
-    the document holds every tuple in it alive while it is written.  A
-    tuple subclass (a core.Record value or a named tuple) is not a JSON
-    value here and raises TypeError, where json.dumps would write a list.
+    memo maps (id(t), nl) to the text of each tuple t written so far and
+    to t, which keeps the id from being reused: the rows of an enum
+    document are tuples shared by many elements, so each is rendered once.
+    Keying on identity, not equality, keeps (True, False) and (1.0, 0)
+    apart from (1, 0).  memo also maps (keys, nl), a dict's keys in order,
+    to a %-template, so dicts that share keys (enum elements, character
+    terms) are written from one.  A tuple subclass (a core.Record value or
+    a named tuple) is not a JSON value here and raises TypeError, where
+    json.dumps would write a list.
     """
     if type(obj) is int:
         return int.__repr__(obj)
     if type(obj) is tuple:
         key = (id(obj), nl)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _json_value(list(obj), nl, memo)
-        return text
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (_json_value(list(obj), nl, memo), obj)
+        return hit[0]
     if isinstance(obj, list):
         if not obj:
             return "[]"
@@ -154,26 +153,61 @@ def _json_value(obj, nl: str, memo: dict) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = nl + "  "
-        items = sorted(obj.items())
-        if all(type(v) is int for _, v in items):
-            body = [_encode_str(k) + ": " + int.__repr__(v) for k, v in items]
-        else:
-            body = [_encode_str(k) + ": " + _json_value(v, inner, memo) for k, v in items]
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
+        key = (tuple(obj), nl)
+        form = memo.get(key)
+        if form is None:
+            inner = nl + "  "
+            keys = sorted(obj)
+            heads = [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]
+            form = memo[key] = ("{" + inner + ("," + inner).join(heads) + nl + "}", keys, inner)
+        template, keys, inner = form
+        return template % tuple([_json_value(obj[k], inner, memo) for k in keys])
     if isinstance(obj, tuple):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return json.dumps(obj)
 
 
-def _json_text(obj) -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
+def _json_parts(obj, nl: str, memo: dict):
+    """obj as _json_value writes it, in parts.  obj, or a value of a dict
+    written here, may be an iterator standing for the list of its items;
+    these go out in batches of about _CHUNK characters, so many small items
+    take few writes, and the memo lives for one batch."""
+    inner = nl + "  "
+    if isinstance(obj, Iterator):
+        batch, size, sep = [], 0, "[" + inner
+        for item in obj:
+            batch.append(sep + _json_value(item, inner, memo))
+            size += len(batch[-1])
+            sep = "," + inner
+            if size >= _CHUNK:
+                yield "".join(batch)
+                batch, size = [], 0
+                memo.clear()
+        batch.append("[]" if sep[0] == "[" else nl + "]")
+        yield "".join(batch)
+    elif isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key in sorted(obj):
+            yield sep + _encode_str(key) + ": "
+            yield from _json_parts(obj[key], inner, memo)
+            sep = "," + inner
+        yield nl + "}"
+    else:
+        yield _json_value(obj, nl, memo)
 
-    With an indent, json.dumps runs its pure-Python encoder, which is
-    slower than _json_value on the CLI's documents.  The tuple memo lives
-    for this one call, so nothing outlives the document.
-    """
-    return _json_value(obj, "\n", {}) + "\n"
+
+def _json_chunks(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, in chunks
+    of at most _CHUNK characters; with an indent, json.dumps runs its slower
+    pure-Python encoder.  A list outside any list may be an iterator."""
+    for part in chain(_json_parts(obj, "\n", {}), ("\n",)):
+        for start in range(0, len(part), _CHUNK):
+            yield part[start:start + _CHUNK]
+
+
+def _json_text(obj) -> str:
+    """The chunks of _json_chunks(obj), joined."""
+    return "".join(_json_chunks(obj))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -214,37 +248,38 @@ def _resolve_jobs(args) -> int:
     return jobs
 
 
+def _enum_text(pieces):
+    """enum's text, a string per piece: a header, then a line per element."""
+    for piece in pieces:
+        yield f"piece m={piece['m']} n={piece['n']} count={piece['count']}\n" + "".join(
+            f"  mu={list(el['mu'])} r={list(map(list, el['r']))}"
+            f" nu={list(el['nu'])} s={list(map(list, el['s']))}"
+            f" degree={el['degree']}\n"
+            for el in piece["elements"]
+        )
+
+
 def run_enum(args) -> int:
     p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
-    doc = enum_document(p)
+    pieces = _enum_pieces(p, riggedsets.enumerate_total(p))
     if args.format == "json":
-        _emit(_json_text(doc), args.output)
+        _emit(_json_chunks({"params": params_to_obj(p), "pieces": pieces}), args.output)
     else:
-        lines = []
-        for piece in doc["pieces"]:
-            lines.append(f"piece m={piece['m']} n={piece['n']} count={piece['count']}")
-            for el in piece["elements"]:
-                # The element's tuples, printed in the list notation of JSON.
-                lines.append(
-                    f"  mu={list(el['mu'])} r={list(map(list, el['r']))}"
-                    f" nu={list(el['nu'])} s={list(map(list, el['s']))}"
-                    f" degree={el['degree']}"
-                )
-        _emit("\n".join(lines) + "\n" if lines else "", args.output)
+        _emit(_enum_text(pieces), args.output)
     return 0
 
 
 def _poly_payload(poly, args, names, meta: dict) -> int:
     if args.format == "text":
-        _emit(poly.to_text(names) + "\n", args.output)
+        _emit((poly.to_text(names), "\n"), args.output)
     else:
         if names[0] == "z":
-            terms = [{"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms()]
+            terms = ({"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms())
         else:
-            terms = [
+            terms = (
                 {"z1": e1, "z2": e2, "q": eq, "coeff": c} for (e1, e2, eq), c in poly.terms()
-            ]
-        _emit(_json_text({**meta, "terms": terms, "text": poly.to_text(names)}), args.output)
+            )
+        _emit(_json_chunks({**meta, "terms": terms, "text": poly.to_text(names)}), args.output)
     return 0
 
 
@@ -460,7 +495,7 @@ def run_verify(args) -> int:
         doc.update(status="pass", points=len(tasks))
     else:
         doc.update(status="fail", counterexample=failure)
-    _emit(_json_text(doc), args.output)
+    _emit(_json_chunks(doc), args.output)
     return 0 if failure is None else 1
 
 

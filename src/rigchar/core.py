@@ -203,7 +203,7 @@ def pair_to_obj(x: RiggedPair) -> dict:
 
     The values are the element's own immutable tuples, not copies; JSON
     writes a tuple as a list.  Elements of one piece share these tuples
-    (see riggedsets._riggings), which cli._json_text renders once each.
+    (see riggedsets._riggings), which cli._json_chunks renders once each.
     """
     return {"mu": x.mu, "r": x.r.rows, "nu": x.nu, "s": x.s.rows}
 

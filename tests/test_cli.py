@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, output schema, exit codes, determinism."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigchar.cli import _CHECKS, _json_text, enum_document, parse_enum_document
+from rigchar.cli import _CHECKS, _json_text, parse_enum_document
 from rigchar.core import Params
 
 DATA = Path(__file__).parent / "data"
+WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.json"
 
 
 def run_cli(*args, expect: int = 0):
@@ -56,12 +58,14 @@ class TestEnum:
         )
         assert json.loads(proc.stdout)["pieces"] == []
 
-    def test_round_trips_through_parser(self):
+    def test_round_trips_through_parser(self, capsys):
+        from rigchar import cli
+
         p = Params(2, 2, 1, 1, 1, 1)
-        doc = enum_document(p)
-        parsed = json.loads(json.dumps(doc))
-        q, pieces = parse_enum_document(parsed)
+        assert cli.main("enum --k 2 --l1 2 --l2 1 --l3 1 --M 1 --N 1".split()) == 0
+        q, pieces = parse_enum_document(json.loads(capsys.readouterr().out))
         assert q == p
+        assert pieces
         from rigchar.riggedsets import enumerate_R
 
         for (m, n), elems in pieces.items():
@@ -406,10 +410,11 @@ class TestVerify:
             "message": "packed cell lost a coefficient",
         }
 
-    def test_invariant_failure_exits_3(self, monkeypatch, capsys):
+    @staticmethod
+    def reverse_rows(monkeypatch):
         # The CLI builds every rigging itself, so one that fails its own
         # validation is an internal fault, not a usage error.
-        from rigchar import cli, riggedsets
+        from rigchar import riggedsets
 
         real = riggedsets._row_choices
 
@@ -418,6 +423,11 @@ class TestVerify:
 
         monkeypatch.setattr(riggedsets, "_row_choices", reversed_rows)
         monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+
+    def test_invariant_failure_exits_3(self, monkeypatch, capsys):
+        from rigchar import cli
+
+        self.reverse_rows(monkeypatch)
         code = cli.main("char-bruteforce --k 1 --l1 1 --l2 1 --l3 0 --M 4 --N 4".split())
         assert code == 3
         captured = capsys.readouterr()
@@ -427,6 +437,19 @@ class TestVerify:
             "error": "InvariantError",
             "message": "rigging row (0, 1) is not weakly decreasing",
         }
+        assert "error:" not in captured.err
+
+    def test_enum_invariant_failure_exits_3(self, monkeypatch, capsys):
+        # enum walks every piece before it writes a byte, so the error
+        # line is all of stdout.
+        from rigchar import cli
+
+        self.reverse_rows(monkeypatch)
+        code = cli.main("enum --k 2 --l1 2 --l2 2 --l3 0 --M 5 --N 4".split())
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "InvariantError"
         assert "error:" not in captured.err
 
     @pytest.mark.parametrize(
@@ -727,6 +750,16 @@ class TestOutputFile:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_streamed_write_exits_2(self):
+        """A document written in many chunks fails at its first one."""
+        argv = ["enum", "--k", "2", "--l1", "2", "--l2", "2", "--l3", "0", "--M", "5", "--N", "4"]
+        proc = run_cli(*argv, "--output", "/dev/full", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
+        )
+
     def test_failed_stdout_write_exits_2(self, monkeypatch, capsys):
         """Without --output, a stdout that cannot be written is a usage
         error too: exit 2 and one error line, not a traceback and exit 1."""
@@ -753,8 +786,9 @@ class TestOutputFile:
         [
             ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"],
             ["char", "--k", "2", "--l1", "2", "--l2", "1", "--M", "10", "--N", "10"],
+            ["enum", "--k", "2", "--l1", "2", "--l2", "2", "--l3", "0", "--M", "3", "--N", "3"],
         ],
-        ids=["short", "long"],
+        ids=["short", "long", "enum"],
     )
     def test_stdout_to_full_device_exits_2(self, argv, unbuffered):
         """A short text fails only when stdout is flushed, a long one at the
@@ -811,6 +845,19 @@ tuple_docs = st.recursive(
 )
 
 
+# Specs of the items of a top-level list given as a generator: nested
+# lists of leaves, which build() turns into fresh tuples each time, so
+# the id of an item the writer has dropped is soon handed to the next.
+item_specs = st.lists(
+    st.recursive(tuple_leaves, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+    max_size=6,
+)
+
+
+def build(spec):
+    return tuple(map(build, spec)) if isinstance(spec, list) else spec
+
+
 def reference_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -846,10 +893,24 @@ class TestJsonWriter:
     def test_matches_json_dumps_with_tuples(self, doc):
         assert _json_text(doc) == reference_json(doc)
 
-    def test_enum_document(self):
-        doc = enum_document(Params(2, 2, 2, 0, 2, 2))
-        assert doc["pieces"]
-        assert _json_text(doc) == reference_json(doc)
+    @given(st.dictionaries(json_keys, item_specs, max_size=3) | item_specs)
+    @settings(max_examples=300, deadline=None)
+    def test_streamed_lists_match_json_dumps(self, spec):
+        if isinstance(spec, dict):
+            streamed = {k: (build(s) for s in v) for k, v in spec.items()}
+            doc = {k: [build(s) for s in v] for k, v in spec.items()}
+        else:
+            streamed = (build(s) for s in spec)
+            doc = [build(s) for s in spec]
+        assert _json_text(streamed) == reference_json(doc)
+
+    def test_enum_document(self, capsys):
+        from rigchar import cli
+
+        assert cli.main("enum --k 2 --l1 2 --l2 2 --l3 0 --M 2 --N 2".split()) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["pieces"]
+        assert out == reference_json(json.loads(out))
 
     @pytest.mark.parametrize(
         "argv",
@@ -867,3 +928,40 @@ class TestJsonWriter:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert out == reference_json(json.loads(out))
+
+
+class RecordingStdout:
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    """Documents go out in bounded chunks with the bytes the benchmark pins."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "enum --k 2 --l1 2 --l2 2 --l3 0 --M 5 --N 4",
+            "char --k 2 --l1 2 --l2 1 --M 10 --N 10",
+        ],
+        ids=["enum", "char"],
+    )
+    def test_chunks_are_bounded_and_exact(self, argv, monkeypatch):
+        from rigchar import cli
+
+        expected = json.loads(WORKLOADS.read_text())["expected"][argv]["sha256"]
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv.split()) == 0
+        chunks = [text.encode() for text in stdout.writes]
+        assert hashlib.sha256(b"".join(chunks)).hexdigest() == expected
+        assert max(map(len, chunks)) <= 256 * 1024
