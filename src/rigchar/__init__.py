@@ -25,7 +25,6 @@ from .admissible import (
 )
 from .bijection import (
     MarkedBound,
-    Report,
     lower_member,
     map_m,
     upper_member,
@@ -48,6 +47,7 @@ from .characters import (
 from .core import (
     KVector,
     Params,
+    Report,
     RiggedPair,
     Rigging,
     boundary_ok,

@@ -33,6 +33,7 @@ from .admissible import (
 from .core import (
     Params,
     Record,
+    Report,
     RiggedPair,
     Rigging,
     pair_to_obj,
@@ -41,21 +42,6 @@ from .core import (
     vacancy_Q,
 )
 from .riggedsets import canonical_key, enumerate_R, satisfies_cutoffs
-
-
-class Report(Record):
-    """Outcome of one verification, with provenance for failures.
-
-    context identifies the grid point; detail carries either the summary
-    of a passing check or the first counterexample (offending element,
-    covering pairs, per-term cardinalities) of a failing one.
-    """
-
-    __slots__ = ()
-    _fields = ("ok", "check", "context", "detail")
-
-    def __new__(cls, ok: bool, check: str, context: dict, detail: dict) -> "Report":
-        return tuple.__new__(cls, (ok, check, context, detail))
 
 
 class MarkedBound(Record):

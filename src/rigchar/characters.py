@@ -15,8 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .admissible import primed_labels
-from .bijection import Report
-from .core import Params, RiggedPair, min_sums, params_to_obj, pos_part
+from .core import Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
 

@@ -1,14 +1,15 @@
 """Command-line front end: enumeration, characters, and every verifier.
 
 Results go to stdout (JSON or canonical text), progress to stderr, so
-captured output stays byte-stable.  verify --jobs N splits its grid into
-blocks of equal (k, M), which share no rigged-set cache entries, and hands
-whole blocks to min(N, number of blocks) worker processes; with one, the
-grid runs in-process.  The failing point with the lowest grid index is
-reported, so the output does not depend on N.  Exit codes: 0 pass,
-1 verified failure with a counterexample report, 2 usage error, 3 internal
-invariant failure (an escaping AssertionError, ArithmeticError or
-core.InvariantError), reported as one JSON line on stdout.
+captured output stays byte-stable.  verify splits its grid into blocks of
+equal (k, M), which share no rigged-set cache entries, and checks whole
+blocks on min(--jobs, number of blocks) workers: one runs the blocks
+in-process in ascending (k, M) order, more run them on a pool in
+descending order.  The failing point with the lowest grid index is
+reported, so the output does not depend on the worker count.  Exit codes:
+0 pass, 1 verified failure with a counterexample report, 2 usage error,
+3 internal invariant failure (an escaping AssertionError, ArithmeticError
+or core.InvariantError), reported as one JSON line on stdout.
 
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
@@ -32,13 +33,14 @@ import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain, product
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import bijection, characters, core, riggedsets
-from .bijection import Report
 from .core import (
     InvariantError,
     Params,
+    Report,
     pair_from_obj,
     pair_to_obj,
     params_from_obj,
@@ -212,22 +214,6 @@ def _json_text(obj) -> str:
 
 # ---------------------------------------------------------------- subcommands
 
-def _add_params_flags(sp, with_l3: bool) -> None:
-    sp.add_argument("--k", type=int, required=True, help="level")
-    sp.add_argument("--l1", type=int, required=True)
-    sp.add_argument("--l2", type=int, required=True)
-    if with_l3:
-        sp.add_argument("--l3", type=int, required=True)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-
-
-def _add_output_flags(sp, with_format: bool) -> None:
-    if with_format:
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--output", default=None, help="write to file instead of stdout")
-
-
 def _resolve_jobs(args) -> int:
     """The worker count from --jobs, else from $RIGCHAR_JOBS, else 1.
 
@@ -375,77 +361,87 @@ _CHECKS = {
 }
 
 
-# A pool worker's view of the lowest grid index at which the parent has
-# seen a point fail; None outside pool workers.
+# The lowest grid index at which the parent has seen a point fail: in a pool
+# worker a RawValue shared with the parent, in-process a SimpleNamespace;
+# None before the first verify run.
 _STOP_AT = None
 
 
-def _check_point(task) -> dict | None:
-    """None if the grid point passes, else its counterexample report.
-
-    The task carries the --inject-tau-skew fault, which is set around this
-    one point only; so it reaches pool workers under every start method
-    and never outlives the point.
-    """
-    what, skew, point = task
-    token = core.TAU_SKEW.set(skew)
-    try:
-        rep = _CHECKS[what].run(*point)
-    finally:
-        core.TAU_SKEW.reset(token)
+def _check_point(what: str, point: tuple) -> dict | None:
+    """None if the grid point passes check what, else its counterexample report."""
+    rep = _CHECKS[what].run(*point)
     if rep.ok:
         return None
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
 def _check_block(block) -> tuple[int, tuple[int, dict] | None]:
-    """The size of a block of (grid index, task) pairs in grid order, and
-    the grid index and report of its first failing point, or None.
+    """The size of a block and the grid index and report of its first
+    failing point, or None.
 
-    Points at or past the lowest failing index the parent has seen are
-    skipped: a failure there cannot be the first in grid order.
+    A block is (check name, skew, points), its points (grid index, point)
+    pairs in grid order.  The --inject-tau-skew fault is set around the
+    whole block, so it reaches pool workers under every start method and
+    never outlives the block.  Points at or past the lowest failing index
+    the parent has seen are skipped: a failure there cannot be the first
+    in grid order.
     """
-    for index, task in block:
-        if index >= _STOP_AT.value:
-            break
-        failure = _check_point(task)
-        if failure is not None:
-            return len(block), (index, failure)
-    return len(block), None
+    what, skew, points = block
+    token = core.TAU_SKEW.set(skew)
+    try:
+        for index, point in points:
+            if index >= _STOP_AT.value:
+                break
+            failure = _check_point(what, point)
+            if failure is not None:
+                return len(points), (index, failure)
+    finally:
+        core.TAU_SKEW.reset(token)
+    return len(points), None
 
 
 def _init_worker(stop_at) -> None:
-    """Pool initializer: the lowest failing grid index, shared with the parent."""
+    """Install the lowest failing grid index, shared with the parent."""
     global _STOP_AT
     _STOP_AT = stop_at
 
 
-def _run_blocks(blocks: list[list], workers: int, total: int) -> dict | None:
-    """The report of the first failing point in grid order, or None, with
-    whole blocks checked on a pool of workers in the order given.
+def _run_blocks(blocks: list[tuple], workers: int, total: int) -> dict | None:
+    """The report of the first failing point in grid order, or None.
 
-    Every block's result is read, since a block that finishes later may
+    blocks come in ascending (k, M) order.  One worker checks them
+    in-process in that order, so a failure in a small block stops the
+    larger ones early; a pool checks them in descending order, costliest
+    first, and reads every result, since a block that finishes later may
     hold an earlier failure.
     """
-    # Imported here, not at module level, so that the commands and grids
-    # that start no pool do not pay for the import.
-    from multiprocessing import Pool, RawValue
+    if workers > 1:
+        # Imported here, not at module level, so that the runs that start
+        # no pool do not pay for the import.
+        from multiprocessing import Pool, RawValue
 
-    stop_at = RawValue("q", total)
+        stop_at = RawValue("q", total)
+        pool = Pool(workers, initializer=_init_worker, initargs=(stop_at,))
+        results = pool.imap_unordered(_check_block, blocks[::-1])
+    else:
+        stop_at, pool = SimpleNamespace(value=total), nullcontext()
+        _init_worker(stop_at)
+        results = map(_check_block, blocks)
     failure = None
     done = 0
-    with Pool(workers, initializer=_init_worker, initargs=(stop_at,)) as pool:
-        for size, found in pool.imap_unordered(_check_block, blocks):
+    with pool:
+        for size, found in results:
             done += size
             print(f"progress: {done}/{total}", file=sys.stderr)
             if found is not None and found[0] < stop_at.value:
                 stop_at.value, failure = found
-        # Leaving the with block would call Pool.terminate, which can kill
-        # a worker while it holds a queue lock and leave the pool's task
-        # thread waiting on that lock forever.  Let the workers exit on
-        # their own instead.
-        pool.close()
-        pool.join()
+        if workers > 1:
+            # Leaving the with block would call Pool.terminate, which can
+            # kill a worker while it holds a queue lock and leave the
+            # pool's task thread waiting on that lock forever.  Let the
+            # workers exit on their own instead.
+            pool.close()
+            pool.join()
     return failure
 
 
@@ -463,36 +459,24 @@ def run_verify(args) -> int:
         range(check.first_N, args.max_N + 1),
         *weights,
     )
-    tasks = []
     # Every enumerate_R piece a check reads at a point has the point's k
     # and M; only its labels and N may differ.  So blocks of equal (k, M)
     # share no _R_CACHE entries, where blocks of equal labels would.
     blocks: dict[tuple[int, int], list] = {}
-    for kl, M, N, *mn in points:
-        task = (args.what, args.inject_tau_skew, (*kl, M, N, *mn))
-        blocks.setdefault((kl[0], M), []).append((len(tasks), task))
-        tasks.append(task)
-    if not tasks:
+    for index, (kl, M, N, *mn) in enumerate(points):
+        blocks.setdefault((kl[0], M), []).append((index, (*kl, M, N, *mn)))
+    if not blocks:
         print(f"error: verify {args.what} has no grid points", file=sys.stderr)
         return 2
-    workers = min(jobs, len(blocks))
-    failure = None
-    if workers > 1:
-        # Descending (k, M): the costliest blocks start first.
-        order = [blocks[key] for key in sorted(blocks, reverse=True)]
-        failure = _run_blocks(order, workers, len(tasks))
-    else:
-        for done, failure in enumerate(map(_check_point, tasks), start=1):
-            if done % 2000 == 0:
-                print(f"progress: {done}/{len(tasks)}", file=sys.stderr)
-            if failure is not None:
-                break
+    total = sum(map(len, blocks.values()))
+    order = [(args.what, args.inject_tau_skew, blocks[key]) for key in sorted(blocks)]
+    failure = _run_blocks(order, min(jobs, len(blocks)), total)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight
     doc = {"command": "verify", "check": args.what, "grid": grid_obj}
     if failure is None:
-        doc.update(status="pass", points=len(tasks))
+        doc.update(status="pass", points=total)
     else:
         doc.update(status="fail", counterexample=failure)
     _emit(_json_chunks(doc), args.output)
@@ -500,6 +484,17 @@ def run_verify(args) -> int:
 
 
 # ---------------------------------------------------------------- entry point
+
+# The commands that write one result: name, help, integer flags (space-separated), runner.
+_COMMANDS = (
+    ("enum", "enumerate every nonempty graded piece", "k l1 l2 l3 M N", run_enum),
+    ("char", "closed-form character (l3 = min(l1, l2))", "k l1 l2 M N", run_char),
+    ("char-bruteforce", "character by direct enumeration", "k l1 l2 l3 M N", run_char_bruteforce),
+    ("sl2-char", "two-variable character in (z, q)", "k l M N", run_sl2_char),
+)
+_FLAG_HELP = {"k": "level"}
+_OUTPUT_HELP = "write to file instead of stdout"
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -510,28 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("enum", help="enumerate every nonempty graded piece")
-    _add_params_flags(sp, with_l3=True)
-    _add_output_flags(sp, with_format=True)
-    sp.set_defaults(fn=run_enum)
-
-    sp = sub.add_parser("char", help="closed-form character (l3 = min(l1, l2))")
-    _add_params_flags(sp, with_l3=False)
-    _add_output_flags(sp, with_format=True)
-    sp.set_defaults(fn=run_char)
-
-    sp = sub.add_parser("char-bruteforce", help="character by direct enumeration")
-    _add_params_flags(sp, with_l3=True)
-    _add_output_flags(sp, with_format=True)
-    sp.set_defaults(fn=run_char_bruteforce)
-
-    sp = sub.add_parser("sl2-char", help="two-variable character in (z, q)")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    _add_output_flags(sp, with_format=True)
-    sp.set_defaults(fn=run_sl2_char)
+    for name, help_text, flags, fn in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", type=int, required=True, help=_FLAG_HELP.get(flag))
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--output", default=None, help=_OUTPUT_HELP)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("verify", help="run one verifier over a parameter grid")
     sp.add_argument("what", choices=sorted(_CHECKS))
@@ -540,13 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-N", type=int, required=True)
     sp.add_argument("--max-weight", type=int, default=None)
     sp.add_argument("--inject-tau-skew", type=int, default=0, help=argparse.SUPPRESS)
-    _add_output_flags(sp, with_format=False)
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
-    )
+    sp.add_argument("--output", default=None, help=_OUTPUT_HELP)
+    sp.add_argument("--jobs", type=int, help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
     sp.set_defaults(fn=run_verify)
 
     return ap

@@ -1,8 +1,9 @@
 """Foundational types for level-restricted rigged partitions.
 
 Parameters, riggings, the tau lower bound on riggings, the vacancy-number
-upper bounds (KVector), and the JSON objects of a parameter tuple and a
-rigged pair (shared by the CLI and the verifiers' failure reports).
+upper bounds (KVector), the Report every verifier returns, and the JSON
+objects of a parameter tuple and a rigged pair (shared by the CLI and the
+verifiers' failure reports).
 
 A level-k partition is a plain tuple of k row-length multiplicities:
 mult[alpha-1] rows of length alpha, which is all the formulas read.  The
@@ -87,6 +88,21 @@ class Record(tuple):
     def __reduce__(self):
         # Unpickling and copying rebuild the value through its checks.
         return type(self), tuple.__getitem__(self, slice(len(self._fields)))
+
+
+class Report(Record):
+    """Outcome of one verification, with provenance for failures.
+
+    context identifies the grid point; detail carries either the summary
+    of a passing check or the first counterexample (offending element,
+    covering pairs, per-term cardinalities) of a failing one.
+    """
+
+    __slots__ = ()
+    _fields = ("ok", "check", "context", "detail")
+
+    def __new__(cls, ok: bool, check: str, context: dict, detail: dict) -> "Report":
+        return tuple.__new__(cls, (ok, check, context, detail))
 
 
 class Params(Record):

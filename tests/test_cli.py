@@ -279,7 +279,7 @@ class TestVerify:
         assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
 
     def test_skew_does_not_outlive_the_run(self, capsys):
-        # The fault is scoped to each grid point: after an in-process run
+        # The fault is scoped to each verify block: after an in-process run
         # every later caller sees the true tau and the true sets.
         from rigchar import cli, core
         from rigchar.characters import char_R
@@ -478,11 +478,12 @@ class TestVerify:
         assert one.stdout == many.stdout
         assert json.loads(one.stdout)["status"] == "pass"
 
-    def test_jobs_env_var_respected(self):
-        # RIGCHAR_JOBS=2 sends a four-block grid through the worker pool,
-        # which reports progress per finished block, and leaves stdout as
-        # it is at one job.
+    def test_jobs_env_var_respected(self, inline_pool, monkeypatch, capsys):
+        # RIGCHAR_JOBS=2 asks for a pool of two workers for this four-block
+        # grid, and leaves stdout as it is at one job.
         import os
+
+        from rigchar import cli
 
         base = [
             sys.executable, "-m", "rigchar",
@@ -497,8 +498,12 @@ class TestVerify:
         plain = subprocess.run(base, capture_output=True, text=True, env=env, timeout=120)
         assert with_env.returncode == plain.returncode == 0
         assert with_env.stdout == plain.stdout
-        assert "progress:" in with_env.stderr
-        assert "progress:" not in plain.stderr
+        # One progress line per finished block, in-process and pooled.
+        assert plain.stderr.count("progress:") == with_env.stderr.count("progress:") == 4
+        monkeypatch.setenv("RIGCHAR_JOBS", "2")
+        assert cli.main(base[3:]) == 0
+        assert capsys.readouterr().out == plain.stdout
+        assert [pool.processes for pool in inline_pool] == [2]
 
     @pytest.mark.parametrize(
         "flag, env_value, source",
@@ -643,6 +648,28 @@ class TestBlockScheduler:
         assert capsys.readouterr().out == pooled
         assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
 
+    def test_in_process_blocks_stop_early(self, inline_pool, monkeypatch, capsys):
+        # One worker runs the blocks in ascending (k, M) order, so once the
+        # k = 1 failure at grid index 85 is found, no k >= 2 point is checked.
+        from rigchar import cli
+
+        assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "2"]) == 1
+        pooled = capsys.readouterr().out
+        check_point = cli._check_point
+        levels = []
+
+        def counted(what, point):
+            levels.append(point[0])
+            return check_point(what, point)
+
+        monkeypatch.setattr(cli, "_check_point", counted)
+        assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
+        assert capsys.readouterr().out == pooled
+        # Block (1, 0) whole and block (1, 1) up to index 85: as many points
+        # as grid order checks, indices 0..85.  --jobs 1 starts no pool.
+        assert set(levels) == {1} and len(levels) == 86
+        assert len(inline_pool) == 1
+
     @pytest.mark.parametrize("jobs", ["2", "4"])
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs):
@@ -679,11 +706,10 @@ class TestBlockScheduler:
         check_point = cli._check_point
         built, stray = [], []
 
-        def isolated(task):
+        def isolated(what, point):
             cache = {}
             monkeypatch.setattr(riggedsets, "_R_CACHE", cache)
-            failure = check_point(task)
-            point = task[2]
+            failure = check_point(what, point)
             built.extend(cache)
             stray.extend(
                 (point, p.k, p.M) for p, *_ in cache if (p.k, p.M) != (point[0], point[m_at])

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigchar.admissible import ComplementLabels, IndexSet
-from rigchar.bijection import MarkedBound, Report
+from rigchar.bijection import MarkedBound
 from rigchar.cli import _json_text
 from rigchar.core import (
     InvariantError,
     KVector,
     Params,
+    Report,
     RiggedPair,
     Rigging,
     boundary_ok,

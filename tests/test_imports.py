@@ -159,3 +159,16 @@ def test_tracer_names_exist():
         except AttributeError:
             missing.append(f"{owner}.{name}")
     assert not missing, f"bench/traced.py needs names rigchar lacks: {', '.join(missing)}"
+
+
+def test_report_lives_in_core():
+    """Report is defined once, in core: characters builds its reports
+    without importing bijection, and bijection and the package export the
+    same type."""
+    import rigchar
+    from rigchar import bijection, core
+
+    tree = ast.parse((SRC / "characters.py").read_text())
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "bijection" not in imported
+    assert rigchar.Report is bijection.Report is core.Report
