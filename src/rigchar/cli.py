@@ -36,7 +36,7 @@ from itertools import chain, product
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from . import bijection, characters, core, riggedsets
+from . import bijection, characters, riggedsets
 from .core import (
     InvariantError,
     Params,
@@ -379,24 +379,18 @@ def _check_block(block) -> tuple[int, tuple[int, dict] | None]:
     """The size of a block and the grid index and report of its first
     failing point, or None.
 
-    A block is (check name, skew, points), its points (grid index, point)
-    pairs in grid order.  The --inject-tau-skew fault is set around the
-    whole block, so it reaches pool workers under every start method and
-    never outlives the block.  Points at or past the lowest failing index
-    the parent has seen are skipped: a failure there cannot be the first
-    in grid order.
+    A block is (check name, points), its points (grid index, point) pairs
+    in grid order.  Points at or past the lowest failing index the parent
+    has seen are skipped: a failure there cannot be the first in grid
+    order.
     """
-    what, skew, points = block
-    token = core.TAU_SKEW.set(skew)
-    try:
-        for index, point in points:
-            if index >= _STOP_AT.value:
-                break
-            failure = _check_point(what, point)
-            if failure is not None:
-                return len(points), (index, failure)
-    finally:
-        core.TAU_SKEW.reset(token)
+    what, points = block
+    for index, point in points:
+        if index >= _STOP_AT.value:
+            break
+        failure = _check_point(what, point)
+        if failure is not None:
+            return len(points), (index, failure)
     return len(points), None
 
 
@@ -469,7 +463,7 @@ def run_verify(args) -> int:
         print(f"error: verify {args.what} has no grid points", file=sys.stderr)
         return 2
     total = sum(map(len, blocks.values()))
-    order = [(args.what, args.inject_tau_skew, blocks[key]) for key in sorted(blocks)]
+    order = [(args.what, blocks[key]) for key in sorted(blocks)]
     failure = _run_blocks(order, min(jobs, len(blocks)), total)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
@@ -519,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-M", type=int, required=True)
     sp.add_argument("--max-N", type=int, required=True)
     sp.add_argument("--max-weight", type=int, default=None)
-    sp.add_argument("--inject-tau-skew", type=int, default=0, help=argparse.SUPPRESS)
     sp.add_argument("--output", default=None, help=_OUTPUT_HELP)
     sp.add_argument("--jobs", type=int, help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
     sp.set_defaults(fn=run_verify)

@@ -9,14 +9,12 @@ A level-k partition is a plain tuple of k row-length multiplicities:
 mult[alpha-1] rows of length alpha, which is all the formulas read.  The
 other types are immutable values: Record subclasses, whose fields are
 properties, and KVector, a tuple subclass whose items are its entries.
-The functions are pure apart from the memo caches of the vacancy helpers
-and the TAU_SKEW fault-injection context variable, which `rigchar verify`
-sets for one grid point at a time.
+The functions are pure apart from memo caches, those of the vacancy
+helpers.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from functools import lru_cache
 from itertools import islice
 from operator import add, itemgetter, lt
@@ -35,12 +33,6 @@ class InvariantError(ValueError):
     fault (exit 3), not a usage error; it subclasses ValueError so that
     callers validating untrusted input can still catch ValueError.
     """
-
-
-# Fault-injection knob for the verification harness self-test: a nonzero
-# skew corrupts tau, so a `verify` run must report a counterexample.
-# Set only around one verify grid point, and reset after it.
-TAU_SKEW: ContextVar[int] = ContextVar("TAU_SKEW", default=0)
 
 
 # Bound once: a global read is cheaper than looking the slot up on tuple
@@ -258,7 +250,6 @@ def tau(alpha: int, beta: int, p: Params) -> int:
         - pos_part(alpha - p.l1)
         - pos_part(beta - p.l2)
         - p.l3
-        + TAU_SKEW.get()
     )
 
 

@@ -22,7 +22,6 @@ from .core import (
     Params,
     RiggedPair,
     Rigging,
-    TAU_SKEW,
     partition_rows,
     tau,
     vacancy_P,
@@ -109,9 +108,7 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
     return True
 
 
-# Keyed by the tau skew too, so a piece built under one skew is never
-# served under another.
-_R_CACHE: dict[tuple[Params, int, int, int], tuple[RiggedPair, ...]] = {}
+_R_CACHE: dict[tuple[Params, int, int], tuple[RiggedPair, ...]] = {}
 
 
 def feasible_pairs(p: Params, m: int, n: int):
@@ -137,15 +134,13 @@ def _tau_matrix(p: Params) -> tuple[tuple[int, ...], ...] | None:
     """tau(alpha, beta, p) for alpha, beta = 1..k, or None if no entry is
     positive: riggings are non-negative, so then tau bounds nothing.
 
-    The matrix depends on the labels and the tau skew alone, so it is
-    memoised on those, as _R_CACHE is keyed by the skew too.
+    The matrix depends on the labels alone, so it is memoised on those.
     """
-    return _tau_table(p.k, p.l1, p.l2, p.l3, TAU_SKEW.get())
+    return _tau_table(p.k, p.l1, p.l2, p.l3)
 
 
 @lru_cache(maxsize=1024)
-def _tau_table(k: int, l1: int, l2: int, l3: int, skew: int):
-    # tau reads the skew from TAU_SKEW, which holds `skew` during this call.
+def _tau_table(k: int, l1: int, l2: int, l3: int):
     p = Params(k, l1, l2, l3, 0, 0)
     mat = tuple(tuple(tau(a, b, p) for b in range(1, k + 1)) for a in range(1, k + 1))
     return mat if any(v > 0 for row in mat for v in row) else None
@@ -208,7 +203,7 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     alpha = 1..k lists the flattened riggings r, and for each r those of s,
     in ascending lexicographic order too.
     """
-    key = (p, m, n, TAU_SKEW.get())
+    key = (p, m, n)
     hit = _R_CACHE.get(key)
     if hit is not None:
         return hit

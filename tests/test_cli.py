@@ -19,12 +19,19 @@ DATA = Path(__file__).parent / "data"
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.json"
 
 
-def run_cli(*args, expect: int = 0):
+def pythonpath_env(path):
+    """The environment with PYTHONPATH replaced by path, a mutated copy."""
+    return {**os.environ, "PYTHONPATH": str(path)}
+
+
+def run_cli(*args, expect: int = 0, path=None):
+    """Run rigchar, from the copy at path if one is given."""
     proc = subprocess.run(
         [sys.executable, "-m", "rigchar", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=None if path is None else pythonpath_env(path),
     )
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
@@ -168,8 +175,8 @@ class TestSl2Char:
         assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.txt").read_text()
 
 
-# Grids on which each check reports a corrupted tau (skew 1).  The cheap
-# grid misses it for upper-decomp, hence the larger one there.
+# Grids on which each check reports the tau+1 mutant's counterexample.
+# The cheap grid misses it for upper-decomp, hence the larger one there.
 FAILURE_GRIDS = [
     (what, "--max-k 2 --max-weight 2 --max-M 1 --max-N 1")
     for what in ("recursion", "lower-decomp", "bijection")
@@ -239,11 +246,11 @@ class TestVerify:
             expect=2,
         )
 
-    def test_corrupted_tau_yields_counterexample(self):
+    def test_corrupted_tau_yields_counterexample(self, tau_plus_one):
         proc = run_cli(
             "verify", "recursion", "--max-k", "2", "--max-weight", "3",
-            "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1",
-            expect=1,
+            "--max-M", "1", "--max-N", "1",
+            expect=1, path=tau_plus_one,
         )
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
@@ -253,9 +260,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("what", ["recursion", "lower-decomp"])
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_corrupted_tau_reaches_fresh_workers(self, method, what):
+    def test_corrupted_tau_reaches_fresh_workers(self, method, what, tau_plus_one):
         # A spawn or forkserver worker starts from a fresh import of
-        # rigchar, so the skew must travel in the tasks themselves.
+        # rigchar, and must import the mutated copy the parent runs.
         script = (
             "import multiprocessing, sys\n"
             "from rigchar.cli import main\n"
@@ -268,49 +275,15 @@ class TestVerify:
                 sys.executable, "-c", script,
                 "verify", what, "--max-k", "2", "--max-weight", "2",
                 "--max-M", "1", "--max-N", "1", "--jobs", "2",
-                "--inject-tau-skew", "1",
             ],
             capture_output=True,
             text=True,
             timeout=120,
+            env=pythonpath_env(tau_plus_one),
         )
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "fail"
         assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
-
-    def test_skew_does_not_outlive_the_run(self, capsys):
-        # The fault is scoped to each verify block: after an in-process run
-        # every later caller sees the true tau and the true sets.
-        from rigchar import cli, core
-        from rigchar.characters import char_R
-
-        argv = [
-            "verify", "recursion", "--max-k", "2", "--max-weight", "2",
-            "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1", "--jobs", "1",
-        ]
-        assert cli.main(argv) == 1
-        assert json.loads(capsys.readouterr().out)["status"] == "fail"
-        assert sum(c for _, c in char_R(Params(3, 3, 3, 1, 2, 2)).terms()) == 84
-        assert core.TAU_SKEW.get() == 0
-
-    def test_skew_is_reset_when_a_verifier_raises(self, monkeypatch, capsys):
-        from rigchar import bijection, cli, core
-
-        def broken(p, m, n):
-            raise AssertionError(f"skew {core.TAU_SKEW.get()}")
-
-        monkeypatch.setattr(bijection, "verify_recursion", broken)
-        argv = [
-            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
-            "--max-M", "0", "--max-N", "1", "--inject-tau-skew", "2", "--jobs", "1",
-        ]
-        assert cli.main(argv) == 3
-        assert json.loads(capsys.readouterr().out) == {
-            "status": "internal-error",
-            "error": "AssertionError",
-            "message": "skew 2",
-        }
-        assert core.TAU_SKEW.get() == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -324,10 +297,12 @@ class TestVerify:
              "--M", "1", "--N", "1", "--jobs", "2"],
             ["verify", "fermionic", "--max-k", "1", "--max-M", "1", "--max-N", "1",
              "--format", "text"],
+            ["verify", "recursion", "--max-k", "1", "--max-weight", "0", "--max-M", "0",
+             "--max-N", "1", "--inject-tau-skew", "1"],
         ],
         ids=[
             "char --jobs", "char-bruteforce --jobs", "sl2-char --jobs", "enum --jobs",
-            "verify --format",
+            "verify --format", "verify --inject-tau-skew",
         ],
     )
     def test_flags_that_nothing_reads_are_rejected(self, argv, capsys):
@@ -342,14 +317,13 @@ class TestVerify:
     @pytest.mark.parametrize(
         "what, check", [("lower-decomp", "lower-decomposition"), ("bijection", "bijection")]
     )
-    def test_corrupted_tau_fails_the_table_driven_checks(self, what, check, jobs):
+    def test_corrupted_tau_fails_the_table_driven_checks(self, what, check, jobs, tau_plus_one):
         # The bound tables depend on labels only; a corrupted tau must
         # still surface through the sets they are checked against.
         proc = run_cli(
             "verify", what, "--max-k", "2", "--max-weight", "2",
-            "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1",
-            "--jobs", jobs,
-            expect=1,
+            "--max-M", "1", "--max-N", "1", "--jobs", jobs,
+            expect=1, path=tau_plus_one,
         )
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
@@ -357,12 +331,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("what, grid", FAILURE_GRIDS)
-    def test_failure_report_golden(self, what, grid, jobs):
-        # Each check's report under a corrupted tau, recorded before the
+    def test_failure_report_golden(self, what, grid, jobs, tau_plus_one):
+        # Each check's report under the tau+1 mutant, recorded before the
         # checks were driven from one table.
         proc = run_cli(
-            "verify", what, *grid.split(), "--inject-tau-skew", "1", "--jobs", jobs,
-            expect=1,
+            "verify", what, *grid.split(), "--jobs", jobs, expect=1, path=tau_plus_one
         )
         assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
 
@@ -594,11 +567,26 @@ def inline_pool(monkeypatch):
     return pools
 
 
-# Blocks (3, 1), (2, 1) and (1, 1) of this grid fail under skew 1, first at
+@pytest.fixture
+def tau_one_up(monkeypatch):
+    """Make tau one too large in this process, as the tau+1 source mutant
+    does, with the rigged-set cache and the tau-matrix memo empty on entry
+    and on exit, so that no piece built either way is served the other."""
+    from rigchar import core, riggedsets
+
+    monkeypatch.setattr(riggedsets, "tau", lambda alpha, beta, p: core.tau(alpha, beta, p) + 1)
+    monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+    riggedsets._tau_table.cache_clear()
+    yield
+    riggedsets._tau_table.cache_clear()
+
+
+# Blocks (3, 1), (2, 1) and (1, 1) of this grid fail with tau one too
+# large (tau_plus_one in a subprocess, tau_one_up in this one), first at
 # grid indices 463, 193 and 85; the first failure in grid order has k = 1.
 FIRST_FAILURE_GRID = [
     "verify", "recursion", "--max-k", "3", "--max-weight", "2",
-    "--max-M", "1", "--max-N", "1", "--inject-tau-skew", "1",
+    "--max-M", "1", "--max-N", "1",
 ]
 
 
@@ -636,7 +624,7 @@ class TestBlockScheduler:
         assert inline_pool == []
         assert raw_values == []
 
-    def test_lowest_failing_index_wins_in_process(self, inline_pool, capsys):
+    def test_lowest_failing_index_wins_in_process(self, inline_pool, tau_one_up, capsys):
         # Blocks run largest (k, M) first, and each later block still
         # checks its points below the lowest failing index found so far.
         from rigchar import cli
@@ -648,7 +636,7 @@ class TestBlockScheduler:
         assert capsys.readouterr().out == pooled
         assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
 
-    def test_in_process_blocks_stop_early(self, inline_pool, monkeypatch, capsys):
+    def test_in_process_blocks_stop_early(self, inline_pool, tau_one_up, monkeypatch, capsys):
         # One worker runs the blocks in ascending (k, M) order, so once the
         # k = 1 failure at grid index 85 is found, no k >= 2 point is checked.
         from rigchar import cli
@@ -672,7 +660,7 @@ class TestBlockScheduler:
 
     @pytest.mark.parametrize("jobs", ["2", "4"])
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs):
+    def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs, tau_plus_one):
         # Four workers on six blocks outnumber the cores of a small runner.
         script = (
             "import multiprocessing, sys\n"
@@ -686,9 +674,11 @@ class TestBlockScheduler:
             capture_output=True,
             text=True,
             timeout=120,
+            env=pythonpath_env(tau_plus_one),
         )
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
-        assert proc.stdout == run_cli(*FIRST_FAILURE_GRID, "--jobs", "1", expect=1).stdout
+        serial = run_cli(*FIRST_FAILURE_GRID, "--jobs", "1", expect=1, path=tau_plus_one)
+        assert proc.stdout == serial.stdout
         assert json.loads(proc.stdout)["counterexample"]["context"]["params"]["k"] == 1
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))

@@ -1,7 +1,7 @@
 """Every module under src/rigchar uses each name it imports, every name it
 defines at module level or as a method is read by the program, the CLI
-does not import dataclasses, and every name the bench tracer looks up in
-rigchar exists."""
+does not import dataclasses or contextvars, and every name the bench
+tracer looks up in rigchar exists."""
 
 import ast
 import importlib
@@ -119,10 +119,15 @@ def test_every_definition_is_read():
 
 def test_cli_does_not_import_dataclasses():
     """Every command pays for its imports before it does any work, and
-    dataclasses pulls in inspect, dis, ast and tokenize.  -S keeps site
-    packages, which may import it themselves, out of the check."""
+    dataclasses pulls in inspect, dis, ast and tokenize.  No module reads
+    per-run state from a context variable either: tau is pure, and a
+    fault is tested as a source mutant (tests/mutants.py).  -S keeps site
+    packages, which may import either module themselves, out of the check."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = "import sys, rigchar.cli; print('dataclasses' in sys.modules)"
+    code = (
+        "import sys, rigchar.cli; "
+        "print([m for m in ('dataclasses', 'contextvars') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -131,7 +136,7 @@ def test_cli_does_not_import_dataclasses():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_tracer_names_exist():
