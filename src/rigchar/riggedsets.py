@@ -14,6 +14,7 @@ those bounds, so no nonempty piece can be missed.
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import sub
@@ -47,19 +48,20 @@ def enumerate_partitions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     if m < 0:
         return ()
     found: list[tuple[int, ...]] = []
-    mult = [0] * k
-
-    def descend(remaining: int, largest: int) -> None:
-        if remaining == 0:
-            found.append(tuple(mult))
-            return
-        for part in range(1, min(largest, remaining) + 1):
-            mult[part - 1] += 1
-            descend(remaining - part, part)
-            mult[part - 1] -= 1
-
-    descend(m, k)
+    _descend(found, [0] * k, m, k)
     return tuple(found)
+
+
+def _descend(found: list, mult: list[int], remaining: int, largest: int) -> None:
+    # A module-level function, not a closure: a nested self-recursive one
+    # is a reference cycle, left as garbage by every call.
+    if remaining == 0:
+        found.append(tuple(mult))
+        return
+    for part in range(1, min(largest, remaining) + 1):
+        mult[part - 1] += 1
+        _descend(found, mult, remaining - part, part)
+        mult[part - 1] -= 1
 
 
 @lru_cache(maxsize=None)
@@ -202,6 +204,10 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     lists its values in ascending lexicographic order; so product over
     alpha = 1..k lists the flattened riggings r, and for each r those of s,
     in ascending lexicographic order too.
+
+    Each new piece is frozen (gc.freeze), so the cyclic collector stops
+    walking the growing cache.  The one cost: cyclic garbage alive at a
+    freeze is never collected, and rigchar leaves none per grid point.
     """
     key = (p, m, n)
     hit = _R_CACHE.get(key)
@@ -217,6 +223,10 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
             for x in _riggings(mu, nu, P, Q, taumat)
         )
     _R_CACHE[key] = piece
+    # Tuple subclasses are never untracked, and these live until exit: move
+    # them and all else alive now to the permanent generation, which no later
+    # collection scans.  Reference counting still frees non-cyclic objects.
+    gc.freeze()
     return piece
 
 

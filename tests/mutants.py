@@ -36,8 +36,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rigchar"
 BATTERY = (
     "recursion --max-k 3 --max-weight 4 --max-M 2 --max-N 2",
     "lower-decomp --max-k 3 --max-weight 2 --max-M 1 --max-N 2",
-    "upper-decomp --max-k 3 --max-weight 3 --max-M 1 --max-N 2",
-    "bijection --max-k 3 --max-weight 2 --max-M 1 --max-N 2",
+    "upper-decomp --max-k 3 --max-weight 4 --max-M 2 --max-N 2",
+    "bijection --max-k 3 --max-weight 4 --max-M 2 --max-N 2",
     "char-recursion --max-k 2 --max-M 2 --max-N 2",
     "fermionic --max-k 3 --max-M 2 --max-N 2",
 )
@@ -85,13 +85,13 @@ MUTANTS = (
         "tau-min", "core.py",
         "min(alpha, beta)\n        - pos_part(alpha - p.l1)",
         "max(alpha, beta)\n        - pos_part(alpha - p.l1)",
-        "110111",
+        "111111",
     ),
     Mutant(
         "tau-swap", "core.py",
         "- pos_part(alpha - p.l1)\n        - pos_part(beta - p.l2)\n",
         "- pos_part(alpha - p.l2)\n        - pos_part(beta - p.l1)\n",
-        "110010",
+        "111010",
     ),
     Mutant(
         "tau+1", "core.py",
@@ -109,7 +109,7 @@ MUTANTS = (
         "tau+2", "core.py",
         "- pos_part(beta - p.l2)\n        - p.l3\n",
         "- pos_part(beta - p.l2)\n        - p.l3\n        + 2\n",
-        "110111",
+        "111111",
     ),
     # riggedsets
     Mutant(
@@ -183,14 +183,13 @@ MUTANTS = (
         "rho'", "admissible.py",
         "kappa(k, tI.members, range(l1p + 1, k + 1))",
         "kappa(k, tI.members, range(l1p + 2, k + 1))",
-        "001000",
+        "001100",
     ),
     Mutant(
         "dr", "admissible.py",
         "(*I, *I, *range(l1 + 1, k + 1))",
         "(*I, *range(l1 + 1, k + 1))",
-        "000000",
-        "caught by bijection --max-k 3 --max-weight 4 --max-M 2 --max-N 2",
+        "000100",
     ),
     # bijection
     Mutant(

@@ -1,5 +1,9 @@
 """Enumeration of the rigged sets: the oracle everything else leans on."""
 
+import gc
+import subprocess
+import sys
+
 import pytest
 
 from rigchar.core import Params, RiggedPair, Rigging, partition_rows, weight
@@ -214,6 +218,49 @@ class TestEnumerateR:
                             assert swapped == set(mirror)
                             nonempty += bool(piece)
         assert nonempty > 1000
+
+
+class TestFreeze:
+    """enumerate_R freezes each new piece out of the cyclic collector."""
+
+    def test_a_miss_freezes_its_piece_and_a_hit_nothing(self, monkeypatch):
+        from rigchar import riggedsets
+
+        monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+        p, m, n = Params(2, 2, 2, 0, 4, 4), 4, 4
+        before = gc.get_freeze_count()
+        piece = enumerate_R(p, m, n)
+        assert piece
+        frozen = gc.get_freeze_count()
+        assert frozen >= before + len(piece)
+        assert enumerate_R(p, m, n) is piece
+        assert gc.get_freeze_count() == frozen
+
+    def test_verify_leaves_no_cyclic_garbage_per_grid_point(self):
+        # Cyclic garbage alive at a freeze is never collected, so a verify
+        # run must leave as much of it on a large grid as on a small one
+        # (the argument parser's).  The collector stays off, so the final
+        # collect counts all of it.
+        script = (
+            "import contextlib, gc, io, sys\n"
+            "gc.disable()\n"
+            "from rigchar import cli\n"
+            "argv = ['verify', 'recursion', '--max-k', '3', '--max-weight', sys.argv[1],\n"
+            "        '--max-M', '2', '--max-N', '2', '--jobs', '1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(argv)\n"
+            "gc.unfreeze()\n"
+            "print(code, gc.collect())\n"
+        )
+        found = [
+            subprocess.run(
+                [sys.executable, "-c", script, max_weight],
+                capture_output=True, text=True, timeout=120,
+            ).stdout.split()
+            for max_weight in ("2", "8")
+        ]
+        assert found[0][0] == found[1][0] == "0"
+        assert found[0] == found[1]
 
 
 # Grids where some row length has multiplicity >= 2 and vacancy bound >= 2,
