@@ -73,48 +73,34 @@ def epsilon(I: IndexSet) -> tuple[int, ...]:
     return tuple((a in ms) - (a + 1 in ms) for a in range(1, I.k + 1))
 
 
-class ComplementLabels(Record):
-    """Labelling of [l1+1, k] \\ J.
+def label_complement(J: IndexSet, l1: int) -> tuple[int, ...]:
+    """The labels v'_1..v'_p of the complement of J inside [l1+1, k], where
+    p is the number of members of J up to l1.
 
-    vprime[i-1] is v'_i for i = 1..p, with the literal padding value k+1
-    on indices below t; w holds the leftover labels, nonempty only when
-    l1 + |J| < k.
+    Entry i-1 is v'_i.  The complement's p smallest values come last, in
+    decreasing order; where it has fewer, the literal padding value k+1
+    fills the first entries.  Its values past the p-th form the w block.
     """
-
-    __slots__ = ()
-    _fields = ("p", "t", "vprime", "w")
-
-    def __new__(
-        cls, p: int, t: int, vprime: tuple[int, ...], w: tuple[int, ...]
-    ) -> "ComplementLabels":
-        return tuple.__new__(cls, (p, t, vprime, w))
-
-
-def label_complement(J: IndexSet, l1: int) -> ComplementLabels:
-    """Split and label the complement of J inside [l1+1, k]."""
     k = J.k
     if not 0 <= l1 <= k:
         raise ValueError(f"l1={l1} outside 0..{k}")
-    b = len(J)
     p = sum(1 for v in J.members if v <= l1)
-    t = max(1, l1 + b - k + 1)
     comp = [v for v in range(l1 + 1, k + 1) if v not in J.members]
     vprime = [k + 1] * p
     for j, value in enumerate(comp[:p]):
         vprime[p - 1 - j] = value
-    w = tuple(comp[p:])
-    return ComplementLabels(p, t, tuple(vprime), w)
+    return tuple(vprime)
 
 
 def is_admissible(I: IndexSet, J: IndexSet, l1: int, l2: int) -> bool:
     """(l1, l2)-admissibility: |I| <= p, |J| <= l2 and v_i <= u_i < v'_i."""
     if I.k != J.k:
         raise ValueError("I and J live at different levels")
-    labels = label_complement(J, l1)
-    if len(I) > labels.p or len(J) > l2:
+    vprime = label_complement(J, l1)
+    if len(I) > len(vprime) or len(J) > l2:
         return False
     # |I| <= p = len(vprime) <= |J|, so the zip runs over all of I.
-    return all(v <= u < vp for u, v, vp in zip(I.members, J.members, labels.vprime))
+    return all(v <= u < vp for u, v, vp in zip(I.members, J.members, vprime))
 
 
 def is_l1_admissible(I: IndexSet, J: IndexSet, l1: int) -> bool:
@@ -143,9 +129,9 @@ def tilde_pair(I: IndexSet, J: IndexSet, l1: int) -> tuple[IndexSet, IndexSet]:
     c = len(J) - a
     if l1 + c >= k:
         return I, J
-    labels = label_complement(J, l1)
+    p = len(label_complement(J, l1))
     comp = [v for v in range(l1 + 1, k + 1) if v not in J.members]
-    absorbed = comp[labels.p - a:]
+    absorbed = comp[p - a:]
     tI = IndexSet.of(k, I.members + tuple(absorbed))
     boundary = absorbed[0]
     tJ = IndexSet.of(k, tuple(v for v in J.members if v < boundary))
@@ -157,8 +143,8 @@ def rho(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
     kappa(v_1..v_p) - kappa(u_1..u_a) - kappa(v'_(a+1)..v'_p)."""
     if not is_l1_admissible(I, J, l1):
         raise ValueError("pair is not l1-admissible")
-    labels = label_complement(J, l1)
-    return kappa(I.k, J.members[: labels.p], I.members + labels.vprime[len(I):])
+    vprime = label_complement(J, l1)
+    return kappa(I.k, J.members[: len(vprime)], I.members + vprime[len(I):])
 
 
 def sigma(J: IndexSet, l2: int) -> tuple[int, ...]:

@@ -7,9 +7,9 @@ blocks on min(--jobs, number of blocks) workers: one runs the blocks
 in-process in ascending (k, M) order, more run them on a pool in
 descending order.  The failing point with the lowest grid index is
 reported, so the output does not depend on the worker count.  Exit codes:
-0 pass, 1 verified failure with a counterexample report, 2 usage error,
-3 internal invariant failure (an escaping AssertionError, ArithmeticError
-or core.InvariantError), reported as one JSON line on stdout.
+0 pass, 1 verified failure with a counterexample report, 2 usage error (a
+plain ValueError), 3 internal failure (any other exception), reported as
+one JSON line on stdout.  main alone maps an exception to its code.
 
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
@@ -38,7 +38,6 @@ from typing import Callable, NamedTuple
 
 from . import bijection, characters, riggedsets
 from .core import (
-    InvariantError,
     Params,
     Report,
     pair_from_obj,
@@ -46,9 +45,6 @@ from .core import (
     params_from_obj,
     params_to_obj,
 )
-
-JOBS_ENV_VAR = "RIGCHAR_JOBS"
-
 
 # ---------------------------------------------------------------- serialization
 
@@ -213,26 +209,6 @@ def _json_text(obj) -> str:
 
 
 # ---------------------------------------------------------------- subcommands
-
-def _resolve_jobs(args) -> int:
-    """The worker count from --jobs, else from $RIGCHAR_JOBS, else 1.
-
-    A count below 1, or an environment value that is not an integer, is a
-    usage error that names where it came from.
-    """
-    if args.jobs is not None:
-        jobs, source = args.jobs, "--jobs"
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR, "1")
-        source = f"${JOBS_ENV_VAR}"
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{source} must be at least 1, got {jobs}")
-    return jobs
-
 
 def _enum_text(pieces):
     """enum's text, a string per piece: a header, then a line per element."""
@@ -443,9 +419,9 @@ def run_verify(args) -> int:
     check = _CHECKS[args.what]
     if check.needs_weight != (args.max_weight is not None):
         need = "requires" if check.needs_weight else "does not take"
-        print(f"error: verify {args.what} {need} --max-weight", file=sys.stderr)
-        return 2
-    jobs = _resolve_jobs(args)
+        raise ValueError(f"verify {args.what} {need} --max-weight")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
     points = product(
         [(k, *labels) for k in range(1, args.max_k + 1) for labels in check.labels(k)],
@@ -460,11 +436,10 @@ def run_verify(args) -> int:
     for index, (kl, M, N, *mn) in enumerate(points):
         blocks.setdefault((kl[0], M), []).append((index, (*kl, M, N, *mn)))
     if not blocks:
-        print(f"error: verify {args.what} has no grid points", file=sys.stderr)
-        return 2
+        raise ValueError(f"verify {args.what} has no grid points")
     total = sum(map(len, blocks.values()))
     order = [(args.what, blocks[key]) for key in sorted(blocks)]
-    failure = _run_blocks(order, min(jobs, len(blocks)), total)
+    failure = _run_blocks(order, min(args.jobs, len(blocks)), total)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight
@@ -514,25 +489,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-N", type=int, required=True)
     sp.add_argument("--max-weight", type=int, default=None)
     sp.add_argument("--output", default=None, help=_OUTPUT_HELP)
-    sp.add_argument("--jobs", type=int, help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     sp.set_defaults(fn=run_verify)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # InvariantError is a ValueError, so it must be caught first.
-    except (InvariantError, AssertionError, ArithmeticError) as exc:
+    except Exception as exc:
+        # A plain ValueError is a usage error.  Any other exception, a
+        # core.InvariantError too, is a fault of the program: never exit 1.
+        if type(exc) is ValueError:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(report, sort_keys=True))
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

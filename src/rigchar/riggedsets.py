@@ -132,17 +132,14 @@ def feasible_pairs(p: Params, m: int, n: int):
                 yield mu, nu, P, Q
 
 
-def _tau_matrix(p: Params) -> tuple[tuple[int, ...], ...] | None:
-    """tau(alpha, beta, p) for alpha, beta = 1..k, or None if no entry is
-    positive: riggings are non-negative, so then tau bounds nothing.
+@lru_cache(maxsize=1024)
+def _tau_table(k: int, l1: int, l2: int, l3: int) -> tuple[tuple[int, ...], ...] | None:
+    """tau(alpha, beta, p) for alpha, beta = 1..k and p with these labels,
+    or None if no entry is positive: riggings are non-negative, so then
+    tau bounds nothing.
 
     The matrix depends on the labels alone, so it is memoised on those.
     """
-    return _tau_table(p.k, p.l1, p.l2, p.l3)
-
-
-@lru_cache(maxsize=1024)
-def _tau_table(k: int, l1: int, l2: int, l3: int):
     p = Params(k, l1, l2, l3, 0, 0)
     mat = tuple(tuple(tau(a, b, p) for b in range(1, k + 1)) for a in range(1, k + 1))
     return mat if any(v > 0 for row in mat for v in row) else None
@@ -216,7 +213,7 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     if m < 0 or n < 0:
         piece = ()
     else:
-        taumat = _tau_matrix(p)
+        taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
         piece = tuple(
             x
             for mu, nu, P, Q in feasible_pairs(p, m, n)

@@ -137,6 +137,12 @@ MUTANTS = (
         "000100",
     ),
     Mutant(
+        "crash", "riggedsets.py",
+        "s_objs = s_by_need.get(need)",
+        "s_objs = s_by_need[need]",
+        "333333",
+    ),
+    Mutant(
         "wbound", "riggedsets.py",
         "(2 * p.k * p.M + p.k * p.N) // 3,\n",
         "(2 * p.k * p.M + p.k * p.N) // 3 - 1,\n",

@@ -242,11 +242,11 @@ def test_criterion_7_property_suites():
             for J in all_index_sets(k):
                 b = len(J)
                 diff = kappa(k, J, range(l1 + 1, l1 + b + 1))
-                lab = label_complement(J, l1)
+                vprime = label_complement(J, l1)
                 # sum over i <= p of kappa(v_i) - kappa(v'_i), one index at a time
                 rhs = (0,) * k
-                for i in range(lab.p):
-                    step = kappa(k, (J.members[i],), (lab.vprime[i],))
+                for i in range(len(vprime)):
+                    step = kappa(k, (J.members[i],), (vprime[i],))
                     rhs = tuple(map(add, rhs, step))
                 ok = ok and tuple(map(pos_part, diff)) == rhs
 

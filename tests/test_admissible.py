@@ -80,13 +80,13 @@ def reference_bounds(I, J, l1, l2):
     k = I.k
     u, v = I.members, J.members
     a = len(u)
-    lab = label_complement(J, l1)
+    vprime = label_complement(J, l1)
     l1p, l2p, _ = primed_labels(k, l1, a, len(v) - a)
     tI, _ = tilde_pair(I, J, l1)
     rho_terms = []
-    for i in range(lab.p):
+    for i in range(len(vprime)):
         # v_i - u_i for i <= a, then v_i - v'_i up to p.
-        rho_terms += [(1, v[i]), (-1, u[i] if i < a else lab.vprime[i])]
+        rho_terms += [(1, v[i]), (-1, u[i] if i < a else vprime[i])]
     one_to_l2 = [(1, i) for i in range(1, l2 + 1)]
     above_l1 = [(-1, i) for i in range(l1 + 1, k + 1)]
     above_l1p = [(1, i) for i in range(l1p + 1, k + 1)]
@@ -171,24 +171,13 @@ class TestKappaEpsilon:
 
 class TestLabelComplement:
     def test_empty_interval(self):
-        lab = label_complement(IndexSet.of(3, ()), 3)
-        assert (lab.p, lab.vprime, lab.w) == (0, (), ())
+        assert label_complement(IndexSet.of(3, ()), 3) == ()
 
     def test_big_b_case(self):
-        lab = label_complement(IndexSet.of(3, (1, 3)), 1)
-        assert (lab.p, lab.t, lab.vprime, lab.w) == (1, 1, (2,), ())
+        assert label_complement(IndexSet.of(3, (1, 3)), 1) == (2,)
 
     def test_small_b_case(self):
-        lab = label_complement(IndexSet.of(4, (1,)), 1)
-        assert (lab.p, lab.vprime, lab.w) == (1, (2,), (3, 4))
-
-    def test_t_field(self):
-        for k in range(1, 5):
-            for l1 in range(k + 1):
-                for J in all_index_sets(k):
-                    lab = label_complement(J, l1)
-                    assert lab.t == max(1, l1 + len(J) - k + 1)
-                    assert lab.p == sum(1 for v in J if v <= l1)
+        assert label_complement(IndexSet.of(4, (1,)), 1) == (2,)
 
     def test_prime_definition_identity(self):
         for k in range(1, 5):
@@ -196,10 +185,11 @@ class TestLabelComplement:
                 for J in all_index_sets(k):
                     b = len(J)
                     diff = kappa(k, J, range(l1 + 1, l1 + b + 1))
-                    lab = label_complement(J, l1)
+                    vprime = label_complement(J, l1)
+                    p = sum(1 for v in J if v <= l1)
+                    assert len(vprime) == p
                     rhs = signed_sum(
-                        k,
-                        [(1, v) for v in J.members[: lab.p]] + [(-1, v) for v in lab.vprime],
+                        k, [(1, v) for v in J.members[:p]] + [(-1, v) for v in vprime]
                     )
                     assert tuple(map(pos_part, diff)) == rhs
 
@@ -312,7 +302,7 @@ class TestBoundVectors:
                         if len(J) > l2:
                             continue
                         im = IndexSet.of(
-                            k, J.members[: min(l3, label_complement(J, l1).p)]
+                            k, J.members[: min(l3, len(label_complement(J, l1)))]
                         )
                         assert is_admissible(im, J, l1, l2)
                         assert rho(im, J, l1) == (0,) * k

@@ -37,6 +37,25 @@ def run_cli(*args, expect: int = 0, path=None):
     return proc
 
 
+JOBS = ("1", "2")
+
+
+def each_jobs(argv):
+    """argv at each worker count of JOBS if it runs verify, else argv alone:
+    a verify test that does not pin --jobs runs in-process and on a pool."""
+    if argv[0] != "verify":
+        return [argv]
+    return [[*argv, "--jobs", jobs] for jobs in JOBS]
+
+
+def verify_at_each_jobs(*args, expect: int = 0, path=None):
+    """Run rigchar verify with args at each worker count of JOBS; every run
+    must exit with expect and write the same stdout.  Returns the last."""
+    procs = [run_cli(*argv, expect=expect, path=path) for argv in each_jobs(["verify", *args])]
+    assert len({proc.stdout for proc in procs}) == 1
+    return procs[-1]
+
+
 class TestEnum:
     def test_k1_all_ones_golden(self):
         proc = run_cli(
@@ -189,18 +208,15 @@ FAILURE_GRIDS = [
 
 class TestVerify:
     def test_recursion_small_grid_passes(self):
-        proc = run_cli(
-            "verify", "recursion", "--max-k", "2", "--max-weight", "3",
-            "--max-M", "1", "--max-N", "1",
+        proc = verify_at_each_jobs(
+            "recursion", "--max-k", "2", "--max-weight", "3", "--max-M", "1", "--max-N", "1",
         )
         doc = json.loads(proc.stdout)
         assert doc["status"] == "pass"
         assert doc["points"] > 0
 
     def test_fermionic_small_grid_passes(self):
-        proc = run_cli(
-            "verify", "fermionic", "--max-k", "2", "--max-M", "1", "--max-N", "1",
-        )
+        proc = verify_at_each_jobs("fermionic", "--max-k", "2", "--max-M", "1", "--max-N", "1")
         assert json.loads(proc.stdout)["status"] == "pass"
 
     def test_missing_weight_bound_exit_2(self):
@@ -247,9 +263,8 @@ class TestVerify:
         )
 
     def test_corrupted_tau_yields_counterexample(self, tau_plus_one):
-        proc = run_cli(
-            "verify", "recursion", "--max-k", "2", "--max-weight", "3",
-            "--max-M", "1", "--max-N", "1",
+        proc = verify_at_each_jobs(
+            "recursion", "--max-k", "2", "--max-weight", "3", "--max-M", "1", "--max-N", "1",
             expect=1, path=tau_plus_one,
         )
         doc = json.loads(proc.stdout)
@@ -364,24 +379,38 @@ class TestVerify:
         assert calls["verify_lower_decomposition"] > 0
         assert calls["char_recursion_check"] > 0
 
-    def test_internal_error_exit_3(self, monkeypatch, capsys):
-        from rigchar import characters, cli
+    def test_internal_error_exit_3(self, inline_pool, monkeypatch, capsys):
+        # Every exception but a plain ValueError is a fault of the program,
+        # whatever its type: exit 3, never 1, the code of a counterexample.
+        # A verifier's crash reaches main from a block run in-process and
+        # from one run on a pool alike.
+        from rigchar import bijection, characters, cli
 
-        def broken(*args):
-            raise ArithmeticError("packed cell lost a coefficient")
-
-        monkeypatch.setattr(characters, "fermionic_char", broken)
-        code = cli.main(
-            ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1"]
-        )
-        assert code == 3
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1
-        assert json.loads(out) == {
-            "status": "internal-error",
-            "error": "ArithmeticError",
-            "message": "packed cell lost a coefficient",
-        }
+        char = ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1"]
+        two_blocks = [
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "1", "--max-N", "1",
+        ]
+        cases = [
+            (characters, "fermionic_char", char, ArithmeticError("packed cell lost a coefficient")),
+            (characters, "fermionic_char", char, KeyError((0, 1))),
+            (characters, "fermionic_char", char, TypeError("unsupported operand type(s)")),
+        ] + [
+            (bijection, "verify_recursion", argv, IndexError("list index out of range"))
+            for argv in each_jobs(two_blocks)
+        ]
+        for module, name, argv, exc in cases:
+            monkeypatch.setattr(module, name, raising(exc))
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out.count("\n") == 1
+            assert json.loads(captured.out) == {
+                "status": "internal-error",
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }
+            assert "error:" not in captured.err
+        assert [pool.processes for pool in inline_pool] == [2]
 
     @staticmethod
     def reverse_rows(monkeypatch):
@@ -450,78 +479,42 @@ class TestVerify:
         many = run_cli(*base, "--jobs", "3")
         assert one.stdout == many.stdout
         assert json.loads(one.stdout)["status"] == "pass"
-
-    def test_jobs_env_var_respected(self, inline_pool, monkeypatch, capsys):
-        # RIGCHAR_JOBS=2 asks for a pool of two workers for this four-block
-        # grid, and leaves stdout as it is at one job.
-        import os
-
-        from rigchar import cli
-
-        base = [
-            sys.executable, "-m", "rigchar",
-            "verify", "recursion", "--max-k", "2", "--max-weight", "2",
-            "--max-M", "1", "--max-N", "1",
-        ]
-        env = {key: val for key, val in os.environ.items() if key != "RIGCHAR_JOBS"}
-        with_env = subprocess.run(
-            base, capture_output=True, text=True, env={**env, "RIGCHAR_JOBS": "2"},
-            timeout=120,
-        )
-        plain = subprocess.run(base, capture_output=True, text=True, env=env, timeout=120)
-        assert with_env.returncode == plain.returncode == 0
-        assert with_env.stdout == plain.stdout
         # One progress line per finished block, in-process and pooled.
-        assert plain.stderr.count("progress:") == with_env.stderr.count("progress:") == 4
-        monkeypatch.setenv("RIGCHAR_JOBS", "2")
-        assert cli.main(base[3:]) == 0
-        assert capsys.readouterr().out == plain.stdout
-        assert [pool.processes for pool in inline_pool] == [2]
+        assert one.stderr.count("progress:") == many.stderr.count("progress:") == 4
 
-    @pytest.mark.parametrize(
-        "flag, env_value, source",
-        [
-            (["--jobs", "0"], None, "--jobs"),
-            (["--jobs", "-3"], None, "--jobs"),
-            ([], "0", "RIGCHAR_JOBS"),
-            ([], "abc", "RIGCHAR_JOBS"),
-        ],
-    )
-    def test_bad_job_count_exits_2(self, flag, env_value, source):
-        import os
-
-        env = {key: val for key, val in os.environ.items() if key != "RIGCHAR_JOBS"}
-        if env_value is not None:
-            env["RIGCHAR_JOBS"] = env_value
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "rigchar",
-                "verify", "recursion", "--max-k", "1", "--max-weight", "0",
-                "--max-M", "1", "--max-N", "1", *flag,
-            ],
-            capture_output=True, text=True, env=env, timeout=120,
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_job_count_exits_2(self, jobs):
+        proc = run_cli(
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "1", "--max-N", "1", "--jobs", jobs, expect=2,
         )
-        assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert source in proc.stderr
+        assert proc.stderr == f"error: --jobs must be at least 1, got {jobs}\n"
 
     @pytest.mark.parametrize(
         "what", ["upper-decomp", "bijection", "char-recursion"]
     )
     def test_remaining_checks_pass(self, what):
-        args = ["verify", what, "--max-k", "2", "--max-M", "1", "--max-N", "1"]
+        args = [what, "--max-k", "2", "--max-M", "1", "--max-N", "1"]
         if what != "char-recursion":
             args += ["--max-weight", "3"]
-        proc = run_cli(*args)
+        proc = verify_at_each_jobs(*args)
         assert json.loads(proc.stdout)["status"] == "pass"
 
     def test_progress_stays_on_stderr(self):
-        proc = run_cli(
-            "verify", "recursion", "--max-k", "2", "--max-weight", "4",
-            "--max-M", "1", "--max-N", "2",
+        proc = verify_at_each_jobs(
+            "recursion", "--max-k", "2", "--max-weight", "4", "--max-M", "1", "--max-N", "2",
         )
         assert "progress" not in proc.stdout
+
+
+def raising(exc):
+    """A stand-in for a function that raises exc whatever its arguments."""
+
+    def broken(*args):
+        raise exc
+
+    return broken
 
 
 @pytest.fixture
@@ -744,7 +737,7 @@ class TestOutputFile:
         "argv",
         [
             ["char", "--k", "1", "--l1", "0", "--l2", "0", "--M", "0", "--N", "0"],
-            ["verify", "fermionic", "--max-k", "1", "--max-M", "0", "--max-N", "0"],
+            ["verify", "fermionic", "--max-k", "1", "--max-M", "1", "--max-N", "0"],
         ],
         ids=["char", "verify"],
     )
@@ -752,11 +745,12 @@ class TestOutputFile:
         """Exit 1 means a counterexample, so a file that cannot be opened
         is a usage error: exit 2, one error line, nothing on stdout."""
         out = tmp_path / "missing" / "x.json"
-        proc = run_cli(*argv, "--output", str(out), expect=2)
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert str(out) in proc.stderr
-        assert not out.exists()
+        for args in each_jobs(argv):
+            proc = run_cli(*args, "--output", str(out), expect=2)
+            assert proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+            assert str(out) in proc.stderr
+            assert not out.exists()
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_failed_write_exits_2(self):
@@ -941,9 +935,10 @@ class TestJsonWriter:
     def test_cli_payloads(self, argv, capsys):
         from rigchar import cli
 
-        assert cli.main(argv) == 0
-        out = capsys.readouterr().out
-        assert out == reference_json(json.loads(out))
+        for args in each_jobs(argv):
+            assert cli.main(args) == 0
+            out = capsys.readouterr().out
+            assert out == reference_json(json.loads(out))
 
 
 class RecordingStdout:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigchar.admissible import ComplementLabels, IndexSet
+from rigchar.admissible import IndexSet
 from rigchar.bijection import MarkedBound
 from rigchar.cli import _json_text
 from rigchar.core import (
@@ -283,10 +283,6 @@ VALUES = {
         "nu=(0, 1), s=Rigging(rows=((), (0,))))",
     ),
     "IndexSet": (IndexSet(3, (1, 3)), "IndexSet(k=3, members=(1, 3))"),
-    "ComplementLabels": (
-        ComplementLabels(1, 1, (4,), ()),
-        "ComplementLabels(p=1, t=1, vprime=(4,), w=())",
-    ),
     "MarkedBound": (
         MarkedBound((0, 1), (True, False)),
         "MarkedBound(value=(0, 1), marked=(True, False))",
@@ -299,7 +295,7 @@ VALUES = {
 # KVector has no named field: its items are its entries.
 FIRST_FIELD = {
     "Params": "k", "Rigging": "rows", "RiggedPair": "mu", "IndexSet": "k",
-    "ComplementLabels": "p", "MarkedBound": "value", "Report": "ok",
+    "MarkedBound": "value", "Report": "ok",
 }
 each_type = pytest.mark.parametrize("name", sorted(VALUES))
 

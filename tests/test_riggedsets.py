@@ -15,7 +15,7 @@ from rigchar.riggedsets import (
     feasible_pairs,
     _riggings,
     _row_choices,
-    _tau_matrix,
+    _tau_table,
     satisfies_cutoffs,
     satisfies_tau,
     weight_bound,
@@ -172,7 +172,7 @@ class TestEnumerateR:
         # l3 = min(l1, l2): tau bounds nothing, so every r of a pair shares
         # one list of s riggings.
         p, m, n = Params(2, 2, 2, 2, 4, 4), 4, 4
-        assert _tau_matrix(p) is None
+        assert _tau_table(2, 2, 2, 2) is None
         expected = two_step_piece(p, m, n)
         riggings = 0
         for mu, nu, P, Q in feasible_pairs(p, m, n):
@@ -190,7 +190,7 @@ class TestEnumerateR:
 
     def test_riggings_of_a_tau_active_piece_are_shared(self, monkeypatch):
         p, m, n = Params(2, 2, 2, 0, 4, 4), 4, 4
-        assert _tau_matrix(p) is not None
+        assert _tau_table(2, 2, 2, 0) is not None
         expected = two_step_piece(p, m, n)
         counts = self._count_constructions(monkeypatch)
         piece = enumerate_R(p, m, n)
@@ -335,7 +335,7 @@ class TestEnumerateRPlain:
 
         for l1, l2, l3 in legal_labels(k):
             p = Params(k, l1, l2, l3, 0, 0)
-            taumat = _tau_matrix(p)
+            taumat = _tau_table(k, l1, l2, l3)
             for m in range(-1, 4):
                 for n in range(4):
                     ref = []
