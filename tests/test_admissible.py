@@ -179,6 +179,18 @@ class TestLabelComplement:
     def test_small_b_case(self):
         assert label_complement(IndexSet.of(4, (1,)), 1) == (2,)
 
+    def test_t_field(self):
+        # The padding value k+1 fills exactly the indices i < t, where
+        # t = max(1, l1 + |J| - k + 1); every later label is a real value.
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for J in all_index_sets(k):
+                    vprime = label_complement(J, l1)
+                    t = max(1, l1 + len(J) - k + 1)
+                    assert len(vprime) == sum(1 for v in J if v <= l1)
+                    assert all(vp == k + 1 for vp in vprime[: t - 1])
+                    assert all(vp <= k for vp in vprime[t - 1 :])
+
     def test_prime_definition_identity(self):
         for k in range(1, 5):
             for l1 in range(k + 1):
