@@ -3,10 +3,13 @@ exhaustive verifiers for the recursion and both decomposition statements.
 
 The verifiers return structured Report values carrying the first
 counterexample with full provenance; they never assume the statements
-they are checking.  The per-pair data they read (marked bounds, whose
-values are the bound vectors, epsilon, delta and the primed labels)
-depends only on the labels, so it is built once per label pair by
-lower_table / upper_table and looked up at every grid point and element.
+they are checking.  The per-pair data they read (the marked bound on the
+rows of r and s, epsilon, delta and the primed labels) depends only on the
+labels, so it is built once per label pair by lower_table / upper_table.
+x lies in the subset of (I, J) if its rows meet that bound and x meets the
+cutoffs.  The verifiers scan pieces enumerate_R built inside the cutoffs,
+so they test the bound alone; map_m re-checks the cutoffs of its input and
+of its image, through upper_member and lower_member.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .riggedsets import canonical_key, enumerate_R, satisfies_cutoffs
 
 
 class MarkedBound(Record):
-    """A bound vector whose components are equalities where marked."""
+    """A bound vector on the bottom riggings of a sequence of rows whose
+    components are equalities where marked."""
 
     __slots__ = ()
     _fields = ("value", "marked")
@@ -53,14 +57,15 @@ class MarkedBound(Record):
     def __new__(cls, value: tuple[int, ...], marked: tuple[bool, ...]) -> "MarkedBound":
         return tuple.__new__(cls, (value, marked))
 
-    def satisfied_by(self, rig: Rigging) -> bool:
-        """Whether the bottom rigging of the rows of each length alpha
-        equals value[alpha-1] where marked and is at least it elsewhere.
+    def satisfied_by(self, rows: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether the bottom rigging of rows[i] equals value[i] where
+        marked and is at least it elsewhere.
 
-        A length with no rows fails a marked component and meets an
-        unmarked one.
+        An empty row fails a marked component and meets an unmarked one.
+        The bound of a subset covers the rows of r, then those of s: an
+        element x is tested on x.r.rows + x.s.rows.
         """
-        for row, bound, eq in zip(rig.rows, self.value, self.marked):
+        for row, bound, eq in zip(rows, self.value, self.marked):
             if eq:
                 if not row or row[-1] != bound:
                     return False
@@ -69,22 +74,28 @@ class MarkedBound(Record):
         return True
 
 
-def lower_bounds(I: IndexSet, J: IndexSet, p: Params) -> tuple[MarkedBound, MarkedBound] | None:
-    """Marked lower bounds (for r and s) of the lower subset, or None if
-    the pair is not (l1, l2)-admissible."""
+def _joined(br: MarkedBound, bs: MarkedBound) -> MarkedBound:
+    """The bound br on the rows of r and bs on those of s, as one bound."""
+    return MarkedBound(br.value + bs.value, br.marked + bs.marked)
+
+
+def lower_bounds(I: IndexSet, J: IndexSet, p: Params) -> MarkedBound | None:
+    """Marked lower bound of the lower subset, rho on r and sigma on s, or
+    None if the pair is not (l1, l2)-admissible."""
     if not is_admissible(I, J, p.l1, p.l2):
         return None
-    return (
+    return _joined(
         MarkedBound(rho(I, J, p.l1), tuple(e == 1 for e in epsilon(I))),
         MarkedBound(sigma(J, p.l2), tuple(e == 1 for e in epsilon(J))),
     )
 
 
-def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> tuple[MarkedBound, MarkedBound] | None:
-    """Marked lower bounds of the upper subset, or None if not l1-admissible."""
+def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> MarkedBound | None:
+    """Marked lower bound of the upper subset, rho' on r and sigma' on s, or
+    None if the pair is not l1-admissible."""
     if not is_l1_admissible(I, J, l1):
         return None
-    return (
+    return _joined(
         MarkedBound(rho_prime(I, J, l1), tuple(e == -1 for e in epsilon(I))),
         MarkedBound(sigma_prime(I, J, l1), tuple(e == -1 for e in epsilon(J))),
     )
@@ -92,9 +103,9 @@ def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> tuple[MarkedBound, Marked
 
 class LowerEntry(NamedTuple):
     """What the lower subset of one (l1, l2)-admissible pair reads; the
-    values of its bounds are rho and sigma."""
+    value of its bound is rho followed by sigma."""
 
-    bounds: tuple[MarkedBound, MarkedBound]
+    bound: MarkedBound
     eps_I: tuple[int, ...]
     eps_J: tuple[int, ...]
     delta_r: tuple[int, ...]
@@ -102,10 +113,10 @@ class LowerEntry(NamedTuple):
 
 
 class UpperEntry(NamedTuple):
-    """What the upper subset of one l1-admissible pair reads; the values of
-    its bounds are rho' and sigma'."""
+    """What the upper subset of one l1-admissible pair reads; the value of
+    its bound is rho' followed by sigma'."""
 
-    bounds: tuple[MarkedBound, MarkedBound]
+    bound: MarkedBound
     primed: tuple[int, int, int]
 
 
@@ -117,11 +128,11 @@ def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[IndexSet, IndexSet], 
     table = {}
     for I in all_index_sets(k):
         for J in all_index_sets(k):
-            bounds = lower_bounds(I, J, p)
-            if bounds is None:
+            bound = lower_bounds(I, J, p)
+            if bound is None:
                 continue
             table[I, J] = LowerEntry(
-                bounds, epsilon(I), epsilon(J), delta_r(I, J, l1), delta_s(I, J, l1, l2)
+                bound, epsilon(I), epsilon(J), delta_r(I, J, l1), delta_s(I, J, l1, l2)
             )
     return MappingProxyType(table)
 
@@ -133,20 +144,24 @@ def upper_table(k: int, l1: int) -> Mapping[tuple[IndexSet, IndexSet], UpperEntr
     table = {}
     for I in all_index_sets(k):
         for J in all_index_sets(k):
-            bounds = upper_bounds(I, J, l1)
-            if bounds is None:
+            bound = upper_bounds(I, J, l1)
+            if bound is None:
                 continue
-            table[I, J] = UpperEntry(bounds, primed_labels(k, l1, len(I), len(J) - len(I)))
+            table[I, J] = UpperEntry(bound, primed_labels(k, l1, len(I), len(J) - len(I)))
     return MappingProxyType(table)
+
+
+@lru_cache(maxsize=None)
+def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
+    """The parameters of the cutoff set with the tau condition switched off
+    (l3 = min(l1, l2)), built once per labels and cutoffs."""
+    return Params(k, l1, l2, min(l1, l2), M, N)
 
 
 def lower_member(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
     entry = lower_table(p.k, p.l1, p.l2).get((I, J))
-    if entry is None:
-        return False
-    br, bs = entry.bounds
-    if not (br.satisfied_by(x.r) and bs.satisfied_by(x.s)):
+    if entry is None or not entry.bound.satisfied_by(x.r.rows + x.s.rows):
         return False
     return satisfies_cutoffs(x, p)
 
@@ -160,13 +175,10 @@ def upper_member(x: RiggedPair, I: IndexSet, J: IndexSet, l1: int, p: Params) ->
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
     entry = upper_table(p.k, l1).get((I, J))
-    if entry is None:
-        return False
-    br, bs = entry.bounds
-    if not (br.satisfied_by(x.r) and bs.satisfied_by(x.s)):
+    if entry is None or not entry.bound.satisfied_by(x.r.rows + x.s.rows):
         return False
     l1p, l2p, _ = entry.primed
-    return satisfies_cutoffs(x, Params(p.k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1))
+    return satisfies_cutoffs(x, _tau_free(p.k, l1p, l2p, p.M, p.N - 1))
 
 
 def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
@@ -194,21 +206,18 @@ def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
             rows.append(tuple(new))
         return tuple(map(add, mult, eps)), Rigging(tuple(rows))
 
-    br, bs = entry.bounds
-    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, br.value)
-    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, bs.value)
+    bottoms = entry.bound.value
+    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, bottoms[: p.k])
+    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, bottoms[p.k :])
     out = RiggedPair(mu, r, nu, s)
     if not lower_member(out, I, J, p):
-        raise AssertionError(
-            f"rigging map produced a non-member of the lower subset: {out}"
-        )
+        raise AssertionError(f"rigging map produced a non-member of the lower subset: {out}")
     return out
 
 
 def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
-    """The cutoff set with the tau condition switched off (l3 = min)."""
-    free = Params(p.k, p.l1, p.l2, min(p.l1, p.l2), p.M, p.N)
-    return enumerate_R(free, m, n)
+    """The graded piece of the cutoff set with the tau condition switched off."""
+    return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
 def verify_recursion(p: Params, m: int, n: int) -> Report:
@@ -226,12 +235,7 @@ def verify_recursion(p: Params, m: int, n: int) -> Report:
             terms.append({"a": a, "c": c, "count": count})
             rhs += count
     context = {"params": params_to_obj(p), "m": m, "n": n}
-    return Report(
-        ok=(lhs == rhs),
-        check="recursion",
-        context=context,
-        detail={"lhs": lhs, "rhs": rhs, "terms": terms},
-    )
+    return Report(lhs == rhs, "recursion", context, {"lhs": lhs, "rhs": rhs, "terms": terms})
 
 
 def _cover_scan(
@@ -239,46 +243,35 @@ def _cover_scan(
 ) -> Report:
     """Exact-cover check of the graded piece of p at (m, n).
 
-    pairs holds (I, J, br, bs) per subset, its marked bounds for r and s.
-    Every element of the ambient cutoff set is scanned: one in the
-    tau-restricted set must lie in exactly one subset, any other in none.
-    If vacancy, a subset that holds an element must also have
-    br.value <= P and bs.value <= Q componentwise there; reason names a
-    violation.
+    pairs holds (I, J, bound) per subset, its marked bound.  Every element
+    of the ambient cutoff set is scanned: one in the tau-restricted set
+    must lie in exactly one subset, any other in none.  If vacancy, a
+    subset that holds an element must also have bound.value <= P + Q
+    componentwise there; reason names a violation.
     """
     target = set(enumerate_R(p, m, n))
     ambient = _ambient(p, m, n)
     for x in ambient:
+        rows = x.r.rows + x.s.rows
         covers = []
-        for I, J, br, bs in pairs:
-            if br.satisfied_by(x.r) and bs.satisfied_by(x.s):
+        for I, J, bound in pairs:
+            if bound.satisfied_by(rows):
                 covers.append((I, J))
                 if vacancy:
                     P = vacancy_P(x.mu, x.nu, p.M, p.l1)
                     Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
-                    if not all(map(le, br.value + bs.value, P + Q)):
-                        return Report(
-                            False,
-                            check,
-                            context,
-                            {
-                                "reason": reason,
-                                "element": pair_to_obj(x),
-                                "pair": {"I": list(I), "J": list(J)},
-                            },
-                        )
-        expected = 1 if x in target else 0
-        if len(covers) != expected:
-            return Report(
-                False,
-                check,
-                context,
-                {
-                    "element": pair_to_obj(x),
-                    "expected_covers": expected,
-                    "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
-                },
-            )
+                    if not all(map(le, bound.value, P + Q)):
+                        detail = {"reason": reason, "pair": {"I": list(I), "J": list(J)}}
+                        break
+        else:
+            expected = 1 if x in target else 0
+            if len(covers) == expected:
+                continue
+            detail = {
+                "expected_covers": expected,
+                "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
+            }
+        return Report(False, check, context, {"element": pair_to_obj(x), **detail})
     return Report(True, check, context, {"elements": len(ambient), "pairs": len(pairs)})
 
 
@@ -290,7 +283,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     bounds rho <= P and sigma <= Q (valid for N >= 1).
     """
     pairs = [
-        (I, J, *entry.bounds)
+        (I, J, entry.bound)
         for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
         if len(I) <= p.l3
     ]
@@ -299,9 +292,7 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     return _cover_scan("lower-decomposition", context, p, m, n, pairs, p.N >= 1, reason)
 
 
-def verify_upper_decomposition(
-    l1: int, a: int, c: int, p: Params, m: int, n: int
-) -> Report:
+def verify_upper_decomposition(l1: int, a: int, c: int, p: Params, m: int, n: int) -> Report:
     """Exact-cover check of the primed graded piece by the upper subsets.
 
     The target lives at (M, N-1) with the labels primed from (l1, a, c);
@@ -316,17 +307,11 @@ def verify_upper_decomposition(
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
     l1p, l2p, l3p = primed_labels(k, l1, a, c)
-    context = {
-        "params": params_to_obj(p),
-        "l1": l1,
-        "a": a,
-        "c": c,
-        "primed": [l1p, l2p, l3p],
-        "m": m,
-        "n": n,
-    }
+    context = dict(
+        params=params_to_obj(p), l1=l1, a=a, c=c, primed=[l1p, l2p, l3p], m=m, n=n
+    )
     pairs = [
-        (I, J, *entry.bounds)
+        (I, J, entry.bound)
         for (I, J), entry in upper_table(k, l1).items()
         if len(I) == a and len(J) == b
     ]
@@ -338,46 +323,35 @@ def verify_upper_decomposition(
 def verify_bijection(p: Params, m: int, n: int) -> Report:
     """Check, for every (l1, l2)-admissible (I, J), that the rigging map is
     injective on the upper subset at (m-a, n-b) with image exactly the
-    lower subset at (m, n)."""
+    lower subset at (m, n).  An element map_m rejects is a counterexample."""
     if p.N < 1:
         raise ValueError("the rigging map steps N down; need N >= 1")
     k = p.k
     context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
     uppers = upper_table(k, p.l1)
-    # The primed cutoff sets with tau switched off, as _ambient builds them.
-    primed = lru_cache(None)(lambda l1p, l2p: Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1))
-    for I, J in lower_table(k, p.l1, p.l2):
-        l1p, l2p, _ = uppers[I, J].primed
-        upper_ambient = enumerate_R(primed(l1p, l2p), m - len(I), n - len(J))
-        ups = [x for x in upper_ambient if upper_member(x, I, J, p.l1, p)]
+    for (I, J), entry in lower_table(k, p.l1, p.l2).items():
+        upper = uppers[I, J]
+        l1p, l2p, _ = upper.primed
+        ups = enumerate_R(_tau_free(k, l1p, l2p, p.M, p.N - 1), m - len(I), n - len(J))
         try:
-            images = [map_m(x, I, J, p) for x in ups]
+            images = [
+                map_m(x, I, J, p) for x in ups if upper.bound.satisfied_by(x.r.rows + x.s.rows)
+            ]
         except (ValueError, AssertionError) as exc:
-            return Report(
-                False,
-                "bijection",
-                context,
-                {"pair": {"I": list(I), "J": list(J)}, "reason": str(exc)},
-            )
-        if len(set(images)) != len(images):
-            return Report(
-                False,
-                "bijection",
-                context,
-                {"pair": {"I": list(I), "J": list(J)}, "reason": "not injective"},
-            )
-        lows = [y for y in lower_ambient if lower_member(y, I, J, p)]
-        if sorted(images, key=canonical_key) != lows:
-            return Report(
-                False,
-                "bijection",
-                context,
-                {
-                    "pair": {"I": list(I), "J": list(J)},
+            detail = {"reason": str(exc)}
+        else:
+            lows = [y for y in lower_ambient if entry.bound.satisfied_by(y.r.rows + y.s.rows)]
+            if len(set(images)) != len(images):
+                detail = {"reason": "not injective"}
+            elif sorted(images, key=canonical_key) != lows:
+                detail = {
                     "reason": "image differs from lower subset",
                     "image_size": len(images),
                     "lower_size": len(lows),
-                },
-            )
+                }
+            else:
+                continue
+        pair = {"I": list(I), "J": list(J)}
+        return Report(False, "bijection", context, {"pair": pair, **detail})
     return Report(True, "bijection", context, {})

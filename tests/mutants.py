@@ -122,7 +122,7 @@ MUTANTS = (
         "feas", "riggedsets.py",
         "if min(P) < 0:",
         "if min(P) < -1:",
-        "111010",
+        "111110",
     ),
     Mutant(
         "need0", "riggedsets.py",

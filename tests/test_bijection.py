@@ -70,10 +70,11 @@ class TestBoundTables:
                     ]
                     assert list(table) == expected
                     for (I, J), entry in table.items():
-                        assert entry.bounds == lower_bounds(I, J, p)
-                        br, bs = entry.bounds
-                        assert br.value == rho(I, J, l1)
-                        assert bs.value == sigma(J, l2)
+                        assert entry.bound == lower_bounds(I, J, p)
+                        assert entry.bound.value == rho(I, J, l1) + sigma(J, l2)
+                        assert entry.bound.marked == tuple(
+                            e == 1 for e in epsilon(I) + epsilon(J)
+                        )
                         assert entry.eps_I == epsilon(I)
                         assert entry.eps_J == epsilon(J)
                         assert entry.delta_r == delta_r(I, J, l1)
@@ -91,10 +92,11 @@ class TestBoundTables:
                 ]
                 assert list(table) == expected
                 for (I, J), entry in table.items():
-                    assert entry.bounds == upper_bounds(I, J, l1)
-                    br, bs = entry.bounds
-                    assert br.value == rho_prime(I, J, l1)
-                    assert bs.value == sigma_prime(I, J, l1)
+                    assert entry.bound == upper_bounds(I, J, l1)
+                    assert entry.bound.value == rho_prime(I, J, l1) + sigma_prime(I, J, l1)
+                    assert entry.bound.marked == tuple(
+                        e == -1 for e in epsilon(I) + epsilon(J)
+                    )
                     assert entry.primed == primed_labels(k, l1, len(I), len(J) - len(I))
 
     def test_tables_are_read_only(self):
@@ -107,23 +109,19 @@ class TestBoundTables:
 class TestMarkedBound:
     def test_present_rows_compare_their_bottom_rigging(self):
         bound = MarkedBound((1, 2), (True, False))
-        assert bound.satisfied_by(Rigging(((3, 1), (2,))))
-        assert bound.satisfied_by(Rigging(((1,), (5, 4))))
-        assert not bound.satisfied_by(Rigging(((2,), (2,))))
-        assert not bound.satisfied_by(Rigging(((1,), (1,))))
+        assert bound.satisfied_by(((3, 1), (2,)))
+        assert bound.satisfied_by(((1,), (5, 4)))
+        assert not bound.satisfied_by(((2,), (2,)))
+        assert not bound.satisfied_by(((1,), (1,)))
 
     def test_absent_row_fails_marked_and_meets_unmarked(self):
         # However large or small the bound, an empty row of a marked
         # length fails and an empty row of an unmarked length holds.
         for value in (-5, 0, 7):
-            assert not MarkedBound((value, 0), (True, False)).satisfied_by(
-                Rigging(((), (0,)))
-            )
-            assert MarkedBound((value, 0), (False, False)).satisfied_by(
-                Rigging(((), (0,)))
-            )
-        assert MarkedBound((0, 0), (False, False)).satisfied_by(Rigging(((), ())))
-        assert not MarkedBound((0, 0), (False, True)).satisfied_by(Rigging(((), ())))
+            assert not MarkedBound((value, 0), (True, False)).satisfied_by(((), (0,)))
+            assert MarkedBound((value, 0), (False, False)).satisfied_by(((), (0,)))
+        assert MarkedBound((0, 0), (False, False)).satisfied_by(((), ()))
+        assert not MarkedBound((0, 0), (False, True)).satisfied_by(((), ()))
 
 
 class TestLowerMember:
@@ -424,3 +422,72 @@ class TestBoundInequalities:
                                         Q = vacancy_Q(x.mu, x.nu, p.N, l2)
                                         assert all(map(le, rho(I, J, l1), P))
                                         assert all(map(le, sigma(J, l2), Q))
+
+
+class TestFailureReports:
+    """Each failure branch of the verifiers reports its whole detail."""
+
+    @pytest.mark.parametrize("exc", [ValueError("no image"), AssertionError("bad image")])
+    def test_a_map_m_failure_is_the_reason(self, exc, monkeypatch):
+        import rigchar.bijection as bijection
+
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(bijection, "map_m", broken)
+        rep = verify_bijection(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        assert not rep.ok
+        assert rep.detail == {"pair": {"I": [1], "J": [1]}, "reason": str(exc)}
+
+    def test_a_repeated_image_is_not_injective(self, monkeypatch):
+        # Every element of a pair's upper subset maps to the image of the
+        # first: the first pair whose upper subset has two elements fails.
+        import rigchar.bijection as bijection
+
+        first = {}
+        real = bijection.map_m
+        monkeypatch.setattr(
+            bijection, "map_m", lambda x, I, J, p: first.setdefault((I, J), real(x, I, J, p))
+        )
+        rep = verify_bijection(Params(1, 1, 0, 0, 2, 2), 1, 1)
+        assert not rep.ok
+        assert rep.detail == {"pair": {"I": [], "J": []}, "reason": "not injective"}
+
+    def test_a_rejected_input_is_a_counterexample(self, monkeypatch):
+        # The verifier reads both subsets by their bounds alone, so an
+        # element outside the cutoffs reaches map_m, which rejects it.
+        import rigchar.bijection as bijection
+
+        monkeypatch.setattr(bijection, "satisfies_cutoffs", lambda x, p: False)
+        rep = verify_bijection(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        assert not rep.ok
+        assert rep.detail == {
+            "pair": {"I": [1], "J": [1]},
+            "reason": "input is not a member of the upper subset",
+        }
+
+    @staticmethod
+    def negative_vacancies(monkeypatch):
+        import rigchar.bijection as bijection
+
+        monkeypatch.setattr(bijection, "vacancy_P", lambda mu, nu, M, l: (-1,) * len(mu))
+
+    def test_lower_vacancy_violation(self, monkeypatch):
+        self.negative_vacancies(monkeypatch)
+        rep = verify_lower_decomposition(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        assert not rep.ok
+        assert rep.detail == {
+            "reason": "nonempty lower subset violates rho<=P, sigma<=Q",
+            "element": {"mu": (1,), "r": ((0,),), "nu": (1,), "s": ((0,),)},
+            "pair": {"I": [1], "J": [1]},
+        }
+
+    def test_upper_vacancy_violation(self, monkeypatch):
+        self.negative_vacancies(monkeypatch)
+        rep = verify_upper_decomposition(1, 1, 0, Params(1, 1, 1, 0, 1, 1), 0, 0)
+        assert not rep.ok
+        assert rep.detail == {
+            "reason": "nonempty upper subset violates rho'<=P, sigma'<=Q",
+            "element": {"mu": (0,), "r": ((),), "nu": (0,), "s": ((),)},
+            "pair": {"I": [1], "J": [1]},
+        }

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutants
 from rigchar.cli import _CHECKS, _json_text, parse_enum_document
 from rigchar.core import Params
 
@@ -22,6 +23,25 @@ WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.json"
 def pythonpath_env(path):
     """The environment with PYTHONPATH replaced by path, a mutated copy."""
     return {**os.environ, "PYTHONPATH": str(path)}
+
+
+def run_under(method, argv, path):
+    """Run rigchar with argv from the copy at path, its pool workers
+    started by the given multiprocessing start method."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from rigchar.cli import main\n"
+        "if __name__ == '__main__':\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=pythonpath_env(path),
+    )
 
 
 def run_cli(*args, expect: int = 0, path=None):
@@ -278,24 +298,11 @@ class TestVerify:
     def test_corrupted_tau_reaches_fresh_workers(self, method, what, tau_plus_one):
         # A spawn or forkserver worker starts from a fresh import of
         # rigchar, and must import the mutated copy the parent runs.
-        script = (
-            "import multiprocessing, sys\n"
-            "from rigchar.cli import main\n"
-            "if __name__ == '__main__':\n"
-            f"    multiprocessing.set_start_method({method!r})\n"
-            "    sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [
-                sys.executable, "-c", script,
-                "verify", what, "--max-k", "2", "--max-weight", "2",
-                "--max-M", "1", "--max-N", "1", "--jobs", "2",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=pythonpath_env(tau_plus_one),
-        )
+        argv = [
+            "verify", what, "--max-k", "2", "--max-weight", "2",
+            "--max-M", "1", "--max-N", "1", "--jobs", "2",
+        ]
+        proc = run_under(method, argv, tau_plus_one)
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "fail"
         assert proc.stdout == (DATA / f"verify_fail_{what}.json").read_text()
@@ -655,24 +662,26 @@ class TestBlockScheduler:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs, tau_plus_one):
         # Four workers on six blocks outnumber the cores of a small runner.
-        script = (
-            "import multiprocessing, sys\n"
-            "from rigchar.cli import main\n"
-            "if __name__ == '__main__':\n"
-            f"    multiprocessing.set_start_method({method!r})\n"
-            "    sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *FIRST_FAILURE_GRID, "--jobs", jobs],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=pythonpath_env(tau_plus_one),
-        )
+        proc = run_under(method, [*FIRST_FAILURE_GRID, "--jobs", jobs], tau_plus_one)
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         serial = run_cli(*FIRST_FAILURE_GRID, "--jobs", "1", expect=1, path=tau_plus_one)
         assert proc.stdout == serial.stdout
         assert json.loads(proc.stdout)["counterexample"]["context"]["params"]["k"] == 1
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_crash_in_a_pool_worker_exits_3(self, method, tmp_path):
+        # The crash source mutant raises KeyError inside the workers, so the
+        # parent leaves its pool by exception and terminates it: the run
+        # must still end, with exit 3 and the one error line.
+        root = mutants.mutate(mutants.BY_ID["crash"], tmp_path)
+        argv = [
+            "verify", "recursion", "--max-k", "3", "--max-weight", "4",
+            "--max-M", "2", "--max-N", "2", "--jobs", "2",
+        ]
+        proc = run_under(method, argv, root)
+        assert proc.returncode == 3, (proc.returncode, proc.stderr)
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["error"] == "KeyError"
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
