@@ -6,6 +6,9 @@ counterexample with full provenance; they never assume the statements
 they are checking.  The per-pair data they read (the marked bound on the
 rows of r and s, epsilon, delta and the primed labels) depends only on the
 labels, so it is built once per label pair by lower_table / upper_table.
+The rest of what a verifier reads at a grid point apart from its weights
+(m, n), the filtered table rows and the primed parameters, is memoised on
+the labels or on the point's Params.
 x lies in the subset of (I, J) if its rows meet that bound and x meets the
 cutoffs.  The verifiers scan pieces enumerate_R built inside the cutoffs,
 so they test the bound alone; map_m re-checks the cutoffs of its input and
@@ -220,20 +223,29 @@ def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
+# (a, c, primed Params at (M, N-1)) for each term of the recursion sum at p,
+# keyed by p.
+_TERMS: dict[Params, tuple[tuple[int, int, Params], ...]] = {}
+
+
 def verify_recursion(p: Params, m: int, n: int) -> Report:
     """Compare the cardinality of one graded piece against the recursion sum."""
     if p.N < 1:
         raise ValueError("the recursion steps N down; need N >= 1")
     lhs = len(enumerate_R(p, m, n))
+    steps = _TERMS.get(p)
+    if steps is None:
+        steps = _TERMS[p] = tuple(
+            (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
+            for a in range(p.l3 + 1)
+            for c in range(p.l2 - a + 1)
+        )
     terms = []
     rhs = 0
-    for a in range(p.l3 + 1):
-        for c in range(p.l2 - a + 1):
-            l1p, l2p, l3p = primed_labels(p.k, p.l1, a, c)
-            pp = Params(p.k, l1p, l2p, l3p, p.M, p.N - 1)
-            count = len(enumerate_R(pp, m - a, n - a - c))
-            terms.append({"a": a, "c": c, "count": count})
-            rhs += count
+    for a, c, pp in steps:
+        count = len(enumerate_R(pp, m - a, n - a - c))
+        terms.append({"a": a, "c": c, "count": count})
+        rhs += count
     context = {"params": params_to_obj(p), "m": m, "n": n}
     return Report(lhs == rhs, "recursion", context, {"lhs": lhs, "rhs": rhs, "terms": terms})
 
@@ -275,6 +287,14 @@ def _cover_scan(
     return Report(True, check, context, {"elements": len(ambient), "pairs": len(pairs)})
 
 
+@lru_cache(maxsize=None)
+def _lower_pairs(k: int, l1: int, l2: int, l3: int) -> tuple:
+    """(I, J, bound) for the (l1, l2)-admissible pairs with |I| <= l3."""
+    return tuple(
+        (I, J, entry.bound) for (I, J), entry in lower_table(k, l1, l2).items() if len(I) <= l3
+    )
+
+
 def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     """Exact-cover check of the graded piece by the lower subsets.
 
@@ -282,14 +302,20 @@ def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
     |J| <= l2.  Nonempty subsets are also checked against the vacancy
     bounds rho <= P and sigma <= Q (valid for N >= 1).
     """
-    pairs = [
-        (I, J, entry.bound)
-        for (I, J), entry in lower_table(p.k, p.l1, p.l2).items()
-        if len(I) <= p.l3
-    ]
+    pairs = _lower_pairs(p.k, p.l1, p.l2, p.l3)
     context = {"params": params_to_obj(p), "m": m, "n": n}
     reason = "nonempty lower subset violates rho<=P, sigma<=Q"
     return _cover_scan("lower-decomposition", context, p, m, n, pairs, p.N >= 1, reason)
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(k: int, l1: int, a: int, c: int) -> tuple:
+    """(I, J, bound) for the l1-admissible pairs with |I| = a and |J| = a + c."""
+    return tuple(
+        (I, J, entry.bound)
+        for (I, J), entry in upper_table(k, l1).items()
+        if len(I) == a and len(J) == a + c
+    )
 
 
 def verify_upper_decomposition(l1: int, a: int, c: int, p: Params, m: int, n: int) -> Report:
@@ -310,14 +336,24 @@ def verify_upper_decomposition(l1: int, a: int, c: int, p: Params, m: int, n: in
     context = dict(
         params=params_to_obj(p), l1=l1, a=a, c=c, primed=[l1p, l2p, l3p], m=m, n=n
     )
-    pairs = [
-        (I, J, entry.bound)
-        for (I, J), entry in upper_table(k, l1).items()
-        if len(I) == a and len(J) == b
-    ]
+    pairs = _upper_pairs(k, l1, a, c)
     pp = Params(k, l1p, l2p, l3p, p.M, p.N - 1)
     reason = "nonempty upper subset violates rho'<=P, sigma'<=Q"
     return _cover_scan("upper-decomposition", context, pp, m, n, pairs, True, reason)
+
+
+@lru_cache(maxsize=None)
+def _bijection_rows(p: Params) -> tuple:
+    """(I, J, lower bound, upper entry, tau-free upper Params at (M, N-1),
+    |I|, |J|) for each (l1, l2)-admissible pair, in lower_table order."""
+    uppers = upper_table(p.k, p.l1)
+    rows = []
+    for (I, J), entry in lower_table(p.k, p.l1, p.l2).items():
+        upper = uppers[I, J]
+        l1p, l2p, _ = upper.primed
+        up_params = _tau_free(p.k, l1p, l2p, p.M, p.N - 1)
+        rows.append((I, J, entry.bound, upper, up_params, len(I), len(J)))
+    return tuple(rows)
 
 
 def verify_bijection(p: Params, m: int, n: int) -> Report:
@@ -326,14 +362,10 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
     lower subset at (m, n).  An element map_m rejects is a counterexample."""
     if p.N < 1:
         raise ValueError("the rigging map steps N down; need N >= 1")
-    k = p.k
     context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
-    uppers = upper_table(k, p.l1)
-    for (I, J), entry in lower_table(k, p.l1, p.l2).items():
-        upper = uppers[I, J]
-        l1p, l2p, _ = upper.primed
-        ups = enumerate_R(_tau_free(k, l1p, l2p, p.M, p.N - 1), m - len(I), n - len(J))
+    for I, J, bound, upper, up_params, a, b in _bijection_rows(p):
+        ups = enumerate_R(up_params, m - a, n - b)
         try:
             images = [
                 map_m(x, I, J, p) for x in ups if upper.bound.satisfied_by(x.r.rows + x.s.rows)
@@ -341,7 +373,7 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
         except (ValueError, AssertionError) as exc:
             detail = {"reason": str(exc)}
         else:
-            lows = [y for y in lower_ambient if entry.bound.satisfied_by(y.r.rows + y.s.rows)]
+            lows = [y for y in lower_ambient if bound.satisfied_by(y.r.rows + y.s.rows)]
             if len(set(images)) != len(images):
                 detail = {"reason": "not injective"}
             elif sorted(images, key=canonical_key) != lows:

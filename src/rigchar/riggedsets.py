@@ -111,6 +111,9 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
 
 
 _R_CACHE: dict[tuple[Params, int, int], tuple[RiggedPair, ...]] = {}
+# feasible_pairs(p, m, n) as a tuple, keyed by (k, l1, l2, M, N, m, n): the
+# vacancy vectors never read l3, so every l3 shares one scan.
+_SCAN_CACHE: dict[tuple[int, ...], tuple] = {}
 
 
 def feasible_pairs(p: Params, m: int, n: int):
@@ -200,7 +203,8 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     each length alpha has the fixed size mult[alpha-1], and _row_choices
     lists its values in ascending lexicographic order; so product over
     alpha = 1..k lists the flattened riggings r, and for each r those of s,
-    in ascending lexicographic order too.
+    in ascending lexicographic order too.  The (mu, nu) pairs come from
+    _SCAN_CACHE, which every l3 of the other parameters shares.
 
     Each new piece is frozen (gc.freeze), so the cyclic collector stops
     walking the growing cache.  The one cost: cyclic garbage alive at a
@@ -213,12 +217,12 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     if m < 0 or n < 0:
         piece = ()
     else:
+        scan_key = (p.k, p.l1, p.l2, p.M, p.N, m, n)
+        pairs = _SCAN_CACHE.get(scan_key)
+        if pairs is None:
+            pairs = _SCAN_CACHE[scan_key] = tuple(feasible_pairs(p, m, n))
         taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
-        piece = tuple(
-            x
-            for mu, nu, P, Q in feasible_pairs(p, m, n)
-            for x in _riggings(mu, nu, P, Q, taumat)
-        )
+        piece = tuple(x for mu, nu, P, Q in pairs for x in _riggings(mu, nu, P, Q, taumat))
     _R_CACHE[key] = piece
     # Tuple subclasses are never untracked, and these live until exit: move
     # them and all else alive now to the permanent generation, which no later

@@ -106,6 +106,92 @@ class TestBoundTables:
             upper_table(1, 1)[None] = None
 
 
+class TestPointMemos:
+    """Each memo a verifier reads at a grid point holds what the point
+    would build from the per-pair builders, for every label tuple with
+    k <= 4."""
+
+    CUTOFFS = ((0, 1), (2, 1), (1, 3))  # (M, N), each with N >= 1
+
+    def test_recursion_terms(self, monkeypatch):
+        import rigchar.bijection as bijection
+
+        terms = {}
+        monkeypatch.setattr(bijection, "_TERMS", terms)
+        for k in range(1, 5):
+            for l1, l2, l3 in legal_labels(k):
+                for M, N in self.CUTOFFS:
+                    p = Params(k, l1, l2, l3, M, N)
+                    rep = verify_recursion(p, 0, 0)
+                    expected = tuple(
+                        (a, c, Params(k, *primed_labels(k, l1, a, c), M, N - 1))
+                        for a in range(l3 + 1)
+                        for c in range(l2 - a + 1)
+                    )
+                    assert terms[p] == expected
+                    assert [(t["a"], t["c"]) for t in rep.detail["terms"]] == [
+                        (a, c) for a, c, _ in expected
+                    ]
+        assert len(terms) == sum(len(list(legal_labels(k))) for k in range(1, 5)) * 3
+
+    def test_lower_pairs(self):
+        from rigchar.bijection import _lower_pairs
+
+        for k in range(1, 5):
+            for l1, l2, l3 in legal_labels(k):
+                p = Params(k, l1, l2, l3, 0, 0)
+                assert list(_lower_pairs(k, l1, l2, l3)) == [
+                    (I, J, lower_bounds(I, J, p))
+                    for I in all_index_sets(k)
+                    for J in all_index_sets(k)
+                    if is_admissible(I, J, l1, l2) and len(I) <= l3
+                ]
+
+    def test_upper_pairs(self):
+        from rigchar.bijection import _upper_pairs
+        from rigchar.cli import _labels_upper
+
+        for k in range(1, 5):
+            for l1, a, c in _labels_upper(k):
+                assert list(_upper_pairs(k, l1, a, c)) == [
+                    (I, J, upper_bounds(I, J, l1))
+                    for I in all_index_sets(k)
+                    for J in all_index_sets(k)
+                    if is_l1_admissible(I, J, l1) and len(I) == a and len(J) == a + c
+                ]
+
+    def test_bijection_rows(self):
+        from rigchar.bijection import _bijection_rows
+
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for l2 in range(k + 1):
+                    for M, N in self.CUTOFFS:
+                        p = Params(k, l1, l2, min(l1, l2), M, N)
+                        expected = []
+                        for I in all_index_sets(k):
+                            for J in all_index_sets(k):
+                                if not is_admissible(I, J, l1, l2):
+                                    continue
+                                l1p, l2p, _ = primed_labels(k, l1, len(I), len(J) - len(I))
+                                up = Params(k, l1p, l2p, min(l1p, l2p), M, N - 1)
+                                expected.append(
+                                    (I, J, lower_bounds(I, J, p), upper_table(k, l1)[I, J],
+                                     up, len(I), len(J))
+                                )
+                        assert list(_bijection_rows(p)) == expected
+
+    def test_cli_params(self):
+        from rigchar.cli import _params
+
+        for k in range(1, 5):
+            for l1, l2, l3 in legal_labels(k):
+                for M, N in self.CUTOFFS:
+                    p = _params(k, l1, l2, l3, M, N)
+                    assert p == Params(k, l1, l2, l3, M, N)
+                    assert _params(k, l1, l2, l3, M, N) is p
+
+
 class TestMarkedBound:
     def test_present_rows_compare_their_bottom_rigging(self):
         bound = MarkedBound((1, 2), (True, False))

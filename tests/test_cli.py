@@ -685,10 +685,10 @@ class TestBlockScheduler:
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
-        # Run every point against an empty rigged-set cache: each piece it
-        # builds must have the point's k and M, or two blocks would build
-        # the same pieces.
-        from rigchar import cli, riggedsets
+        # Run every point against an empty rigged-set cache, scan memo and
+        # recursion-term memo: each entry it creates must have the point's
+        # k and M, or two blocks would repeat each other's work.
+        from rigchar import bijection, cli, riggedsets
 
         check = _CHECKS[what]
         grid = ["--max-k", "2", "--max-M", "2", "--max-N", "2"]
@@ -696,23 +696,63 @@ class TestBlockScheduler:
             grid += ["--max-weight", "2"]
         m_at = len(check.labels(1)[0]) + 1  # M's place in a point
         check_point = cli._check_point
-        built, stray = [], []
+        built = {"pieces": [], "scans": [], "terms": []}
+        stray = []
 
         def isolated(what, point):
-            cache = {}
-            monkeypatch.setattr(riggedsets, "_R_CACHE", cache)
+            pieces, scans, terms = {}, {}, {}
+            monkeypatch.setattr(riggedsets, "_R_CACHE", pieces)
+            monkeypatch.setattr(riggedsets, "_SCAN_CACHE", scans)
+            monkeypatch.setattr(bijection, "_TERMS", terms)
             failure = check_point(what, point)
-            built.extend(cache)
-            stray.extend(
-                (point, p.k, p.M) for p, *_ in cache if (p.k, p.M) != (point[0], point[m_at])
-            )
+            keys = {
+                "pieces": [(p.k, p.M) for p, _, _ in pieces],
+                "scans": [(k, M) for k, _, _, M, *_ in scans],
+                "terms": [(p.k, p.M) for p in terms],
+            }
+            for name, found in keys.items():
+                built[name].extend(found)
+                stray.extend((name, point, km) for km in found if km != (point[0], point[m_at]))
             return failure
 
         monkeypatch.setattr(cli, "_check_point", isolated)
         assert cli.main(["verify", what, *grid, "--jobs", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
-        assert built
+        assert built["pieces"] and built["scans"]
+        assert bool(built["terms"]) == (what == "recursion")
         assert stray == []
+
+
+class TestCountAnchors:
+    """The enumerate_R counts bench/workloads.json anchors for the traced
+    verify invocations, counted at the two bindings bench/traced.py wraps."""
+
+    @pytest.mark.parametrize(
+        "argv, anchors",
+        [
+            item
+            for item in json.loads(WORKLOADS.read_text())["anchors"].items()
+            if item[0].startswith("verify")
+        ],
+    )
+    def test_enumerate_R_calls_and_cache_entries(self, argv, anchors, monkeypatch, capsys):
+        from rigchar import bijection, cli, riggedsets
+
+        real = riggedsets.enumerate_R
+        calls = []
+
+        def counted(p, m, n):
+            calls.append(None)
+            return real(p, m, n)
+
+        cache = {}
+        monkeypatch.setattr(riggedsets, "_R_CACHE", cache)
+        for module in (riggedsets, bijection):
+            monkeypatch.setattr(module, "enumerate_R", counted)
+        assert cli.main(argv.split()) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert len(calls) == anchors["riggedsets.enumerate_R.calls"]
+        assert len(cache) == anchors["riggedsets.cache_entries"]
 
 
 class TestImportCost:

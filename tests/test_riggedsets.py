@@ -382,6 +382,27 @@ class TestFeasiblePairs:
                                         ref.append((mu, nu, P, Q))
                             assert list(feasible_pairs(p, m, n)) == ref
 
+    def test_shared_scan_equals_feasible_pairs_at_every_l3(self, monkeypatch):
+        # enumerate_R reads its (mu, nu) pairs from one memo entry per
+        # (k, l1, l2, M, N, m, n), built by whichever l3 comes first.
+        from rigchar import riggedsets
+
+        scans = {}
+        monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+        monkeypatch.setattr(riggedsets, "_SCAN_CACHE", scans)
+        for k in range(1, 5):
+            for l1, l2, l3 in legal_labels(k):
+                for M, N in ((0, 0), (1, 2), (2, 1)):
+                    p = Params(k, l1, l2, l3, M, N)
+                    for m in range(4):
+                        for n in range(4):
+                            enumerate_R(p, m, n)
+                            shared = scans[k, l1, l2, M, N, m, n]
+                            assert shared == tuple(feasible_pairs(p, m, n))
+        pairs = sum((k + 1) ** 2 for k in range(1, 5))
+        assert len(scans) == pairs * 3 * 16
+        assert len(riggedsets._R_CACHE) > len(scans)
+
     def test_scan_call_contract(self, monkeypatch):
         # bench/traced.py counts the scan at these two bindings: one
         # vacancy_P call per box pair, mu outer and nu inner, and one
