@@ -154,10 +154,9 @@ def upper_table(k: int, l1: int) -> Mapping[tuple[IndexSet, IndexSet], UpperEntr
     return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
 def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
     """The parameters of the cutoff set with the tau condition switched off
-    (l3 = min(l1, l2)), built once per labels and cutoffs."""
+    (l3 = min(l1, l2))."""
     return Params(k, l1, l2, min(l1, l2), M, N)
 
 
@@ -223,9 +222,14 @@ def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
-# (a, c, primed Params at (M, N-1)) for each term of the recursion sum at p,
-# keyed by p.
-_TERMS: dict[Params, tuple[tuple[int, int, Params], ...]] = {}
+@lru_cache(maxsize=None)
+def _recursion_terms(p: Params) -> tuple[tuple[int, int, Params], ...]:
+    """(a, c, primed Params at (M, N-1)) for each term of the recursion sum at p."""
+    return tuple(
+        (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
+        for a in range(p.l3 + 1)
+        for c in range(p.l2 - a + 1)
+    )
 
 
 def verify_recursion(p: Params, m: int, n: int) -> Report:
@@ -233,16 +237,9 @@ def verify_recursion(p: Params, m: int, n: int) -> Report:
     if p.N < 1:
         raise ValueError("the recursion steps N down; need N >= 1")
     lhs = len(enumerate_R(p, m, n))
-    steps = _TERMS.get(p)
-    if steps is None:
-        steps = _TERMS[p] = tuple(
-            (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
-            for a in range(p.l3 + 1)
-            for c in range(p.l2 - a + 1)
-        )
     terms = []
     rhs = 0
-    for a, c, pp in steps:
+    for a, c, pp in _recursion_terms(p):
         count = len(enumerate_R(pp, m - a, n - a - c))
         terms.append({"a": a, "c": c, "count": count})
         rhs += count

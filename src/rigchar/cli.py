@@ -32,7 +32,6 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
-from functools import lru_cache
 from itertools import chain, product
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -301,32 +300,29 @@ class _Check(NamedTuple):
     run: Callable[..., Report]
 
 
-# A point's Params, built once per (k, labels, M, N) and shared by its weights.
-_params = lru_cache(maxsize=None)(Params)
-
 _CHECKS = {
     "recursion": _Check(
         _labels_l3, 1, True,
         lambda k, l1, l2, l3, M, N, m, n: bijection.verify_recursion(
-            _params(k, l1, l2, l3, M, N), m, n
+            Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "lower-decomp": _Check(
         _labels_l3, 0, True,
         lambda k, l1, l2, l3, M, N, m, n: bijection.verify_lower_decomposition(
-            _params(k, l1, l2, l3, M, N), m, n
+            Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "upper-decomp": _Check(
         _labels_upper, 1, True,
         lambda k, l1, a, c, M, N, m, n: bijection.verify_upper_decomposition(
-            l1, a, c, _params(k, k, k, 0, M, N), m, n
+            l1, a, c, Params(k, k, k, 0, M, N), m, n
         ),
     ),
     "bijection": _Check(
         _labels_pair, 1, True,
         lambda k, l1, l2, M, N, m, n: bijection.verify_bijection(
-            _params(k, l1, l2, min(l1, l2), M, N), m, n
+            Params(k, l1, l2, min(l1, l2), M, N), m, n
         ),
     ),
     "fermionic": _Check(

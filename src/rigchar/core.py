@@ -102,13 +102,20 @@ class Params(Record):
 
     k is the level, l1/l2/l3 the highest-weight labels subject to
     0 <= l1, l2 <= k and 0 <= l3 <= min(l1, l2), and M/N the degree
-    cutoffs.  Illegal labels are rejected at construction.
+    cutoffs.  Illegal labels are rejected at construction.  Each value is
+    checked and built once per process and then shared from _PARAMS, so
+    the caches keyed by Params (_R_CACHE among them) find their keys by
+    identity and never call the Python-level __eq__.
     """
 
     __slots__ = ()
     _fields = ("k", "l1", "l2", "l3", "M", "N")
 
     def __new__(cls, k: int, l1: int, l2: int, l3: int, M: int, N: int) -> "Params":
+        key = (k, l1, l2, l3, M, N)
+        p = _PARAMS.get(key)
+        if p is not None:
+            return p
         if k < 1:
             raise ValueError(f"level k must be >= 1, got {k}")
         if not (0 <= l1 <= k and 0 <= l2 <= k):
@@ -117,7 +124,11 @@ class Params(Record):
             raise ValueError(f"label l3={l3} must lie in [0, min(l1, l2)={min(l1, l2)}]")
         if M < 0 or N < 0:
             raise ValueError(f"cutoffs M={M}, N={N} must be >= 0")
-        return tuple.__new__(cls, (k, l1, l2, l3, M, N))
+        p = _PARAMS[key] = tuple.__new__(cls, key)
+        return p
+
+
+_PARAMS: dict[tuple[int, ...], Params] = {}
 
 
 class KVector(tuple):

@@ -113,26 +113,22 @@ class TestPointMemos:
 
     CUTOFFS = ((0, 1), (2, 1), (1, 3))  # (M, N), each with N >= 1
 
-    def test_recursion_terms(self, monkeypatch):
-        import rigchar.bijection as bijection
+    def test_recursion_terms(self):
+        from rigchar.bijection import _recursion_terms
 
-        terms = {}
-        monkeypatch.setattr(bijection, "_TERMS", terms)
         for k in range(1, 5):
             for l1, l2, l3 in legal_labels(k):
                 for M, N in self.CUTOFFS:
                     p = Params(k, l1, l2, l3, M, N)
-                    rep = verify_recursion(p, 0, 0)
-                    expected = tuple(
+                    assert _recursion_terms(p) == tuple(
                         (a, c, Params(k, *primed_labels(k, l1, a, c), M, N - 1))
                         for a in range(l3 + 1)
                         for c in range(l2 - a + 1)
                     )
-                    assert terms[p] == expected
+                    rep = verify_recursion(p, 0, 0)
                     assert [(t["a"], t["c"]) for t in rep.detail["terms"]] == [
-                        (a, c) for a, c, _ in expected
+                        (a, c) for a, c, _ in _recursion_terms(p)
                     ]
-        assert len(terms) == sum(len(list(legal_labels(k))) for k in range(1, 5)) * 3
 
     def test_lower_pairs(self):
         from rigchar.bijection import _lower_pairs
@@ -180,16 +176,6 @@ class TestPointMemos:
                                      up, len(I), len(J))
                                 )
                         assert list(_bijection_rows(p)) == expected
-
-    def test_cli_params(self):
-        from rigchar.cli import _params
-
-        for k in range(1, 5):
-            for l1, l2, l3 in legal_labels(k):
-                for M, N in self.CUTOFFS:
-                    p = _params(k, l1, l2, l3, M, N)
-                    assert p == Params(k, l1, l2, l3, M, N)
-                    assert _params(k, l1, l2, l3, M, N) is p
 
 
 class TestMarkedBound:

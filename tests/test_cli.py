@@ -685,10 +685,10 @@ class TestBlockScheduler:
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
-        # Run every point against an empty rigged-set cache, scan memo and
-        # recursion-term memo: each entry it creates must have the point's
-        # k and M, or two blocks would repeat each other's work.
-        from rigchar import bijection, cli, riggedsets
+        # Run every point against an empty rigged-set cache and scan memo:
+        # each entry it creates must have the point's k and M, or two
+        # blocks would repeat each other's work.
+        from rigchar import cli, riggedsets
 
         check = _CHECKS[what]
         grid = ["--max-k", "2", "--max-M", "2", "--max-N", "2"]
@@ -696,19 +696,17 @@ class TestBlockScheduler:
             grid += ["--max-weight", "2"]
         m_at = len(check.labels(1)[0]) + 1  # M's place in a point
         check_point = cli._check_point
-        built = {"pieces": [], "scans": [], "terms": []}
+        built = {"pieces": [], "scans": []}
         stray = []
 
         def isolated(what, point):
-            pieces, scans, terms = {}, {}, {}
+            pieces, scans = {}, {}
             monkeypatch.setattr(riggedsets, "_R_CACHE", pieces)
             monkeypatch.setattr(riggedsets, "_SCAN_CACHE", scans)
-            monkeypatch.setattr(bijection, "_TERMS", terms)
             failure = check_point(what, point)
             keys = {
                 "pieces": [(p.k, p.M) for p, _, _ in pieces],
                 "scans": [(k, M) for k, _, _, M, *_ in scans],
-                "terms": [(p.k, p.M) for p in terms],
             }
             for name, found in keys.items():
                 built[name].extend(found)
@@ -719,7 +717,6 @@ class TestBlockScheduler:
         assert cli.main(["verify", what, *grid, "--jobs", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
         assert built["pieces"] and built["scans"]
-        assert bool(built["terms"]) == (what == "recursion")
         assert stray == []
 
 

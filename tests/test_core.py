@@ -43,6 +43,13 @@ class TestParams:
     def test_valid(self):
         Params(3, 1, 2, 1, 0, 4)
 
+    def test_each_value_is_built_once(self):
+        # Caches keyed by Params rely on finding their keys by identity.
+        p = Params(3, 1, 2, 1, 0, 4)
+        assert Params(3, 1, 2, 1, 0, 4) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+        assert Params(3, 1, 2, 0, 0, 4) is not p
+
     @pytest.mark.parametrize(
         "bad",
         [
