@@ -8,7 +8,6 @@ exhaustively at small levels.
 """
 
 from .admissible import (
-    IndexSet,
     delta_r,
     delta_s,
     epsilon,
@@ -65,7 +64,6 @@ from .riggedsets import (
 )
 
 __all__ = [
-    "IndexSet",
     "KVector",
     "LaurentPoly",
     "MarkedBound",

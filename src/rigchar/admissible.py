@@ -1,58 +1,30 @@
 """Index-set machinery for admissible pairs.
 
+An index set is a strictly increasing tuple of members of {1, ..., k};
+each function that needs the level k takes it as its first argument.
 Staircase vectors kappa/epsilon, the labelling of the complement of J
 above l1, (l1,l2)-admissibility, the pair map from (I, J) to
-(tilde I, tilde J), and the bound vectors rho, sigma, rho', sigma',
-delta_r and delta_s.  A bound vector is a plain tuple whose entry alpha-1
-is its component alpha, each one a single staircase difference (kappa).
+(tilde I, tilde J), the bound vectors rho, sigma, rho', sigma', delta_r
+and delta_s, and the terms of the recursion sum.  A bound vector is a
+plain tuple whose entry alpha-1 is its component alpha, each one a single
+staircase difference (kappa).
 
-Every function recomputes from scratch: the sets involved have at most
-2^k elements and purity keeps the exhaustive tests trivial to trust.
+Every function but the recursion-term memo recomputes from scratch: the
+sets involved have at most 2^k elements and purity keeps the exhaustive
+tests trivial to trust.
 """
 
 from __future__ import annotations
 
-from .core import Record, pos_part
+from functools import lru_cache
 
-
-class IndexSet(Record):
-    """A strictly increasing subset of {1, ..., k} with its ambient level.
-
-    len, iteration and `in` are over the members.
-    """
-
-    __slots__ = ()
-    _fields = ("k", "members")
-
-    def __new__(cls, k: int, members: tuple[int, ...]) -> "IndexSet":
-        for i, v in enumerate(members):
-            if not 1 <= v <= k:
-                raise ValueError(f"member {v} outside 1..{k}")
-            if i and members[i - 1] >= v:
-                raise ValueError("members must be strictly increasing")
-        return tuple.__new__(cls, (k, members))
-
-    @classmethod
-    def of(cls, k: int, members) -> "IndexSet":
-        ms = tuple(sorted(members))
-        if len(set(ms)) != len(ms):
-            raise ValueError("members must be distinct")
-        return cls(k, ms)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, v) -> bool:
-        return v in self.members
+from .core import Params, pos_part
 
 
 def all_index_sets(k: int):
-    """All 2^k subsets in a fixed canonical (bitmask) order."""
+    """All 2^k subsets of {1, ..., k} in a fixed canonical (bitmask) order."""
     for mask in range(1 << k):
-        yield IndexSet.of(k, tuple(i + 1 for i in range(k) if mask >> i & 1))
+        yield tuple(i + 1 for i in range(k) if mask >> i & 1)
 
 
 def kappa(k: int, plus, minus=()) -> tuple[int, ...]:
@@ -67,13 +39,12 @@ def kappa(k: int, plus, minus=()) -> tuple[int, ...]:
     )
 
 
-def epsilon(I: IndexSet) -> tuple[int, ...]:
+def epsilon(k: int, I: tuple[int, ...]) -> tuple[int, ...]:
     """Entry alpha is [alpha in I] - [alpha+1 in I]."""
-    ms = I.members
-    return tuple((a in ms) - (a + 1 in ms) for a in range(1, I.k + 1))
+    return tuple((a in I) - (a + 1 in I) for a in range(1, k + 1))
 
 
-def label_complement(J: IndexSet, l1: int) -> tuple[int, ...]:
+def label_complement(k: int, J: tuple[int, ...], l1: int) -> tuple[int, ...]:
     """The labels v'_1..v'_p of the complement of J inside [l1+1, k], where
     p is the number of members of J up to l1.
 
@@ -81,31 +52,28 @@ def label_complement(J: IndexSet, l1: int) -> tuple[int, ...]:
     decreasing order; where it has fewer, the literal padding value k+1
     fills the first entries.  Its values past the p-th form the w block.
     """
-    k = J.k
     if not 0 <= l1 <= k:
         raise ValueError(f"l1={l1} outside 0..{k}")
-    p = sum(1 for v in J.members if v <= l1)
-    comp = [v for v in range(l1 + 1, k + 1) if v not in J.members]
+    p = sum(1 for v in J if v <= l1)
+    comp = [v for v in range(l1 + 1, k + 1) if v not in J]
     vprime = [k + 1] * p
     for j, value in enumerate(comp[:p]):
         vprime[p - 1 - j] = value
     return tuple(vprime)
 
 
-def is_admissible(I: IndexSet, J: IndexSet, l1: int, l2: int) -> bool:
+def is_admissible(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int, l2: int) -> bool:
     """(l1, l2)-admissibility: |I| <= p, |J| <= l2 and v_i <= u_i < v'_i."""
-    if I.k != J.k:
-        raise ValueError("I and J live at different levels")
-    vprime = label_complement(J, l1)
+    vprime = label_complement(k, J, l1)
     if len(I) > len(vprime) or len(J) > l2:
         return False
     # |I| <= p = len(vprime) <= |J|, so the zip runs over all of I.
-    return all(v <= u < vp for u, v, vp in zip(I.members, J.members, vprime))
+    return all(v <= u < vp for u, v, vp in zip(I, J, vprime))
 
 
-def is_l1_admissible(I: IndexSet, J: IndexSet, l1: int) -> bool:
+def is_l1_admissible(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> bool:
     """(l1, k)-admissibility; the second cardinality bound is vacuous."""
-    return is_admissible(I, J, l1, I.k)
+    return is_admissible(k, I, J, l1, k)
 
 
 def primed_labels(k: int, l1: int, a: int, c: int) -> tuple[int, int, int]:
@@ -115,81 +83,95 @@ def primed_labels(k: int, l1: int, a: int, c: int) -> tuple[int, int, int]:
     return l1p, l2p, l1p + l2p - k
 
 
-def tilde_pair(I: IndexSet, J: IndexSet, l1: int) -> tuple[IndexSet, IndexSet]:
+@lru_cache(maxsize=None)
+def recursion_terms(p: Params) -> tuple[tuple[int, int, Params], ...]:
+    """(a, c, primed Params at (M, N-1)) for each term of the recursion sum
+    at p, which needs N >= 1: a runs over 0..l3 and c over 0..l2-a."""
+    return tuple(
+        (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
+        for a in range(p.l3 + 1)
+        for c in range(p.l2 - a + 1)
+    )
+
+
+def tilde_pair(
+    k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Map an l1-admissible pair (I, J) to (tilde I, tilde J).
 
     Identity when l1 + c >= k.  Otherwise tilde I absorbs the complement
     labels with index <= |I| together with the w block, and tilde J keeps
-    the part of J below the first absorbed label.
+    the part of J below the first absorbed label.  An absorbed label that
+    is already a member of I is an error: it would make tilde I a
+    multiset, which no admissible pair yields.
     """
-    if not is_l1_admissible(I, J, l1):
+    if not is_l1_admissible(k, I, J, l1):
         raise ValueError("pair is not l1-admissible")
-    k = I.k
     a = len(I)
     c = len(J) - a
     if l1 + c >= k:
         return I, J
-    p = len(label_complement(J, l1))
-    comp = [v for v in range(l1 + 1, k + 1) if v not in J.members]
+    p = len(label_complement(k, J, l1))
+    comp = [v for v in range(l1 + 1, k + 1) if v not in J]
     absorbed = comp[p - a:]
-    tI = IndexSet.of(k, I.members + tuple(absorbed))
+    tI = tuple(sorted((*I, *absorbed)))
+    if len(set(tI)) != len(tI):
+        raise ValueError(f"tilde I {tI} has a repeated member")
     boundary = absorbed[0]
-    tJ = IndexSet.of(k, tuple(v for v in J.members if v < boundary))
+    tJ = tuple(v for v in J if v < boundary)
     return tI, tJ
 
 
-def rho(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+def rho(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> tuple[int, ...]:
     """Lower bounds on the bottom riggings of mu, from the pair (I, J):
     kappa(v_1..v_p) - kappa(u_1..u_a) - kappa(v'_(a+1)..v'_p)."""
-    if not is_l1_admissible(I, J, l1):
+    if not is_l1_admissible(k, I, J, l1):
         raise ValueError("pair is not l1-admissible")
-    vprime = label_complement(J, l1)
-    return kappa(I.k, J.members[: len(vprime)], I.members + vprime[len(I):])
+    vprime = label_complement(k, J, l1)
+    return kappa(k, J[: len(vprime)], I + vprime[len(I):])
 
 
-def sigma(J: IndexSet, l2: int) -> tuple[int, ...]:
+def sigma(k: int, J: tuple[int, ...], l2: int) -> tuple[int, ...]:
     """Lower bounds on the bottom riggings of nu: kappa[1, l2] - kappa(J)."""
     if len(J) > l2:
         raise ValueError(f"|J|={len(J)} exceeds l2={l2}")
-    return kappa(J.k, range(1, l2 + 1), J.members)
+    return kappa(k, range(1, l2 + 1), J)
 
 
-def delta_r(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+def delta_r(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> tuple[int, ...]:
     """Change of the r upper bounds across one recursion step:
     kappa(J) + kappa[l1'+1, k] - 2 kappa(I) - kappa[l1+1, k].
 
     Equals vacancy_P at (l1) minus vacancy_P at (l1') whenever the
     partitions differ by epsilon(I), epsilon(J).
     """
-    k = I.k
     a = len(I)
     l1p, _, _ = primed_labels(k, l1, a, len(J) - a)
     return kappa(k, (*J, *range(l1p + 1, k + 1)), (*I, *I, *range(l1 + 1, k + 1)))
 
 
-def delta_s(I: IndexSet, J: IndexSet, l1: int, l2: int) -> tuple[int, ...]:
+def delta_s(
+    k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int, l2: int
+) -> tuple[int, ...]:
     """Change of the s upper bounds across one recursion step:
     kappa(I) + kappa[1, l2] + kappa[l2'+1, k] - 2 kappa(J)."""
-    k = I.k
     a = len(I)
     _, l2p, _ = primed_labels(k, l1, a, len(J) - a)
     return kappa(k, (*I, *range(1, l2 + 1), *range(l2p + 1, k + 1)), (*J, *J))
 
 
-def rho_prime(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+def rho_prime(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> tuple[int, ...]:
     """Shifted lower bounds for r: kappa(tilde I) - kappa[l1'+1, k]."""
-    k = I.k
     a = len(I)
     l1p, _, _ = primed_labels(k, l1, a, len(J) - a)
-    tI, _ = tilde_pair(I, J, l1)  # rejects a pair that is not l1-admissible
-    return kappa(k, tI.members, range(l1p + 1, k + 1))
+    tI, _ = tilde_pair(k, I, J, l1)  # rejects a pair that is not l1-admissible
+    return kappa(k, tI, range(l1p + 1, k + 1))
 
 
-def sigma_prime(I: IndexSet, J: IndexSet, l1: int) -> tuple[int, ...]:
+def sigma_prime(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> tuple[int, ...]:
     """Shifted lower bounds for s: kappa(J) - kappa(I) - kappa[l2'+1, k]."""
-    if not is_l1_admissible(I, J, l1):
+    if not is_l1_admissible(k, I, J, l1):
         raise ValueError("pair is not l1-admissible")
-    k = I.k
     a = len(I)
     _, l2p, _ = primed_labels(k, l1, a, len(J) - a)
-    return kappa(k, J.members, (*I, *range(l2p + 1, k + 1)))
+    return kappa(k, J, (*I, *range(l2p + 1, k + 1)))

@@ -23,7 +23,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .admissible import (
-    IndexSet,
     all_index_sets,
     delta_r,
     delta_s,
@@ -31,6 +30,7 @@ from .admissible import (
     is_admissible,
     is_l1_admissible,
     primed_labels,
+    recursion_terms,
     rho,
     rho_prime,
     sigma,
@@ -82,25 +82,26 @@ def _joined(br: MarkedBound, bs: MarkedBound) -> MarkedBound:
     return MarkedBound(br.value + bs.value, br.marked + bs.marked)
 
 
-def lower_bounds(I: IndexSet, J: IndexSet, p: Params) -> MarkedBound | None:
+def lower_bounds(I: tuple[int, ...], J: tuple[int, ...], p: Params) -> MarkedBound | None:
     """Marked lower bound of the lower subset, rho on r and sigma on s, or
     None if the pair is not (l1, l2)-admissible."""
-    if not is_admissible(I, J, p.l1, p.l2):
+    k = p.k
+    if not is_admissible(k, I, J, p.l1, p.l2):
         return None
     return _joined(
-        MarkedBound(rho(I, J, p.l1), tuple(e == 1 for e in epsilon(I))),
-        MarkedBound(sigma(J, p.l2), tuple(e == 1 for e in epsilon(J))),
+        MarkedBound(rho(k, I, J, p.l1), tuple(e == 1 for e in epsilon(k, I))),
+        MarkedBound(sigma(k, J, p.l2), tuple(e == 1 for e in epsilon(k, J))),
     )
 
 
-def upper_bounds(I: IndexSet, J: IndexSet, l1: int) -> MarkedBound | None:
+def upper_bounds(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> MarkedBound | None:
     """Marked lower bound of the upper subset, rho' on r and sigma' on s, or
     None if the pair is not l1-admissible."""
-    if not is_l1_admissible(I, J, l1):
+    if not is_l1_admissible(k, I, J, l1):
         return None
     return _joined(
-        MarkedBound(rho_prime(I, J, l1), tuple(e == -1 for e in epsilon(I))),
-        MarkedBound(sigma_prime(I, J, l1), tuple(e == -1 for e in epsilon(J))),
+        MarkedBound(rho_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, I))),
+        MarkedBound(sigma_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, J))),
     )
 
 
@@ -124,30 +125,32 @@ class UpperEntry(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[IndexSet, IndexSet], LowerEntry]:
+def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[tuple, tuple], LowerEntry]:
     """Every (l1, l2)-admissible (I, J) at level k with its lower-subset
     data, in all_index_sets order (I outer, J inner)."""
     p = Params(k, l1, l2, min(l1, l2), 0, 0)
+    sets = tuple(all_index_sets(k))
     table = {}
-    for I in all_index_sets(k):
-        for J in all_index_sets(k):
+    for I in sets:
+        for J in sets:
             bound = lower_bounds(I, J, p)
             if bound is None:
                 continue
             table[I, J] = LowerEntry(
-                bound, epsilon(I), epsilon(J), delta_r(I, J, l1), delta_s(I, J, l1, l2)
+                bound, epsilon(k, I), epsilon(k, J), delta_r(k, I, J, l1), delta_s(k, I, J, l1, l2)
             )
     return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
-def upper_table(k: int, l1: int) -> Mapping[tuple[IndexSet, IndexSet], UpperEntry]:
+def upper_table(k: int, l1: int) -> Mapping[tuple[tuple, tuple], UpperEntry]:
     """Every l1-admissible (I, J) at level k with its upper-subset data,
     in all_index_sets order (I outer, J inner)."""
+    sets = tuple(all_index_sets(k))
     table = {}
-    for I in all_index_sets(k):
-        for J in all_index_sets(k):
-            bound = upper_bounds(I, J, l1)
+    for I in sets:
+        for J in sets:
+            bound = upper_bounds(k, I, J, l1)
             if bound is None:
                 continue
             table[I, J] = UpperEntry(bound, primed_labels(k, l1, len(I), len(J) - len(I)))
@@ -160,7 +163,7 @@ def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
     return Params(k, l1, l2, min(l1, l2), M, N)
 
 
-def lower_member(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> bool:
+def lower_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
     entry = lower_table(p.k, p.l1, p.l2).get((I, J))
     if entry is None or not entry.bound.satisfied_by(x.r.rows + x.s.rows):
@@ -168,7 +171,7 @@ def lower_member(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> bool:
     return satisfies_cutoffs(x, p)
 
 
-def upper_member(x: RiggedPair, I: IndexSet, J: IndexSet, l1: int, p: Params) -> bool:
+def upper_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], l1: int, p: Params) -> bool:
     """Membership of x in the upper subset attached to (I, J) at (M, N-1).
 
     Only k, M and N are read from p; the labels come from l1 and the
@@ -183,7 +186,7 @@ def upper_member(x: RiggedPair, I: IndexSet, J: IndexSet, l1: int, p: Params) ->
     return satisfies_cutoffs(x, _tau_free(p.k, l1p, l2p, p.M, p.N - 1))
 
 
-def map_m(x: RiggedPair, I: IndexSet, J: IndexSet, p: Params) -> RiggedPair:
+def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> RiggedPair:
     """The rigging map from the upper subset onto the lower subset.
 
     Multiplicities shift by epsilon; surviving riggings shift by
@@ -222,16 +225,6 @@ def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
-@lru_cache(maxsize=None)
-def _recursion_terms(p: Params) -> tuple[tuple[int, int, Params], ...]:
-    """(a, c, primed Params at (M, N-1)) for each term of the recursion sum at p."""
-    return tuple(
-        (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
-        for a in range(p.l3 + 1)
-        for c in range(p.l2 - a + 1)
-    )
-
-
 def verify_recursion(p: Params, m: int, n: int) -> Report:
     """Compare the cardinality of one graded piece against the recursion sum."""
     if p.N < 1:
@@ -239,7 +232,7 @@ def verify_recursion(p: Params, m: int, n: int) -> Report:
     lhs = len(enumerate_R(p, m, n))
     terms = []
     rhs = 0
-    for a, c, pp in _recursion_terms(p):
+    for a, c, pp in recursion_terms(p):
         count = len(enumerate_R(pp, m - a, n - a - c))
         terms.append({"a": a, "c": c, "count": count})
         rhs += count

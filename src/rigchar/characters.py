@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .admissible import primed_labels
+from .admissible import recursion_terms
 from .core import Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
@@ -355,12 +355,10 @@ def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> R
     lhs = char_R(p)
     rhs = LaurentPoly.zero()
     q_z2 = LaurentPoly.monomial(1, 0, 1, 1)
-    for a in range(l3 + 1):
-        for c in range(l2 - a + 1):
-            l1p, l2p, l3p = primed_labels(k, l1, a, c)
-            chi = char_R(Params(k, l1p, l2p, l3p, M, N - 1))
-            chi = chi.substitute({"z2": q_z2})
-            rhs = rhs + LaurentPoly.monomial(1, a, a + c, a + c) * chi
+    for a, c, pp in recursion_terms(p):
+        chi = char_R(pp)
+        chi = chi.substitute({"z2": q_z2})
+        rhs = rhs + LaurentPoly.monomial(1, a, a + c, a + c) * chi
     ok = lhs == rhs
     return Report(
         ok=ok,

@@ -73,13 +73,12 @@ class Record(tuple):
     __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
-        # tuple.__iter__: a subclass may iterate over something else.
-        fields = zip(self._fields, tuple.__iter__(self))
+        fields = zip(self._fields, self)
         return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __reduce__(self):
         # Unpickling and copying rebuild the value through its checks.
-        return type(self), tuple.__getitem__(self, slice(len(self._fields)))
+        return type(self), self[: len(self._fields)]
 
 
 class Report(Record):

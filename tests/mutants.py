@@ -157,8 +157,8 @@ MUTANTS = (
     ),
     Mutant(
         "eps", "admissible.py",
-        "(a in ms) - (a + 1 in ms)",
-        "(a in ms) - (a - 1 in ms)",
+        "(a in I) - (a + 1 in I)",
+        "(a in I) - (a - 1 in I)",
         "011100",
     ),
     Mutant(
@@ -181,14 +181,14 @@ MUTANTS = (
     ),
     Mutant(
         "sigma", "admissible.py",
-        "kappa(J.k, range(1, l2 + 1), J.members)",
-        "kappa(J.k, range(1, l2), J.members)",
+        "kappa(k, range(1, l2 + 1), J)",
+        "kappa(k, range(1, l2), J)",
         "010100",
     ),
     Mutant(
         "rho'", "admissible.py",
-        "kappa(k, tI.members, range(l1p + 1, k + 1))",
-        "kappa(k, tI.members, range(l1p + 2, k + 1))",
+        "kappa(k, tI, range(l1p + 1, k + 1))",
+        "kappa(k, tI, range(l1p + 2, k + 1))",
         "001100",
     ),
     Mutant(
@@ -200,14 +200,14 @@ MUTANTS = (
     # bijection
     Mutant(
         "mark", "bijection.py",
-        "MarkedBound(rho(I, J, p.l1), tuple(e == 1 for e in epsilon(I)))",
-        "MarkedBound(rho(I, J, p.l1), tuple(False for e in epsilon(I)))",
+        "MarkedBound(rho(k, I, J, p.l1), tuple(e == 1 for e in epsilon(k, I)))",
+        "MarkedBound(rho(k, I, J, p.l1), tuple(False for e in epsilon(k, I)))",
         "010100",
     ),
     Mutant(
         "markU", "bijection.py",
-        "MarkedBound(sigma_prime(I, J, l1), tuple(e == -1 for e in epsilon(J)))",
-        "MarkedBound(sigma_prime(I, J, l1), tuple(e == 1 for e in epsilon(J)))",
+        "MarkedBound(sigma_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, J)))",
+        "MarkedBound(sigma_prime(k, I, J, l1), tuple(e == 1 for e in epsilon(k, J)))",
         "001100",
     ),
     # characters

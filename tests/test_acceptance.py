@@ -13,7 +13,6 @@ from itertools import combinations_with_replacement
 from operator import add, sub
 
 from rigchar.admissible import (
-    IndexSet,
     all_index_sets,
     delta_r,
     delta_s,
@@ -211,28 +210,28 @@ def test_criterion_7_property_suites():
     ok = True
 
     # staircase vectors: worked example and additivity
-    ok = ok and kappa(5, IndexSet.of(5, (2, 4, 5))) == (0, 1, 1, 2, 3)
+    ok = ok and kappa(5, (2, 4, 5)) == (0, 1, 1, 2, 3)
     for k in range(1, 6):
         sets = list(all_index_sets(k))
         for I1 in sets:
             for I2 in sets:
-                if set(I1.members) & set(I2.members):
+                if set(I1) & set(I2):
                     continue
-                u = IndexSet.of(k, I1.members + I2.members)
+                u = tuple(sorted(I1 + I2))
                 ok = ok and kappa(k, u) == tuple(map(add, kappa(k, I1), kappa(k, I2)))
-                ok = ok and epsilon(u) == tuple(map(add, epsilon(I1), epsilon(I2)))
+                ok = ok and epsilon(k, u) == tuple(map(add, epsilon(k, I1), epsilon(k, I2)))
 
     # bound vectors: non-negativity and vanishing k-th entries
     for k in range(1, 5):
         for l1 in range(k + 1):
             for I in all_index_sets(k):
                 for J in all_index_sets(k):
-                    if not is_l1_admissible(I, J, l1):
+                    if not is_l1_admissible(k, I, J, l1):
                         continue
-                    ok = ok and min(rho(I, J, l1)) >= 0
-                    ok = ok and min(sigma(J, k)) >= 0
-                    rp = rho_prime(I, J, l1)
-                    sp = sigma_prime(I, J, l1)
+                    ok = ok and min(rho(k, I, J, l1)) >= 0
+                    ok = ok and min(sigma(k, J, k)) >= 0
+                    rp = rho_prime(k, I, J, l1)
+                    sp = sigma_prime(k, I, J, l1)
                     ok = ok and min(rp) >= 0 and min(sp) >= 0
                     ok = ok and rp[-1] == 0 and sp[-1] == 0
 
@@ -242,11 +241,11 @@ def test_criterion_7_property_suites():
             for J in all_index_sets(k):
                 b = len(J)
                 diff = kappa(k, J, range(l1 + 1, l1 + b + 1))
-                vprime = label_complement(J, l1)
+                vprime = label_complement(k, J, l1)
                 # sum over i <= p of kappa(v_i) - kappa(v'_i), one index at a time
                 rhs = (0,) * k
                 for i in range(len(vprime)):
-                    step = kappa(k, (J.members[i],), (vprime[i],))
+                    step = kappa(k, (J[i],), (vprime[i],))
                     rhs = tuple(map(add, rhs, step))
                 ok = ok and tuple(map(pos_part, diff)) == rhs
 
@@ -297,24 +296,24 @@ def test_criterion_7_property_suites():
     checked = 0
     while checked < 500:
         k = rng.randint(1, 3)
-        I = IndexSet.of(k, [i for i in range(1, k + 1) if rng.random() < 0.5])
-        J = IndexSet.of(k, [i for i in range(1, k + 1) if rng.random() < 0.5])
+        I = tuple(i for i in range(1, k + 1) if rng.random() < 0.5)
+        J = tuple(i for i in range(1, k + 1) if rng.random() < 0.5)
         a, b = len(I), len(J)
         if b < a:
             continue
         l1, l2 = rng.randint(0, k), rng.randint(0, k)
         mup = tuple(rng.randint(0, 2) for _ in range(k))
         nup = tuple(rng.randint(0, 2) for _ in range(k))
-        mu = tuple(map(add, mup, epsilon(I)))
-        nu = tuple(map(add, nup, epsilon(J)))
+        mu = tuple(map(add, mup, epsilon(k, I)))
+        nu = tuple(map(add, nup, epsilon(k, J)))
         if min(mu + nu) < 0:
             continue
         M, N = rng.randint(0, 2), rng.randint(1, 2)
         l1p, l2p, _ = primed_labels(k, l1, a, b - a)
         dr = map(sub, vacancy_P(mu, nu, M, l1), vacancy_P(mup, nup, M, l1p))
         ds = map(sub, vacancy_Q(mu, nu, N, l2), vacancy_Q(mup, nup, N - 1, l2p))
-        ok = ok and tuple(dr) == delta_r(I, J, l1)
-        ok = ok and tuple(ds) == delta_s(I, J, l1, l2)
+        ok = ok and tuple(dr) == delta_r(k, I, J, l1)
+        ok = ok and tuple(ds) == delta_s(k, I, J, l1, l2)
         checked += 1
 
     _report(7, "property-suites", ok)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigchar import admissible
 from rigchar.admissible import (
-    IndexSet,
     all_index_sets,
     delta_r,
     delta_s,
@@ -32,18 +32,18 @@ def admissible_pairs(k, l1, l2=None):
         l2 = k
     for I in all_index_sets(k):
         for J in all_index_sets(k):
-            if is_admissible(I, J, l1, l2):
+            if is_admissible(k, I, J, l1, l2):
                 yield I, J
 
 
-def untilde_pair(tI, tJ, l1):
+def untilde_pair(k, tI, tJ, l1):
     """The inverse of tilde_pair on pairs meeting its image conditions, from
     the paper's formula; a reference for the round trips, not program code.
 
     The split size a is forced: |tJ| = a + u_{a+1} - l1 - 1 is strictly
     increasing in a, so at most one a can match.
     """
-    u = tI.members
+    u = tI
     split = next(
         (a for a in range(len(u)) if a + u[a] - l1 - 1 == len(tJ)), None
     )
@@ -52,12 +52,12 @@ def untilde_pair(tI, tJ, l1):
     ua1 = u[split]
     if ua1 < l1 + 1:
         raise ValueError(f"element u_{split + 1}={ua1} must be >= l1+1")
-    if any(tJ.members[i] > u[i] for i in range(split)):
+    if any(tJ[i] > u[i] for i in range(split)):
         raise ValueError("condition v_i <= u_i fails")
-    if tJ.members and tJ.members[-1] >= ua1:
+    if tJ and tJ[-1] >= ua1:
         raise ValueError("tilde J must stay below u_{a+1}")
-    extra = tuple(v for v in range(ua1, tI.k + 1) if v not in u)
-    return IndexSet.of(tI.k, u[:split]), IndexSet.of(tI.k, tJ.members + extra)
+    extra = tuple(v for v in range(ua1, k + 1) if v not in u)
+    return u[:split], tJ + extra
 
 
 def staircase(k, i):
@@ -73,16 +73,15 @@ def signed_sum(k, terms):
     return out
 
 
-def reference_bounds(I, J, l1, l2):
+def reference_bounds(k, I, J, l1, l2):
     """The six bound vectors of an l1-admissible (I, J) with |J| <= l2, each
     summed index by index from one-element staircases as the paper writes
     it; a reference for the kappa differences, not program code."""
-    k = I.k
-    u, v = I.members, J.members
+    u, v = I, J
     a = len(u)
-    vprime = label_complement(J, l1)
+    vprime = label_complement(k, J, l1)
     l1p, l2p, _ = primed_labels(k, l1, a, len(v) - a)
-    tI, _ = tilde_pair(I, J, l1)
+    tI, _ = tilde_pair(k, I, J, l1)
     rho_terms = []
     for i in range(len(vprime)):
         # v_i - u_i for i <= a, then v_i - v'_i up to p.
@@ -104,9 +103,43 @@ def reference_bounds(I, J, l1, l2):
     }
 
 
+class TestIndexSets:
+    """An index set is a plain, strictly increasing tuple over 1..k."""
+
+    @staticmethod
+    def is_index_set(k, I):
+        return (
+            type(I) is tuple
+            and all(1 <= v <= k for v in I)
+            and all(u < v for u, v in zip(I, I[1:]))
+        )
+
+    def test_all_index_sets_in_bitmask_order(self):
+        for k in range(6):
+            sets = list(all_index_sets(k))
+            assert len(sets) == len(set(sets)) == 2**k
+            for mask, I in enumerate(sets):
+                assert self.is_index_set(k, I)
+                assert sum(1 << (v - 1) for v in I) == mask
+
+    def test_tilde_pair_yields_index_sets(self):
+        for k in range(1, 6):
+            for l1 in range(k + 1):
+                for I, J in admissible_pairs(k, l1):
+                    tI, tJ = tilde_pair(k, I, J, l1)
+                    assert self.is_index_set(k, tI) and self.is_index_set(k, tJ)
+
+    def test_tilde_pair_rejects_a_repeated_member(self, monkeypatch):
+        # ({2}, {1}) at k = 2, l1 = 1 fails only u_1 < v'_1 = 2; let through,
+        # tilde I would absorb 2 a second time.
+        monkeypatch.setattr(admissible, "is_l1_admissible", lambda *args: True)
+        with pytest.raises(ValueError, match="repeated member"):
+            tilde_pair(2, (2,), (1,), 1)
+
+
 class TestKappaEpsilon:
     def test_kappa_worked_example(self):
-        assert kappa(5, IndexSet.of(5, (2, 4, 5))) == (0, 1, 1, 2, 3)
+        assert kappa(5, (2, 4, 5)) == (0, 1, 1, 2, 3)
 
     def test_kappa_empty(self):
         assert kappa(4, ()) == (0, 0, 0, 0)
@@ -131,21 +164,21 @@ class TestKappaEpsilon:
                     )
 
     def test_epsilon_worked_example(self):
-        assert epsilon(IndexSet.of(5, (2, 4, 5))) == (-1, 1, -1, 0, 1)
+        assert epsilon(5, (2, 4, 5)) == (-1, 1, -1, 0, 1)
 
     def test_epsilon_empty(self):
-        assert epsilon(IndexSet.of(3, ())) == (0, 0, 0)
+        assert epsilon(3, ()) == (0, 0, 0)
 
     def test_epsilon_boundary(self):
         # no alpha+1 term exists at the boundary, so the k-th entry is 1
-        assert epsilon(IndexSet.of(1, (1,))) == (1,)
+        assert epsilon(1, (1,)) == (1,)
         for k in range(2, 6):
-            assert epsilon(IndexSet.of(k, (k,)))[-1] == 1
+            assert epsilon(k, (k,))[-1] == 1
 
     def test_epsilon_reduces_to_kappa_differences(self):
         for k in range(1, 6):
             for I in all_index_sets(k):
-                e = epsilon(I)
+                e = epsilon(k, I)
                 kap = (0, *kappa(k, I))
                 for a in range(1, k + 1):
                     expect = kap[a] - kap[a - 1] - (1 if a + 1 in I else 0)
@@ -157,27 +190,27 @@ class TestKappaEpsilon:
             sets = list(all_index_sets(k))
             for I1 in sets:
                 for I2 in sets:
-                    if set(I1.members) & set(I2.members):
+                    if set(I1) & set(I2):
                         continue
-                    u = IndexSet.of(k, I1.members + I2.members)
+                    u = tuple(sorted(I1 + I2))
                     assert kappa(k, u) == tuple(map(add, kappa(k, I1), kappa(k, I2)))
-                    assert epsilon(u) == tuple(map(add, epsilon(I1), epsilon(I2)))
+                    assert epsilon(k, u) == tuple(map(add, epsilon(k, I1), epsilon(k, I2)))
 
     def test_weight_shift_is_cardinality(self):
         for k in range(1, 6):
             for I in all_index_sets(k):
-                assert sum(a * e for a, e in enumerate(epsilon(I), start=1)) == len(I)
+                assert sum(a * e for a, e in enumerate(epsilon(k, I), start=1)) == len(I)
 
 
 class TestLabelComplement:
     def test_empty_interval(self):
-        assert label_complement(IndexSet.of(3, ()), 3) == ()
+        assert label_complement(3, (), 3) == ()
 
     def test_big_b_case(self):
-        assert label_complement(IndexSet.of(3, (1, 3)), 1) == (2,)
+        assert label_complement(3, (1, 3), 1) == (2,)
 
     def test_small_b_case(self):
-        assert label_complement(IndexSet.of(4, (1,)), 1) == (2,)
+        assert label_complement(4, (1,), 1) == (2,)
 
     def test_t_field(self):
         # The padding value k+1 fills exactly the indices i < t, where
@@ -185,7 +218,7 @@ class TestLabelComplement:
         for k in range(1, 5):
             for l1 in range(k + 1):
                 for J in all_index_sets(k):
-                    vprime = label_complement(J, l1)
+                    vprime = label_complement(k, J, l1)
                     t = max(1, l1 + len(J) - k + 1)
                     assert len(vprime) == sum(1 for v in J if v <= l1)
                     assert all(vp == k + 1 for vp in vprime[: t - 1])
@@ -197,11 +230,11 @@ class TestLabelComplement:
                 for J in all_index_sets(k):
                     b = len(J)
                     diff = kappa(k, J, range(l1 + 1, l1 + b + 1))
-                    vprime = label_complement(J, l1)
+                    vprime = label_complement(k, J, l1)
                     p = sum(1 for v in J if v <= l1)
                     assert len(vprime) == p
                     rhs = signed_sum(
-                        k, [(1, v) for v in J.members[:p]] + [(-1, v) for v in vprime]
+                        k, [(1, v) for v in J[:p]] + [(-1, v) for v in vprime]
                     )
                     assert tuple(map(pos_part, diff)) == rhs
 
@@ -212,7 +245,7 @@ class TestAdmissibility:
             for l1 in range(k + 1):
                 for l2 in range(k + 1):
                     for J in all_index_sets(k):
-                        got = is_admissible(IndexSet.of(k, ()), J, l1, l2)
+                        got = is_admissible(k, (), J, l1, l2)
                         assert got == (len(J) <= l2)
 
     def test_reduces_to_v_le_u_when_l1_plus_c_large(self):
@@ -224,19 +257,19 @@ class TestAdmissibility:
                         if a > b or l1 + (b - a) < k:
                             continue
                         simple = all(
-                            J.members[i] <= I.members[i] for i in range(a)
+                            J[i] <= I[i] for i in range(a)
                         )
-                        assert is_admissible(I, J, l1, k) == simple
+                        assert is_admissible(k, I, J, l1, k) == simple
 
     def test_hand_example(self):
-        assert is_admissible(IndexSet.of(3, (1,)), IndexSet.of(3, (1, 3)), 1, 3)
+        assert is_admissible(3, (1,), (1, 3), 1, 3)
 
 
 class TestPairBijection:
     def test_identity_branch(self):
-        I = IndexSet.of(2, (1,))
-        J = IndexSet.of(2, (1, 2))
-        assert tilde_pair(I, J, 2) == (I, J)
+        I = (1,)
+        J = (1, 2)
+        assert tilde_pair(2, I, J, 2) == (I, J)
 
     def test_cardinalities(self):
         for k in range(1, 5):
@@ -245,9 +278,9 @@ class TestPairBijection:
                     a, b = len(I), len(J)
                     c = b - a
                     l1p, _, _ = primed_labels(k, l1, a, c)
-                    tI, tJ = tilde_pair(I, J, l1)
+                    tI, tJ = tilde_pair(k, I, J, l1)
                     assert len(tI) == k - l1p
-                    va = k + 1 if l1 + c >= k else tI.members[a]
+                    va = k + 1 if l1 + c >= k else tI[a]
                     assert len(tJ) == va + c - l1p - 1
 
     def test_injective_below_k(self):
@@ -259,7 +292,7 @@ class TestPairBijection:
                     for I, J in admissible_pairs(k, l1)
                     if l1 + len(J) - len(I) < k
                 ]
-                images = {tilde_pair(I, J, l1) for I, J in pairs}
+                images = {tilde_pair(k, I, J, l1) for I, J in pairs}
                 assert len(images) == len(pairs)
 
     def test_roundtrip_forward(self):
@@ -268,8 +301,8 @@ class TestPairBijection:
                 for I, J in admissible_pairs(k, l1):
                     if l1 + len(J) - len(I) >= k:
                         continue
-                    tI, tJ = tilde_pair(I, J, l1)
-                    assert untilde_pair(tI, tJ, l1) == (I, J)
+                    tI, tJ = tilde_pair(k, I, J, l1)
+                    assert untilde_pair(k, tI, tJ, l1) == (I, J)
 
     def test_roundtrip_backward(self):
         for k in range(1, 5):
@@ -277,16 +310,16 @@ class TestPairBijection:
                 for tI in all_index_sets(k):
                     for tJ in all_index_sets(k):
                         try:
-                            I, J = untilde_pair(tI, tJ, l1)
+                            I, J = untilde_pair(k, tI, tJ, l1)
                         except ValueError:
                             continue
-                        assert is_l1_admissible(I, J, l1)
+                        assert is_l1_admissible(k, I, J, l1)
                         if l1 + len(J) - len(I) < k:
-                            assert tilde_pair(I, J, l1) == (tI, tJ)
+                            assert tilde_pair(k, I, J, l1) == (tI, tJ)
 
     def test_rejects_non_admissible(self):
         with pytest.raises(ValueError):
-            tilde_pair(IndexSet.of(2, (1,)), IndexSet.of(2, (2,)), 0)
+            tilde_pair(2, (1,), (2,), 0)
 
 
 class TestBoundVectors:
@@ -296,14 +329,14 @@ class TestBoundVectors:
                 for I, J in admissible_pairs(k, l1):
                     for l2 in range(len(J), k + 1):
                         got = {
-                            "rho": rho(I, J, l1),
-                            "sigma": sigma(J, l2),
-                            "rho_prime": rho_prime(I, J, l1),
-                            "sigma_prime": sigma_prime(I, J, l1),
-                            "delta_r": delta_r(I, J, l1),
-                            "delta_s": delta_s(I, J, l1, l2),
+                            "rho": rho(k, I, J, l1),
+                            "sigma": sigma(k, J, l2),
+                            "rho_prime": rho_prime(k, I, J, l1),
+                            "sigma_prime": sigma_prime(k, I, J, l1),
+                            "delta_r": delta_r(k, I, J, l1),
+                            "delta_s": delta_s(k, I, J, l1, l2),
                         }
-                        assert got == reference_bounds(I, J, l1, l2), (I, J, l1, l2)
+                        assert got == reference_bounds(k, I, J, l1, l2), (I, J, l1, l2)
 
     def test_rho_zero_at_i_max(self):
         for k in range(1, 5):
@@ -313,39 +346,37 @@ class TestBoundVectors:
                     for J in all_index_sets(k):
                         if len(J) > l2:
                             continue
-                        im = IndexSet.of(
-                            k, J.members[: min(l3, len(label_complement(J, l1)))]
-                        )
-                        assert is_admissible(im, J, l1, l2)
-                        assert rho(im, J, l1) == (0,) * k
+                        im = J[: min(l3, len(label_complement(k, J, l1)))]
+                        assert is_admissible(k, im, J, l1, l2)
+                        assert rho(k, im, J, l1) == (0,) * k
 
     def test_rho_empty_pair(self):
-        assert rho(IndexSet.of(3, ()), IndexSet.of(3, ()), 2) == (0, 0, 0)
+        assert rho(3, (), (), 2) == (0, 0, 0)
 
     def test_rho_hand_example(self):
-        assert rho(IndexSet.of(2, ()), IndexSet.of(2, (2,)), 2) == (0, 1)
+        assert rho(2, (), (2,), 2) == (0, 1)
 
     def test_sigma_exact_cancellation(self):
-        assert sigma(IndexSet.of(4, (1, 2, 3)), 3) == (0, 0, 0, 0)
+        assert sigma(4, (1, 2, 3), 3) == (0, 0, 0, 0)
 
     def test_sigma_empty(self):
-        assert sigma(IndexSet.of(4, ()), 2) == (1, 2, 2, 2)
+        assert sigma(4, (), 2) == (1, 2, 2, 2)
 
     def test_sigma_hand_example(self):
-        assert sigma(IndexSet.of(3, (3,)), 2) == (1, 2, 1)
+        assert sigma(3, (3,), 2) == (1, 2, 1)
 
     def test_sigma_rejects_oversize(self):
         with pytest.raises(ValueError):
-            sigma(IndexSet.of(3, (1, 2)), 1)
+            sigma(3, (1, 2), 1)
 
     def test_nonnegativity_and_lempos(self):
         for k in range(1, 5):
             for l1 in range(k + 1):
                 for I, J in admissible_pairs(k, l1):
-                    assert min(rho(I, J, l1)) >= 0
-                    assert min(sigma(J, k)) >= 0
-                    rp = rho_prime(I, J, l1)
-                    sp = sigma_prime(I, J, l1)
+                    assert min(rho(k, I, J, l1)) >= 0
+                    assert min(sigma(k, J, k)) >= 0
+                    rp = rho_prime(k, I, J, l1)
+                    sp = sigma_prime(k, I, J, l1)
                     assert min(rp) >= 0 and min(sp) >= 0
                     assert rp[-1] == 0 and sp[-1] == 0
 
@@ -353,34 +384,36 @@ class TestBoundVectors:
         for k in range(1, 5):
             for l1 in range(k + 1):
                 for I, J in admissible_pairs(k, l1):
-                    rv = rho(I, J, l1)
+                    rv = rho(k, I, J, l1)
                     for l2 in range(len(J), k + 1):
-                        assert rho_prime(I, J, l1) == tuple(map(sub, rv, delta_r(I, J, l1)))
-                        assert sigma_prime(I, J, l1) == tuple(
-                            map(sub, sigma(J, l2), delta_s(I, J, l1, l2))
+                        assert rho_prime(k, I, J, l1) == tuple(
+                            map(sub, rv, delta_r(k, I, J, l1))
+                        )
+                        assert sigma_prime(k, I, J, l1) == tuple(
+                            map(sub, sigma(k, J, l2), delta_s(k, I, J, l1, l2))
                         )
 
     def test_rho_rejects_non_admissible(self):
         with pytest.raises(ValueError):
-            rho(IndexSet.of(2, (1,)), IndexSet.of(2, (2,)), 0)
+            rho(2, (1,), (2,), 0)
 
 
 class TestDeltaVectors:
     def test_empty_sets(self):
         k = 3
-        I = J = IndexSet.of(k, ())
+        I = J = ()
         for l1 in range(k + 1):
             for l2 in range(k + 1):
-                assert delta_r(I, J, l1) == (0,) * k
-                assert delta_s(I, J, l1, l2) == kappa(k, range(1, l2 + 1))
+                assert delta_r(k, I, J, l1) == (0,) * k
+                assert delta_s(k, I, J, l1, l2) == kappa(k, range(1, l2 + 1))
 
     @given(st.data())
     @settings(max_examples=300)
     def test_consistency_with_vacancy_differences(self, data):
         k = data.draw(st.integers(1, 3))
         members = st.lists(st.integers(1, k), unique=True)
-        I = IndexSet.of(k, data.draw(members))
-        J = IndexSet.of(k, data.draw(members))
+        I = tuple(sorted(data.draw(members)))
+        J = tuple(sorted(data.draw(members)))
         a, b = len(I), len(J)
         if b < a:
             I, J = J, I
@@ -389,8 +422,8 @@ class TestDeltaVectors:
         l2 = data.draw(st.integers(0, k))
         mup = tuple(data.draw(st.integers(0, 2)) for _ in range(k))
         nup = tuple(data.draw(st.integers(0, 2)) for _ in range(k))
-        mu = tuple(map(add, mup, epsilon(I)))
-        nu = tuple(map(add, nup, epsilon(J)))
+        mu = tuple(map(add, mup, epsilon(k, I)))
+        nu = tuple(map(add, nup, epsilon(k, J)))
         if min(mu + nu) < 0:
             return
         M = data.draw(st.integers(0, 2))
@@ -398,5 +431,5 @@ class TestDeltaVectors:
         l1p, l2p, _ = primed_labels(k, l1, a, b - a)
         dr = map(sub, vacancy_P(mu, nu, M, l1), vacancy_P(mup, nup, M, l1p))
         ds = map(sub, vacancy_Q(mu, nu, N, l2), vacancy_Q(mup, nup, N - 1, l2p))
-        assert tuple(dr) == delta_r(I, J, l1)
-        assert tuple(ds) == delta_s(I, J, l1, l2)
+        assert tuple(dr) == delta_r(k, I, J, l1)
+        assert tuple(ds) == delta_s(k, I, J, l1, l2)

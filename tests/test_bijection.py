@@ -5,7 +5,6 @@ from operator import le
 import pytest
 
 from rigchar.admissible import (
-    IndexSet,
     all_index_sets,
     delta_r,
     delta_s,
@@ -14,6 +13,7 @@ from rigchar.admissible import (
     is_l1_admissible,
     kappa,
     primed_labels,
+    recursion_terms,
     rho,
     rho_prime,
     sigma,
@@ -66,19 +66,19 @@ class TestBoundTables:
                         (I, J)
                         for I in all_index_sets(k)
                         for J in all_index_sets(k)
-                        if is_admissible(I, J, l1, l2)
+                        if is_admissible(k, I, J, l1, l2)
                     ]
                     assert list(table) == expected
                     for (I, J), entry in table.items():
                         assert entry.bound == lower_bounds(I, J, p)
-                        assert entry.bound.value == rho(I, J, l1) + sigma(J, l2)
+                        assert entry.bound.value == rho(k, I, J, l1) + sigma(k, J, l2)
                         assert entry.bound.marked == tuple(
-                            e == 1 for e in epsilon(I) + epsilon(J)
+                            e == 1 for e in epsilon(k, I) + epsilon(k, J)
                         )
-                        assert entry.eps_I == epsilon(I)
-                        assert entry.eps_J == epsilon(J)
-                        assert entry.delta_r == delta_r(I, J, l1)
-                        assert entry.delta_s == delta_s(I, J, l1, l2)
+                        assert entry.eps_I == epsilon(k, I)
+                        assert entry.eps_J == epsilon(k, J)
+                        assert entry.delta_r == delta_r(k, I, J, l1)
+                        assert entry.delta_s == delta_s(k, I, J, l1, l2)
 
     def test_upper_table_matches_per_pair_builders(self):
         for k in range(1, 5):
@@ -88,14 +88,14 @@ class TestBoundTables:
                     (I, J)
                     for I in all_index_sets(k)
                     for J in all_index_sets(k)
-                    if is_l1_admissible(I, J, l1)
+                    if is_l1_admissible(k, I, J, l1)
                 ]
                 assert list(table) == expected
                 for (I, J), entry in table.items():
-                    assert entry.bound == upper_bounds(I, J, l1)
-                    assert entry.bound.value == rho_prime(I, J, l1) + sigma_prime(I, J, l1)
+                    assert entry.bound == upper_bounds(k, I, J, l1)
+                    assert entry.bound.value == rho_prime(k, I, J, l1) + sigma_prime(k, I, J, l1)
                     assert entry.bound.marked == tuple(
-                        e == -1 for e in epsilon(I) + epsilon(J)
+                        e == -1 for e in epsilon(k, I) + epsilon(k, J)
                     )
                     assert entry.primed == primed_labels(k, l1, len(I), len(J) - len(I))
 
@@ -114,21 +114,32 @@ class TestPointMemos:
     CUTOFFS = ((0, 1), (2, 1), (1, 3))  # (M, N), each with N >= 1
 
     def test_recursion_terms(self):
-        from rigchar.bijection import _recursion_terms
-
         for k in range(1, 5):
             for l1, l2, l3 in legal_labels(k):
                 for M, N in self.CUTOFFS:
                     p = Params(k, l1, l2, l3, M, N)
-                    assert _recursion_terms(p) == tuple(
+                    assert recursion_terms(p) == tuple(
                         (a, c, Params(k, *primed_labels(k, l1, a, c), M, N - 1))
                         for a in range(l3 + 1)
                         for c in range(l2 - a + 1)
                     )
                     rep = verify_recursion(p, 0, 0)
                     assert [(t["a"], t["c"]) for t in rep.detail["terms"]] == [
-                        (a, c) for a, c, _ in _recursion_terms(p)
+                        (a, c) for a, c, _ in recursion_terms(p)
                     ]
+
+    def test_a_fault_in_the_shared_terms_fails_both_checks(self, monkeypatch):
+        # verify_recursion and char_recursion_check iterate one memo, and
+        # each computes its left-hand side from the enumeration.
+        import rigchar.bijection as bijection
+        import rigchar.characters as characters
+
+        assert bijection.recursion_terms is characters.recursion_terms is recursion_terms
+        p = Params(2, 2, 2, 1, 1, 1)
+        for module in (bijection, characters):
+            monkeypatch.setattr(module, "recursion_terms", lambda q: recursion_terms(q)[1:])
+        assert not characters.char_recursion_check(2, 2, 2, 1, 1, 1).ok
+        assert not all(verify_recursion(p, m, n).ok for m in range(4) for n in range(4))
 
     def test_lower_pairs(self):
         from rigchar.bijection import _lower_pairs
@@ -140,7 +151,7 @@ class TestPointMemos:
                     (I, J, lower_bounds(I, J, p))
                     for I in all_index_sets(k)
                     for J in all_index_sets(k)
-                    if is_admissible(I, J, l1, l2) and len(I) <= l3
+                    if is_admissible(k, I, J, l1, l2) and len(I) <= l3
                 ]
 
     def test_upper_pairs(self):
@@ -150,10 +161,10 @@ class TestPointMemos:
         for k in range(1, 5):
             for l1, a, c in _labels_upper(k):
                 assert list(_upper_pairs(k, l1, a, c)) == [
-                    (I, J, upper_bounds(I, J, l1))
+                    (I, J, upper_bounds(k, I, J, l1))
                     for I in all_index_sets(k)
                     for J in all_index_sets(k)
-                    if is_l1_admissible(I, J, l1) and len(I) == a and len(J) == a + c
+                    if is_l1_admissible(k, I, J, l1) and len(I) == a and len(J) == a + c
                 ]
 
     def test_bijection_rows(self):
@@ -167,7 +178,7 @@ class TestPointMemos:
                         expected = []
                         for I in all_index_sets(k):
                             for J in all_index_sets(k):
-                                if not is_admissible(I, J, l1, l2):
+                                if not is_admissible(k, I, J, l1, l2):
                                     continue
                                 l1p, l2p, _ = primed_labels(k, l1, len(I), len(J) - len(I))
                                 up = Params(k, l1p, l2p, min(l1p, l2p), M, N - 1)
@@ -199,30 +210,30 @@ class TestMarkedBound:
 class TestLowerMember:
     def test_non_admissible_always_false(self):
         p = Params(2, 0, 1, 0, 1, 1)
-        I = IndexSet.of(2, (1,))
-        J = IndexSet.of(2, (2,))
-        assert not is_admissible(I, J, p.l1, p.l2)
+        I = (1,)
+        J = (2,)
+        assert not is_admissible(2, I, J, p.l1, p.l2)
         for x in ambient(p, 1, 1):
             assert not lower_member(x, I, J, p)
 
     def test_marked_alpha_needs_a_row(self):
-        # epsilon(I) = 1 at alpha forces rows of length alpha
+        # epsilon(1, I) = 1 at alpha forces rows of length alpha
         p = Params(1, 1, 1, 1, 1, 1)
-        I = J = IndexSet.of(1, (1,))
+        I = J = (1,)
         assert not lower_member(EMPTY1, I, J, p)
 
     def test_full_interval_J(self):
         # J = [1, l2]: sigma vanishes and only s[l2] is marked
         for k in range(1, 4):
             for l2 in range(1, k + 1):
-                J = IndexSet.of(k, tuple(range(1, l2 + 1)))
-                assert sigma(J, l2) == (0,) * k
-                e = epsilon(J)
+                J = tuple(range(1, l2 + 1))
+                assert sigma(k, J, l2) == (0,) * k
+                e = epsilon(k, J)
                 assert [a for a, x in enumerate(e, start=1) if x == 1] == [l2]
 
     def test_k1_single_element(self):
         p = Params(1, 1, 1, 1, 1, 1)
-        I = J = IndexSet.of(1, (1,))
+        I = J = (1,)
         x = enumerate_R(p, 1, 1)[0]
         assert lower_member(x, I, J, p)
 
@@ -230,15 +241,15 @@ class TestLowerMember:
 class TestUpperMember:
     def test_non_admissible_always_false(self):
         p = Params(2, 0, 2, 0, 1, 1)
-        I = IndexSet.of(2, (1,))
-        J = IndexSet.of(2, (2,))
+        I = (1,)
+        J = (2,)
         for x in ambient(Params(2, 2, 2, 0, p.M, p.N - 1 + 1), 1, 1):
             assert not upper_member(x, I, J, 0, p)
 
     def test_empty_pair_at_l1_k_reduces_to_cutoffs(self):
         k = 2
         p = Params(k, k, k, 0, 1, 1)
-        I = J = IndexSet.of(k, ())
+        I = J = ()
         l1p, l2p, _ = primed_labels(k, k, 0, 0)
         assert (l1p, l2p) == (k, k)
         for m in range(4):
@@ -249,7 +260,7 @@ class TestUpperMember:
 
     def test_requires_positive_N(self):
         p = Params(1, 1, 1, 1, 1, 0)
-        I = J = IndexSet.of(1, ())
+        I = J = ()
         with pytest.raises(ValueError):
             upper_member(EMPTY1, I, J, 1, p)
 
@@ -259,7 +270,7 @@ class TestMapM:
         p = Params(2, 2, 2, 1, 1, 1)
         for I in all_index_sets(2):
             for J in all_index_sets(2):
-                if not is_admissible(I, J, p.l1, p.l2):
+                if not is_admissible(2, I, J, p.l1, p.l2):
                     continue
                 a, b = len(I), len(J)
                 l1p, l2p, _ = primed_labels(2, p.l1, a, b - a)
@@ -280,7 +291,7 @@ class TestMapM:
     def test_empty_sets_shift_riggings_only(self):
         k = 2
         p = Params(k, k, 1, 0, 1, 2)
-        I = J = IndexSet.of(k, ())
+        I = J = ()
         l1p, l2p, _ = primed_labels(k, k, 0, 0)
         shift = kappa(k, range(1, p.l2 + 1))
         moved = 0
@@ -303,7 +314,7 @@ class TestMapM:
 
     def test_rejects_non_members(self):
         p = Params(1, 1, 1, 1, 1, 1)
-        I = J = IndexSet.of(1, (1,))
+        I = J = (1,)
         bad = RiggedPair((1,), Rigging(((5,),)), (0,), Rigging(((),)))
         with pytest.raises(ValueError):
             map_m(bad, I, J, p)
@@ -312,7 +323,7 @@ class TestMapM:
         import rigchar.bijection as bijection
 
         p = Params(1, 1, 1, 1, 1, 1)
-        I = J = IndexSet.of(1, ())
+        I = J = ()
         monkeypatch.setattr(bijection, "lower_member", lambda *args: False)
         message = (
             "rigging map produced a non-member of the lower subset: "
@@ -384,7 +395,7 @@ class TestDecompositions:
             if len(J) <= p.l2 and lower_member(empty, I, J, p)
         ]
         assert len(covers) == 1
-        assert covers[0][0] == IndexSet.of(2, ())
+        assert covers[0][0] == ()
 
     def test_upper_smoke(self):
         for k in (1, 2):
@@ -415,7 +426,7 @@ class TestDecompositions:
             (I, J)
             for I in all_index_sets(2)
             for J in all_index_sets(2)
-            if is_admissible(I, J, p.l1, p.l2)
+            if is_admissible(2, I, J, p.l1, p.l2)
         ]
         for m in range(4):
             for n in range(4):
@@ -447,7 +458,7 @@ class TestAggregateGradingLaw:
         lower_amb = ambient(p, m, n)
         for I in all_index_sets(k):
             for J in all_index_sets(k):
-                if len(J) > p.l2 or not is_admissible(I, J, p.l1, p.l2):
+                if len(J) > p.l2 or not is_admissible(k, I, J, p.l1, p.l2):
                     continue
                 a, b = len(I), len(J)
                 l1p, l2p, _ = primed_labels(k, p.l1, a, b - a)
@@ -485,15 +496,15 @@ class TestBoundInequalities:
                                 for I in all_index_sets(k):
                                     for J in all_index_sets(k):
                                         if len(J) > l2 or not is_admissible(
-                                            I, J, l1, l2
+                                            k, I, J, l1, l2
                                         ):
                                             continue
                                         if not lower_member(x, I, J, p):
                                             continue
                                         P = vacancy_P(x.mu, x.nu, p.M, l1)
                                         Q = vacancy_Q(x.mu, x.nu, p.N, l2)
-                                        assert all(map(le, rho(I, J, l1), P))
-                                        assert all(map(le, sigma(J, l2), Q))
+                                        assert all(map(le, rho(k, I, J, l1), P))
+                                        assert all(map(le, sigma(k, J, l2), Q))
 
 
 class TestFailureReports:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigchar.admissible import IndexSet
 from rigchar.bijection import MarkedBound
 from rigchar.cli import _json_text
 from rigchar.core import (
     InvariantError,
     KVector,
     Params,
+    Record,
     Report,
     RiggedPair,
     Rigging,
@@ -289,7 +289,6 @@ VALUES = {
         "RiggedPair(mu=(1, 0), r=Rigging(rows=((3,), ())), "
         "nu=(0, 1), s=Rigging(rows=((), (0,))))",
     ),
-    "IndexSet": (IndexSet(3, (1, 3)), "IndexSet(k=3, members=(1, 3))"),
     "MarkedBound": (
         MarkedBound((0, 1), (True, False)),
         "MarkedBound(value=(0, 1), marked=(True, False))",
@@ -301,7 +300,7 @@ VALUES = {
 }
 # KVector has no named field: its items are its entries.
 FIRST_FIELD = {
-    "Params": "k", "Rigging": "rows", "RiggedPair": "mu", "IndexSet": "k",
+    "Params": "k", "Rigging": "rows", "RiggedPair": "mu",
     "MarkedBound": "value", "Report": "ok",
 }
 each_type = pytest.mark.parametrize("name", sorted(VALUES))
@@ -323,7 +322,14 @@ class TestValueSemantics:
             assert x != items and not x == items and not items == x
 
     def test_equal_items_of_two_types_differ(self):
-        assert IndexSet(2, (1,)) != MarkedBound(2, (1,))
+        class Twin(Record):
+            __slots__ = ()
+            _fields = MarkedBound._fields
+
+            def __new__(cls, value, marked):
+                return tuple.__new__(cls, (value, marked))
+
+        assert Twin(2, (1,)) != MarkedBound(2, (1,))
         assert Params(1, 0, 0, 0, 0, 0) != (1, 0, 0, 0, 0, 0)
 
     def test_hash_follows_equality(self):
@@ -378,13 +384,6 @@ class TestValueSemantics:
         assert data.count(b"I2\nI1\n") == 1
         with pytest.raises(ValueError, match="weakly decreasing"):
             pickle.loads(data.replace(b"I2\nI1\n", b"I1\nI2\n"))
-
-    def test_index_set_iterates_its_members(self):
-        I = IndexSet(3, (1,))
-        assert len(I) == 1 and list(I) == [1]
-        assert 1 in I
-        assert 3 not in I and (1,) not in I
-        assert not IndexSet(3, ())
 
     def test_rigging_stores_lengths_and_total(self):
         rig = Rigging(((4, 2), (), (1,)))
