@@ -4,12 +4,14 @@ Results go to stdout (JSON or canonical text), progress to stderr, so
 captured output stays byte-stable.  verify splits its grid into blocks of
 equal (k, M), which share no rigged-set cache entries, and checks whole
 blocks on min(--jobs, number of blocks) workers: one runs the blocks
-in-process in ascending (k, M) order, more run them on a pool in
-descending order.  The failing point with the lowest grid index is
+in-process in ascending (k, M) order, more are processes fed one block at
+a time over pipes in descending order.  A block skips the points past the
+lowest failing grid index known when it starts, and the lowest is
 reported, so the output does not depend on the worker count.  Exit codes:
 0 pass, 1 verified failure with a counterexample report, 2 usage error (a
-plain ValueError), 3 internal failure (any other exception), reported as
-one JSON line on stdout.  main alone maps an exception to its code.
+plain ValueError), 3 internal failure (any other exception, or a dead
+worker), reported as one JSON line on stdout.  main alone maps an
+exception to its code.
 
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
@@ -33,7 +35,6 @@ import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain, product
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import bijection, characters, riggedsets
@@ -337,12 +338,6 @@ _CHECKS = {
 }
 
 
-# The lowest grid index at which the parent has seen a point fail: in a pool
-# worker a RawValue shared with the parent, in-process a SimpleNamespace;
-# None before the first verify run.
-_STOP_AT = None
-
-
 def _check_point(what: str, point: tuple) -> dict | None:
     """None if the grid point passes check what, else its counterexample report."""
     rep = _CHECKS[what].run(*point)
@@ -351,18 +346,18 @@ def _check_point(what: str, point: tuple) -> dict | None:
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
-def _check_block(block) -> tuple[int, tuple[int, dict] | None]:
+def _check_block(stop_at: int, block) -> tuple[int, tuple[int, dict] | None]:
     """The size of a block and the grid index and report of its first
     failing point, or None.
 
-    A block is (check name, points), its points (grid index, point) pairs
-    in grid order.  Points at or past the lowest failing index the parent
-    has seen are skipped: a failure there cannot be the first in grid
-    order.
+    A block is (check name, (k, M), points), its points (grid index,
+    point) pairs in grid order.  Points at or past stop_at, the lowest
+    failing index seen when the block starts, are skipped: a failure
+    there cannot be the first in grid order.
     """
-    what, points = block
+    what, _, points = block
     for index, point in points:
-        if index >= _STOP_AT.value:
+        if index >= stop_at:
             break
         failure = _check_point(what, point)
         if failure is not None:
@@ -370,10 +365,56 @@ def _check_block(block) -> tuple[int, tuple[int, dict] | None]:
     return len(points), None
 
 
-def _init_worker(stop_at) -> None:
-    """Install the lowest failing grid index, shared with the parent."""
-    global _STOP_AT
-    _STOP_AT = stop_at
+def _worker(conn) -> None:
+    """Answer each (stop index, block) on conn with _check_block's result, until None."""
+    for task in iter(conn.recv, None):
+        try:
+            result = _check_block(*task)
+        except Exception as exc:
+            result = exc
+        conn.send(result)
+
+
+def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], int]):
+    """The results of blocks checked on worker processes, as they finish.
+    A worker gets its next block with stop_at() once its last result is
+    taken, then None.  Its exception, or RuntimeError if it dies, is
+    raised here once every worker is terminated."""
+    # Imported here so that the runs that start no worker do not pay for it.
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    todo, procs, busy = iter(blocks), {}, {}  # busy: pipe end -> its block
+    try:
+        for _ in range(workers):
+            conn, child = multiprocessing.Pipe()
+            procs[conn] = multiprocessing.Process(target=_worker, args=(child,))
+            procs[conn].start()
+            child.close()
+        idle = list(procs)
+        while idle:
+            for conn in idle:
+                block = next(todo, None)
+                conn.send(None if block is None else (stop_at(), block))
+                if block is not None:
+                    busy[conn] = block
+            idle = wait(list(busy)) if busy else []
+            for conn in idle:
+                block = busy.pop(conn)
+                try:
+                    result = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"a worker died in block (k, M) = {block[1]}") from None
+                if isinstance(result, BaseException):
+                    raise result
+                yield result
+    except BaseException:
+        for proc in procs.values():
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs.values():
+            proc.join()
 
 
 def _run_blocks(blocks: list[tuple], workers: int, total: int) -> dict | None:
@@ -381,37 +422,21 @@ def _run_blocks(blocks: list[tuple], workers: int, total: int) -> dict | None:
 
     blocks come in ascending (k, M) order.  One worker checks them
     in-process in that order, so a failure in a small block stops the
-    larger ones early; a pool checks them in descending order, costliest
-    first, and reads every result, since a block that finishes later may
-    hold an earlier failure.
+    larger ones early; more check them in descending order, costliest
+    first, and read every result, since a block that finishes later may
+    hold an earlier failure.  A block reads stop_at once, when handed out.
     """
+    stop_at, failure, done = total, None, 0
     if workers > 1:
-        # Imported here, not at module level, so that the runs that start
-        # no pool do not pay for the import.
-        from multiprocessing import Pool, RawValue
-
-        stop_at = RawValue("q", total)
-        pool = Pool(workers, initializer=_init_worker, initargs=(stop_at,))
-        results = pool.imap_unordered(_check_block, blocks[::-1])
+        results = _on_workers(blocks[::-1], workers, lambda: stop_at)
     else:
-        stop_at, pool = SimpleNamespace(value=total), nullcontext()
-        _init_worker(stop_at)
-        results = map(_check_block, blocks)
-    failure = None
-    done = 0
-    with pool:
-        for size, found in results:
-            done += size
-            print(f"progress: {done}/{total}", file=sys.stderr)
-            if found is not None and found[0] < stop_at.value:
-                stop_at.value, failure = found
-        if workers > 1:
-            # Leaving the with block would call Pool.terminate, which can
-            # kill a worker while it holds a queue lock and leave the
-            # pool's task thread waiting on that lock forever.  Let the
-            # workers exit on their own instead.
-            pool.close()
-            pool.join()
+        # The generator reads stop_at afresh for each block.
+        results = (_check_block(stop_at, block) for block in blocks)
+    for size, found in results:
+        done += size
+        print(f"progress: {done}/{total}", file=sys.stderr)
+        if found is not None and found[0] < stop_at:
+            stop_at, failure = found
     return failure
 
 
@@ -438,7 +463,7 @@ def run_verify(args) -> int:
     if not blocks:
         raise ValueError(f"verify {args.what} has no grid points")
     total = sum(map(len, blocks.values()))
-    order = [(args.what, blocks[key]) for key in sorted(blocks)]
+    order = [(args.what, key, blocks[key]) for key in sorted(blocks)]
     failure = _run_blocks(order, min(args.jobs, len(blocks)), total)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:

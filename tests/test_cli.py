@@ -26,7 +26,7 @@ def pythonpath_env(path):
 
 
 def run_under(method, argv, path):
-    """Run rigchar with argv from the copy at path, its pool workers
+    """Run rigchar with argv from the copy at path, its worker processes
     started by the given multiprocessing start method."""
     script = (
         "import multiprocessing, sys\n"
@@ -62,7 +62,7 @@ JOBS = ("1", "2")
 
 def each_jobs(argv):
     """argv at each worker count of JOBS if it runs verify, else argv alone:
-    a verify test that does not pin --jobs runs in-process and on a pool."""
+    a verify test that does not pin --jobs runs in-process and on workers."""
     if argv[0] != "verify":
         return [argv]
     return [[*argv, "--jobs", jobs] for jobs in JOBS]
@@ -386,11 +386,11 @@ class TestVerify:
         assert calls["verify_lower_decomposition"] > 0
         assert calls["char_recursion_check"] > 0
 
-    def test_internal_error_exit_3(self, inline_pool, monkeypatch, capsys):
+    def test_internal_error_exit_3(self, inline_workers, monkeypatch, capsys):
         # Every exception but a plain ValueError is a fault of the program,
         # whatever its type: exit 3, never 1, the code of a counterexample.
         # A verifier's crash reaches main from a block run in-process and
-        # from one run on a pool alike.
+        # from one run on a worker alike.
         from rigchar import bijection, characters, cli
 
         char = ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1"]
@@ -417,7 +417,7 @@ class TestVerify:
                 "message": str(exc),
             }
             assert "error:" not in captured.err
-        assert [pool.processes for pool in inline_pool] == [2]
+        assert len(inline_workers.started) == 2
 
     @staticmethod
     def reverse_rows(monkeypatch):
@@ -486,7 +486,7 @@ class TestVerify:
         many = run_cli(*base, "--jobs", "3")
         assert one.stdout == many.stdout
         assert json.loads(one.stdout)["status"] == "pass"
-        # One progress line per finished block, in-process and pooled.
+        # One progress line per finished block, in-process and on workers.
         assert one.stderr.count("progress:") == many.stderr.count("progress:") == 4
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -525,46 +525,77 @@ def raising(exc):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace multiprocessing.Pool with a stand-in that records the worker
-    count it is asked for and checks each block in this process, in
-    dispatch order, when the caller asks for its result.  Returns the
-    stand-ins created."""
+def inline_workers(monkeypatch):
+    """Replace multiprocessing's Process, Pipe and connection.wait with
+    stand-ins that run a worker's loop in this process each time the
+    parent sends it a task, so each block is checked when it is
+    dispatched.  Returns a namespace whose started lists the stand-in
+    processes started, pipes the pipes made, and failing_indices the grid
+    index of each failure the workers sent back, in the order sent."""
     import multiprocessing
+    import multiprocessing.connection
+    from collections import deque
+    from types import SimpleNamespace
 
-    from rigchar import cli
+    seen = SimpleNamespace(started=[], pipes=[], failing_indices=[])
 
-    pools = []
+    class Idle(Exception):
+        """A stand-in worker has read every task sent to it so far."""
 
-    class InlinePool:
-        def __init__(self, processes, initializer, initargs):
-            self.processes = processes
-            self.failing_indices = []
-            pools.append(self)
-            initializer(*initargs)
+    class End:
+        """One end of a stand-in pipe: what it sends lands in its peer's
+        inbox, and a task sent to a worker's end runs that worker."""
 
-        def __enter__(self):
-            return self
+        def __init__(self):
+            self.inbox, self.peer, self.worker = deque(), None, None
 
-        def __exit__(self, *exc):
-            return None
+        def send(self, obj):
+            if self.worker is not None and isinstance(obj, tuple) and obj[1] is not None:
+                seen.failing_indices.append(obj[1][0])
+            self.peer.inbox.append(obj)
+            if self.peer.worker is not None:
+                self.peer.worker.run()
 
-        def imap_unordered(self, fn, blocks):
-            for block in blocks:
-                size, found = fn(block)
-                if found is not None:
-                    self.failing_indices.append(found[0])
-                yield size, found
+        def recv(self):
+            if not self.inbox:
+                raise Idle
+            return self.inbox.popleft()
 
         def close(self):
+            pass
+
+    def pipe():
+        parent, child = End(), End()
+        parent.peer, child.peer = child, parent
+        seen.pipes.append((parent, child))
+        return parent, child
+
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            args[0].worker = self
+
+        def start(self):
+            seen.started.append(self)
+
+        def run(self):
+            try:
+                self.target(*self.args)
+            except Idle:
+                pass
+
+        def terminate(self):
             pass
 
         def join(self):
             pass
 
-    monkeypatch.setattr(cli, "_STOP_AT", None)
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    return pools
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+    monkeypatch.setattr(
+        multiprocessing.connection, "wait", lambda ends: [end for end in ends if end.inbox]
+    )
+    return seen
 
 
 @pytest.fixture
@@ -593,7 +624,7 @@ FIRST_FAILURE_GRID = [
 class TestBlockScheduler:
     """verify --jobs N checks whole blocks of equal (k, M) per worker task."""
 
-    def test_workers_are_capped_by_the_block_count(self, inline_pool, capsys):
+    def test_workers_are_capped_by_the_block_count(self, inline_workers, capsys):
         from rigchar import cli
 
         two_blocks = [
@@ -602,41 +633,37 @@ class TestBlockScheduler:
         ]
         assert cli.main([*two_blocks, "--jobs", "64"]) == 0
         pooled = capsys.readouterr().out
-        assert [pool.processes for pool in inline_pool] == [2]
+        assert len(inline_workers.started) == 2
         assert cli.main([*two_blocks, "--jobs", "1"]) == 0
         assert capsys.readouterr().out == pooled
 
-    def test_one_block_grid_starts_no_pool(self, inline_pool, monkeypatch, capsys):
-        import multiprocessing
-
+    def test_one_block_grid_starts_no_pool(self, inline_workers, capsys):
         from rigchar import cli
 
-        raw_values = []
-        monkeypatch.setattr(
-            multiprocessing, "RawValue", lambda *args: raw_values.append(args)
-        )
         one_block = [
             "verify", "recursion", "--max-k", "1", "--max-weight", "0",
             "--max-M", "0", "--max-N", "1", "--jobs", "2",
         ]
         assert cli.main(one_block) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
-        assert inline_pool == []
-        assert raw_values == []
+        assert inline_workers.started == []
+        assert inline_workers.pipes == []
 
-    def test_lowest_failing_index_wins_in_process(self, inline_pool, tau_one_up, capsys):
+    def test_lowest_failing_index_wins_in_process(self, inline_workers, tau_one_up, capsys):
         # Blocks run largest (k, M) first, and each later block still
         # checks its points below the lowest failing index found so far.
         from rigchar import cli
 
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "2"]) == 1
         pooled = capsys.readouterr().out
-        assert inline_pool[0].failing_indices == [463, 193, 85]
+        assert inline_workers.failing_indices == [463, 193, 85]
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
         assert capsys.readouterr().out == pooled
         assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
 
-    def test_in_process_blocks_stop_early(self, inline_pool, tau_one_up, monkeypatch, capsys):
+    def test_in_process_blocks_stop_early(
+        self, inline_workers, tau_one_up, monkeypatch, capsys
+    ):
         # One worker runs the blocks in ascending (k, M) order, so once the
         # k = 1 failure at grid index 85 is found, no k >= 2 point is checked.
         from rigchar import cli
@@ -654,12 +681,12 @@ class TestBlockScheduler:
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
         assert capsys.readouterr().out == pooled
         # Block (1, 0) whole and block (1, 1) up to index 85: as many points
-        # as grid order checks, indices 0..85.  --jobs 1 starts no pool.
+        # as grid order checks, indices 0..85.  --jobs 1 starts no worker.
         assert set(levels) == {1} and len(levels) == 86
-        assert len(inline_pool) == 1
+        assert len(inline_workers.started) == 2
 
     @pytest.mark.parametrize("jobs", ["2", "4"])
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_first_failure_in_grid_order_wins_across_blocks(self, method, jobs, tau_plus_one):
         # Four workers on six blocks outnumber the cores of a small runner.
         proc = run_under(method, [*FIRST_FAILURE_GRID, "--jobs", jobs], tau_plus_one)
@@ -668,11 +695,11 @@ class TestBlockScheduler:
         assert proc.stdout == serial.stdout
         assert json.loads(proc.stdout)["counterexample"]["context"]["params"]["k"] == 1
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_a_crash_in_a_pool_worker_exits_3(self, method, tmp_path):
-        # The crash source mutant raises KeyError inside the workers, so the
-        # parent leaves its pool by exception and terminates it: the run
-        # must still end, with exit 3 and the one error line.
+        # The crash source mutant raises KeyError inside the workers, which
+        # send it back; the parent raises it and terminates the workers:
+        # the run must still end, with exit 3 and the one error line.
         root = mutants.mutate(mutants.BY_ID["crash"], tmp_path)
         argv = [
             "verify", "recursion", "--max-k", "3", "--max-weight", "4",
@@ -682,6 +709,45 @@ class TestBlockScheduler:
         assert proc.returncode == 3, (proc.returncode, proc.stderr)
         assert proc.stdout.count("\n") == 1
         assert json.loads(proc.stdout)["error"] == "KeyError"
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_killed_worker_exits_3(self, method, tmp_path):
+        # A copy of rigchar whose workers log their pids before each point;
+        # the one that gets block (k, M) = (3, 1), sent second and so to
+        # the worker started last, waits until the other has logged, then
+        # exits in the middle of that block with no reply.  The parent must
+        # see the pipe close, exit 3 with one error line naming the block,
+        # and leave no worker running.
+        pids = tmp_path / "pids"
+        pids.touch()
+        old = "    rep = _CHECKS[what].run(*point)\n"
+        new = (
+            f"    with open({str(pids)!r}, 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "    if (point[0], point[4]) == (3, 1):\n"
+            f"        while len(set(open({str(pids)!r}).read().split())) < 2:\n"
+            "            __import__('time').sleep(0.01)\n"
+            "        os._exit(1)\n"
+        ) + old
+        root = mutants.mutate(mutants.Mutant("kill", "cli.py", old, new, codes=""), tmp_path)
+        argv = [
+            "verify", "recursion", "--max-k", "3", "--max-weight", "4",
+            "--max-M", "2", "--max-N", "2", "--jobs", "2",
+        ]
+        proc = run_under(method, argv, root)
+        assert proc.returncode == 3, (proc.returncode, proc.stderr)
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "status": "internal-error",
+            "error": "RuntimeError",
+            "message": "a worker died in block (k, M) = (3, 1)",
+        }
+        assert "Traceback" not in proc.stderr
+        workers = set(map(int, pids.read_text().split()))
+        assert len(workers) == 2
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
@@ -754,8 +820,8 @@ class TestCountAnchors:
 
 class TestImportCost:
     def test_char_does_not_import_multiprocessing(self):
-        # Only verify's worker pool needs multiprocessing; the commands that
-        # start no pool do not import it.
+        # Only verify's worker processes need multiprocessing; the commands
+        # that start none do not import it.
         script = (
             "import sys\n"
             "from rigchar.cli import main\n"
@@ -768,6 +834,24 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False 0"
+
+    def test_workers_do_not_import_the_pool(self):
+        # Two workers on a two-block grid are fed over pipes: the parent
+        # imports neither multiprocessing.pool nor ctypes, which the pool's
+        # shared stop index needed.
+        script = (
+            "import sys\n"
+            "from rigchar.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    code = main(['verify', 'recursion', '--max-k', '1', '--max-weight', '0',"
+            " '--max-M', '1', '--max-N', '1', '--jobs', '2'])\n"
+            "    print(sorted({'multiprocessing.pool', 'ctypes'} & set(sys.modules)), code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] 0"
 
 
 class TestOutputFile:
