@@ -5,63 +5,13 @@ graded characters as exact Laurent polynomials, implements the
 admissible-pair machinery with the rigging map between upper and lower
 subsets, and verifies the recursion and decomposition identities
 exhaustively at small levels.
+
+Each name of __all__ is imported from its submodule when it is first
+read (PEP 562), so importing the package, or running one command with
+python -m rigchar, loads only the submodules that are used.
 """
 
-from .admissible import (
-    delta_r,
-    delta_s,
-    epsilon,
-    is_admissible,
-    is_l1_admissible,
-    kappa,
-    label_complement,
-    primed_labels,
-    rho,
-    rho_prime,
-    sigma,
-    sigma_prime,
-    tilde_pair,
-)
-from .bijection import (
-    MarkedBound,
-    lower_member,
-    map_m,
-    upper_member,
-    verify_bijection,
-    verify_lower_decomposition,
-    verify_recursion,
-    verify_upper_decomposition,
-)
-from .characters import (
-    LaurentPoly,
-    char_R,
-    char_recursion_check,
-    degree_D,
-    fermionic_char,
-    gauss_binomial,
-    gauss_binomial_product,
-    rig_degree,
-    sl2_char,
-)
-from .core import (
-    KVector,
-    Params,
-    Report,
-    RiggedPair,
-    Rigging,
-    boundary_ok,
-    tau,
-    tau_min_form,
-    vacancy_P,
-    vacancy_Q,
-    weight,
-)
-from .riggedsets import (
-    enumerate_partitions,
-    enumerate_R,
-    enumerate_total,
-    weight_bound,
-)
+from importlib import import_module
 
 __all__ = [
     "KVector",
@@ -110,3 +60,17 @@ __all__ = [
     "weight",
     "weight_bound",
 ]
+
+# In import order: each module imports only those before it, so the first
+# that holds a name is the one that defines it.
+_SUBMODULES = ("core", "riggedsets", "admissible", "characters", "bijection")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        for submodule in _SUBMODULES:
+            module = import_module(f".{submodule}", __name__)
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,13 @@ lowest failing grid index known when it starts, and the lowest is
 reported, so the output does not depend on the worker count.  Exit codes:
 0 pass, 1 verified failure with a counterexample report, 2 usage error (a
 plain ValueError), 3 internal failure (any other exception, or a dead
-worker), reported as one JSON line on stdout.  main alone maps an
-exception to its code.
+worker), reported as one JSON line on stdout, or, if stdout cannot take
+it, as one error line on stderr.  main alone maps an exception to its
+code; console_entry, the entry point of python -m rigchar and of the
+rigchar script, runs main and ends the process without the interpreter's
+teardown.  A command imports the modules it runs when it runs, so the
+character commands never load bijection and the bijection checks never
+load characters.
 
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
@@ -35,9 +40,9 @@ import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain, product
-from typing import Callable, NamedTuple
+from types import ModuleType
+from typing import Callable, NamedTuple, NoReturn
 
-from . import bijection, characters, riggedsets
 from .core import (
     Params,
     Report,
@@ -51,6 +56,8 @@ from .core import (
 
 def _enum_pieces(p: Params, pieces: dict):
     """enum's pieces, given enumerate_total(p), each built when reached."""
+    from . import characters
+
     for (m, n), piece in pieces.items():
         elements = []
         for x, degree in zip(piece, characters.piece_degrees(piece, p.l1, p.l2)):
@@ -94,8 +101,8 @@ def _emit(chunks, output: str | None) -> None:
 def _discard_stdout() -> None:
     """Point the file descriptor of stdout at os.devnull.
 
-    Text a failed write left in stdout's buffer would fail again when the
-    interpreter flushes stdout at exit, which prints a traceback and turns
+    Text a failed write left in stdout's buffer would fail again at the
+    final flush, console_entry's or the interpreter's at exit, which turns
     the exit code into 120.  A stdout with no descriptor is left as it is.
     """
     try:
@@ -223,6 +230,8 @@ def _enum_text(pieces):
 
 
 def run_enum(args) -> int:
+    from . import riggedsets
+
     p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
     pieces = _enum_pieces(p, riggedsets.enumerate_total(p))
     if args.format == "json":
@@ -247,6 +256,8 @@ def _poly_payload(poly, args, names, meta: dict) -> int:
 
 
 def run_char(args) -> int:
+    from . import characters
+
     Params(args.k, args.l1, args.l2, min(args.l1, args.l2), args.M, args.N)
     poly = characters.fermionic_char(args.k, args.l1, args.l2, args.M, args.N)
     meta = {
@@ -261,6 +272,8 @@ def run_char(args) -> int:
 
 
 def run_char_bruteforce(args) -> int:
+    from . import characters
+
     p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
     poly = characters.char_R(p)
     meta = {"command": "char-bruteforce", **params_to_obj(p)}
@@ -268,6 +281,8 @@ def run_char_bruteforce(args) -> int:
 
 
 def run_sl2_char(args) -> int:
+    from . import characters
+
     poly = characters.sl2_char(args.k, args.l, args.M, args.N)
     meta = {"command": "sl2-char", "k": args.k, "l": args.l, "M": args.M, "N": args.N}
     return _poly_payload(poly, args, ("z", "_", "q"), meta)
@@ -287,60 +302,78 @@ def _labels_upper(k: int) -> list[tuple[int, ...]]:
     return [(l1, a, c) for l1 in range(k + 1) for a in range(l1 + 1) for c in range(k - a + 1)]
 
 
-class _Check(NamedTuple):
-    """One verify check: the axes of its grid (see the module docstring)
-    and run, which takes a point's coordinates and returns a Report.
+def _bijection() -> ModuleType:
+    from . import bijection
 
-    run looks its verifier up through the module at call time, so a
-    wrapper installed there is the one run.
+    return bijection
+
+
+def _characters() -> ModuleType:
+    from . import characters
+
+    return characters
+
+
+class _Check(NamedTuple):
+    """One verify check: the axes of its grid (see the module docstring),
+    load, which imports and returns the module that holds its verifier,
+    and run, which takes that module and a point's coordinates and
+    returns a Report.
+
+    Each block calls load once, so a run imports only the modules its
+    check reads.  run looks its verifier up through the module at call
+    time, so a wrapper installed there is the one run.
     """
 
     labels: Callable[[int], list[tuple[int, ...]]]
     first_N: int
     needs_weight: bool
+    load: Callable[[], ModuleType]
     run: Callable[..., Report]
 
 
 _CHECKS = {
     "recursion": _Check(
-        _labels_l3, 1, True,
-        lambda k, l1, l2, l3, M, N, m, n: bijection.verify_recursion(
+        _labels_l3, 1, True, _bijection,
+        lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_recursion(
             Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "lower-decomp": _Check(
-        _labels_l3, 0, True,
-        lambda k, l1, l2, l3, M, N, m, n: bijection.verify_lower_decomposition(
+        _labels_l3, 0, True, _bijection,
+        lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_lower_decomposition(
             Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "upper-decomp": _Check(
-        _labels_upper, 1, True,
-        lambda k, l1, a, c, M, N, m, n: bijection.verify_upper_decomposition(
+        _labels_upper, 1, True, _bijection,
+        lambda mod, k, l1, a, c, M, N, m, n: mod.verify_upper_decomposition(
             l1, a, c, Params(k, k, k, 0, M, N), m, n
         ),
     ),
     "bijection": _Check(
-        _labels_pair, 1, True,
-        lambda k, l1, l2, M, N, m, n: bijection.verify_bijection(
+        _labels_pair, 1, True, _bijection,
+        lambda mod, k, l1, l2, M, N, m, n: mod.verify_bijection(
             Params(k, l1, l2, min(l1, l2), M, N), m, n
         ),
     ),
     "fermionic": _Check(
-        _labels_pair, 0, False,
-        lambda k, l1, l2, M, N: characters.verify_fermionic(
+        _labels_pair, 0, False, _characters,
+        lambda mod, k, l1, l2, M, N: mod.verify_fermionic(
             Params(k, l1, l2, min(l1, l2), M, N)
         ),
     ),
     "char-recursion": _Check(
-        _labels_l3, 1, False, lambda *point: characters.char_recursion_check(*point)
+        _labels_l3, 1, False, _characters,
+        lambda mod, *point: mod.char_recursion_check(*point),
     ),
 }
 
 
-def _check_point(what: str, point: tuple) -> dict | None:
-    """None if the grid point passes check what, else its counterexample report."""
-    rep = _CHECKS[what].run(*point)
+def _check_point(what: str, module: ModuleType, point: tuple) -> dict | None:
+    """None if the grid point passes check what, whose verifier module is
+    module, else its counterexample report."""
+    rep = _CHECKS[what].run(module, *point)
     if rep.ok:
         return None
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
@@ -356,10 +389,11 @@ def _check_block(stop_at: int, block) -> tuple[int, tuple[int, dict] | None]:
     there cannot be the first in grid order.
     """
     what, _, points = block
+    module = _CHECKS[what].load()
     for index, point in points:
         if index >= stop_at:
             break
-        failure = _check_point(what, point)
+        failure = _check_point(what, module, point)
         if failure is not None:
             return len(points), (index, failure)
     return len(points), None
@@ -531,9 +565,34 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(report, sort_keys=True))
+        try:
+            _emit((json.dumps(report, sort_keys=True), "\n"), None)
+        except ValueError as unwritten:
+            print(f"error: {unwritten}", file=sys.stderr)
         return 3
 
 
+def console_entry(argv=None) -> NoReturn:
+    """Run main and end the process with its exit code, skipping the
+    interpreter's teardown, which would free every object still alive,
+    the rigged-set caches included.
+
+    os._exit runs no exit handler and flushes no stream, so stdout and
+    stderr are flushed here; a flush that fails exits 120, as the
+    interpreter's own exit would.  Worker processes are joined before
+    main returns.  Tests call main in-process instead.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutants
-from rigchar.cli import _CHECKS, _json_text, parse_enum_document
+from rigchar.cli import _CHECKS, _COMMANDS, _json_text, parse_enum_document
 from rigchar.core import Params
 
 DATA = Path(__file__).parent / "data"
@@ -25,23 +26,43 @@ def pythonpath_env(path):
     return {**os.environ, "PYTHONPATH": str(path)}
 
 
+def entry_under(method):
+    """The command that runs rigchar's console entry on its arguments, its
+    worker processes started by the given multiprocessing start method."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from rigchar.cli import console_entry\n"
+        "if __name__ == '__main__':\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    console_entry(sys.argv[1:])\n"
+    )
+    return [sys.executable, "-c", script]
+
+
 def run_under(method, argv, path):
     """Run rigchar with argv from the copy at path, its worker processes
     started by the given multiprocessing start method."""
-    script = (
-        "import multiprocessing, sys\n"
-        "from rigchar.cli import main\n"
-        "if __name__ == '__main__':\n"
-        f"    multiprocessing.set_start_method({method!r})\n"
-        "    sys.exit(main(sys.argv[1:]))\n"
-    )
     return subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [*entry_under(method), *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env=pythonpath_env(path),
     )
+
+
+def group_states(pgid: int) -> set[str]:
+    """The states (R, S, Z, ...) of the processes in process group pgid,
+    read from /proc."""
+    states = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # the process is gone
+            continue
+        if int(fields[2]) == pgid:
+            states.add(fields[0])
+    return states
 
 
 def run_cli(*args, expect: int = 0, path=None):
@@ -673,9 +694,9 @@ class TestBlockScheduler:
         check_point = cli._check_point
         levels = []
 
-        def counted(what, point):
+        def counted(what, module, point):
             levels.append(point[0])
-            return check_point(what, point)
+            return check_point(what, module, point)
 
         monkeypatch.setattr(cli, "_check_point", counted)
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
@@ -720,7 +741,7 @@ class TestBlockScheduler:
         # and leave no worker running.
         pids = tmp_path / "pids"
         pids.touch()
-        old = "    rep = _CHECKS[what].run(*point)\n"
+        old = "    rep = _CHECKS[what].run(module, *point)\n"
         new = (
             f"    with open({str(pids)!r}, 'a') as fh:\n"
             "        fh.write(f'{os.getpid()}\\n')\n"
@@ -749,6 +770,45 @@ class TestBlockScheduler:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_no_process_outlives_the_run(self, method, tmp_path):
+        # The console entry ends with os._exit, which runs no exit handler:
+        # the workers, and the fork server and resource tracker that spawn
+        # and forkserver start, must still be gone within a second.  The
+        # run has a process group of its own, so a signal 0 to the group
+        # finds any of them that is left.  The fork server and the tracker
+        # exit when the run's end closes their pipes, and init reaps them;
+        # an init that reaps late leaves zombies in the group, which have
+        # exited and are not counted.
+        argv = [
+            "verify", "recursion", "--max-k", "3", "--max-weight", "4",
+            "--max-M", "2", "--max-N", "2", "--jobs", "2",
+        ]
+        # stdout goes to a file, not a pipe: a process left holding the
+        # pipe would keep the reader waiting until it exits, and so hide.
+        out = tmp_path / "out.json"
+        with open(out, "w") as fh:
+            proc = subprocess.Popen(
+                [*entry_under(method), *argv],
+                stdout=fh,
+                stderr=subprocess.DEVNULL,
+                start_new_session=True,
+            )
+        assert proc.wait(timeout=120) == 0
+        assert json.loads(out.read_text())["status"] == "pass"
+        deadline = time.monotonic() + 1
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            running = group_states(proc.pid) - {"Z"}
+            if not running:
+                break
+            assert time.monotonic() < deadline, f"processes of the run outlived it: {running}"
+            time.sleep(0.01)
+
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
         # Run every point against an empty rigged-set cache and scan memo:
@@ -765,11 +825,11 @@ class TestBlockScheduler:
         built = {"pieces": [], "scans": []}
         stray = []
 
-        def isolated(what, point):
+        def isolated(what, module, point):
             pieces, scans = {}, {}
             monkeypatch.setattr(riggedsets, "_R_CACHE", pieces)
             monkeypatch.setattr(riggedsets, "_SCAN_CACHE", scans)
-            failure = check_point(what, point)
+            failure = check_point(what, module, point)
             keys = {
                 "pieces": [(p.k, p.M) for p, _, _ in pieces],
                 "scans": [(k, M) for k, _, _, M, *_ in scans],
@@ -818,7 +878,56 @@ class TestCountAnchors:
         assert len(cache) == anchors["riggedsets.cache_entries"]
 
 
+def loaded_modules(argv) -> set[str]:
+    """The rigchar modules that python -m rigchar imports to run argv,
+    read from the -X importtime report on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rigchar", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = (
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    )
+    return {name for name in names if name.startswith("rigchar")}
+
+
+# The verifier module each check reads: the others never load it.
+CHECK_MODULES = {
+    "recursion": "bijection",
+    "lower-decomp": "bijection",
+    "upper-decomp": "bijection",
+    "bijection": "bijection",
+    "fermionic": "characters",
+    "char-recursion": "characters",
+}
+
+
 class TestImportCost:
+    @pytest.mark.parametrize("name, flags", [(name, flags) for name, _, flags, _ in _COMMANDS])
+    def test_a_command_does_not_load_bijection(self, name, flags):
+        argv = [name]
+        for flag in flags.split():
+            argv += [f"--{flag}", "1" if flag == "k" else "0"]
+        loaded = loaded_modules(argv)
+        assert "rigchar.characters" in loaded
+        assert "rigchar.bijection" not in loaded
+
+    @pytest.mark.parametrize("what", sorted(_CHECKS))
+    def test_a_check_loads_one_verifier_module(self, what):
+        # The smallest grid: k = 1, M = 0, its first N and weight 0.
+        check = _CHECKS[what]
+        argv = ["verify", what, "--max-k", "1", "--max-M", "0", "--max-N", str(check.first_N)]
+        if check.needs_weight:
+            argv += ["--max-weight", "0"]
+        loaded = loaded_modules(argv)
+        verifiers = {"rigchar.bijection", "rigchar.characters"}
+        assert loaded & verifiers == {f"rigchar.{CHECK_MODULES[what]}"}
+
     def test_char_does_not_import_multiprocessing(self):
         # Only verify's worker processes need multiprocessing; the commands
         # that start none do not import it.
@@ -932,22 +1041,43 @@ class TestOutputFile:
     )
     def test_stdout_to_full_device_exits_2(self, argv, unbuffered):
         """A short text fails only when stdout is flushed, a long one at the
-        write; buffered, the interpreter's flush at exit must not fail again
-        and turn exit 2 into 120."""
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "rigchar", *argv],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-                timeout=120,
-            )
+        write; buffered, the final flush must not fail again and turn exit
+        2 into 120."""
+        proc = run_to_full_device(argv, unbuffered)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_unwritable_internal_error_report_exits_3(self, unbuffered, tmp_path):
+        """The crash source mutant raises KeyError at the first point; its
+        report cannot be written either, which must not turn exit 3 into a
+        traceback and exit 1 (unbuffered) or exit 120 (buffered)."""
+        root = mutants.mutate(mutants.BY_ID["crash"], tmp_path)
+        argv = ["verify", "recursion", "--max-k", "2", "--max-weight", "1",
+                "--max-M", "1", "--max-N", "1"]
+        proc = run_to_full_device(argv, unbuffered, root)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def run_to_full_device(argv, unbuffered: str, path=None):
+    """Run rigchar with argv and stdout on /dev/full, from the copy at path
+    if one is given, with PYTHONUNBUFFERED set to unbuffered or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if path is not None:
+        env["PYTHONPATH"] = str(path)
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "rigchar", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
 
 
 # Keys mix plain text with the characters a JSON string must escape.

@@ -93,24 +93,27 @@ def program_reads(paths) -> set[str]:
     return read
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(path):
-    """Dotted names of the module-level defs and classes of a module, and
-    of the non-dunder defs in its class bodies (methods, classmethods,
-    staticmethods and properties), each with its bare name."""
+    """Dotted names of the non-dunder module-level defs and the classes of
+    a module, and of the non-dunder defs in its class bodies (methods,
+    classmethods, staticmethods and properties), each with its bare name.
+    A dunder, such as a module's __getattr__, is called by the interpreter."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_dunder(node.name):
             yield f"{path.stem}.{node.name}", node.name
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
+                if isinstance(member, ast.FunctionDef) and not is_dunder(member.name):
                     yield f"{path.stem}.{node.name}.{member.name}", member.name
 
 
 def test_every_definition_is_read():
-    """Each module-level def or class in src/rigchar, and each non-dunder
-    def in a class body, is read by src/rigchar, or else is listed with its
+    """Each non-dunder module-level def, each class in src/rigchar, and each
+    non-dunder def in a class body, is read by src/rigchar, or else is listed with its
     reason in READ_BY_BENCH_ONLY if bench/ reads it and in
     READ_BY_TESTS_ONLY if not.  Both lists are exact: a listed name that
     is gone or read elsewhere fails too."""
@@ -193,3 +196,32 @@ def test_report_lives_in_core():
     imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert "bijection" not in imported
     assert rigchar.Report is bijection.Report is core.Report
+
+
+def test_the_package_loads_its_submodules_on_first_use():
+    """import rigchar loads no submodule.  A name of __all__ loads the
+    submodule that defines it, and the ones that imports, when it is first
+    read: a characters name does not load bijection.  Every name of
+    __all__ resolves, and is then bound in the package; any other name
+    raises AttributeError."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys, rigchar\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('rigchar.'))\n"
+        "print(loaded())\n"
+        "print(rigchar.sl2_char.__module__, loaded())\n"
+        "for name in rigchar.__all__:\n"
+        "    getattr(rigchar, name)\n"
+        "print(sorted(set(rigchar.__all__) - set(vars(rigchar))), hasattr(rigchar, 'nope'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "rigchar.characters ['rigchar.admissible', 'rigchar.characters', "
+        "'rigchar.core', 'rigchar.riggedsets']",
+        "[] False",
+    ]
