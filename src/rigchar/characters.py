@@ -19,6 +19,11 @@ from .core import Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, weight_bound
 
 
+def _power(name: str, e: int) -> str:
+    """The text of the factor name^e, e nonzero."""
+    return name if e == 1 else f"{name}^{e}"
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in (z1, z2, q) over the integers.
 
@@ -92,25 +97,35 @@ class LaurentPoly:
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(out)
 
-    def to_text(self, names: tuple[str, str, str] = ("z1", "z2", "q")) -> str:
-        """Canonical text form, the golden-file format."""
+    def to_text(self, names: tuple[str, str, str] = ("z1", "z2", "q"), items=None) -> str:
+        """Canonical text form, the golden-file format.  items, if given,
+        must be self.terms(), which is then not sorted again.
+
+        The factors of z1^a*z2^b are built once per (a, b), and that of
+        q^d once per d, since many terms share them.
+        """
         if not self._terms:
             return "0"
+        n1, n2, nq = names
+        zs: dict = {}
+        qs: dict = {}
         bits = []
-        for exps, c in self.terms():
-            var_parts = []
-            for name, e in zip(names, exps):
-                if e == 0:
-                    continue
-                var_parts.append(name if e == 1 else f"{name}^{e}")
-            if not var_parts:
+        for (a, b, d), c in self.terms() if items is None else items:
+            z = zs.get((a, b))
+            if z is None:
+                z = zs[a, b] = [_power(n, e) for n, e in ((n1, a), (n2, b)) if e]
+            q = qs.get(d)
+            if q is None:
+                q = qs[d] = [_power(nq, d)] if d else []
+            var = "*".join(z + q)
+            if not var:
                 bits.append(str(c))
             elif c == 1:
-                bits.append("*".join(var_parts))
+                bits.append(var)
             elif c == -1:
-                bits.append("-" + "*".join(var_parts))
+                bits.append("-" + var)
             else:
-                bits.append(f"{c}*" + "*".join(var_parts))
+                bits.append(f"{c}*{var}")
         return " + ".join(bits)
 
     def __repr__(self) -> str:
@@ -391,7 +406,7 @@ def sl2_char(k: int, l: int, M: int, N: int) -> LaurentPoly:
     first = fermionic_char(k, l, k - l, M + 1, N).substitute(images)
     second = fermionic_char(k, l - 1, k - l - 1, M + 1, N).substitute(images)
     poly = first - second
-    for (e1, e2, eq), _ in poly.terms():
+    for _, e2, _ in poly._terms:
         if e2 != 0:
             raise AssertionError("z2 axis must vanish after substitution")
     return LaurentPoly.monomial(1, -l, 0, 0) * poly

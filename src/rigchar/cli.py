@@ -18,6 +18,12 @@ teardown.  A command imports the modules it runs when it runs, so the
 character commands never load bijection and the bijection checks never
 load characters.
 
+JSON is written by _json_chunks, byte for byte as json.dumps(indent=2,
+sort_keys=True) writes it, in chunks of at most _CHUNK characters; a long
+list goes out a batch of items at a time.  A character's terms are
+sorted once, for its "terms" and its "text", and each term is written
+from one %-template (_Rows), with no dict built for it.
+
 Each verify check is one row of _CHECKS.  Its grid runs over k = 1..max_k,
 the labels below, M = 0..max_M, N = first N..max_N and, with weights,
 m, n = 0..max_weight:
@@ -37,7 +43,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, product
 from types import ModuleType
@@ -121,6 +127,27 @@ _encode_str = json.encoder.encode_basestring_ascii
 _CHUNK = 1 << 16  # characters: a batch of list items reaches it, a JSON chunk never exceeds it
 
 
+def _dict_template(keys, nl: str) -> str:
+    """The %-template of a dict with the given sorted, non-empty str keys,
+    written at the nesting whose line break and indent is nl: one %s
+    field per key, in order, for the text of its value."""
+    inner = nl + "  "
+    heads = [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{" + inner + ("," + inner).join(heads) + nl + "}"
+
+
+class _Rows(NamedTuple):
+    """A list of dicts that share their keys and hold only ints, given as
+    keys, sorted, and an iterable of one tuple of values per dict, in key
+    order.  It may stand wherever an iterator may in a document given to
+    _json_chunks.  Each dict is written from one %-template, and none is
+    built.  The values must be of type int, whose str is their JSON text;
+    a bool's is not."""
+
+    keys: tuple[str, ...]
+    values: Iterable[tuple[int, ...]]
+
+
 def _json_value(obj, nl: str, memo: dict) -> str:
     """obj as json.dumps(indent=2, sort_keys=True) writes it at the nesting
     whose line break and indent is nl.
@@ -134,8 +161,8 @@ def _json_value(obj, nl: str, memo: dict) -> str:
     document are tuples shared by many elements, so each is rendered once.
     Keying on identity, not equality, keeps (True, False) and (1.0, 0)
     apart from (1, 0).  memo also maps (keys, nl), a dict's keys in order,
-    to a %-template, so dicts that share keys (enum elements, character
-    terms) are written from one.  A tuple subclass (a core.Record value or
+    to a %-template, so dicts that share keys (enum elements) are written
+    from one.  A tuple subclass (a core.Record value or
     a named tuple) is not a JSON value here and raises TypeError, where
     json.dumps would write a list.
     """
@@ -162,10 +189,8 @@ def _json_value(obj, nl: str, memo: dict) -> str:
         key = (tuple(obj), nl)
         form = memo.get(key)
         if form is None:
-            inner = nl + "  "
             keys = sorted(obj)
-            heads = [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]
-            form = memo[key] = ("{" + inner + ("," + inner).join(heads) + nl + "}", keys, inner)
+            form = memo[key] = (_dict_template(keys, nl), keys, nl + "  ")
         template, keys, inner = form
         return template % tuple([_json_value(obj[k], inner, memo) for k in keys])
     if isinstance(obj, tuple):
@@ -175,22 +200,16 @@ def _json_value(obj, nl: str, memo: dict) -> str:
 
 def _json_parts(obj, nl: str, memo: dict):
     """obj as _json_value writes it, in parts.  obj, or a value of a dict
-    written here, may be an iterator standing for the list of its items;
-    these go out in batches of about _CHUNK characters, so many small items
-    take few writes, and the memo lives for one batch."""
+    written here, may be an iterator standing for the list of its items,
+    or _Rows; the items go out in batches of about _CHUNK characters, so
+    many small items take few writes, and the memo lives for one batch."""
     inner = nl + "  "
-    if isinstance(obj, Iterator):
-        batch, size, sep = [], 0, "[" + inner
-        for item in obj:
-            batch.append(sep + _json_value(item, inner, memo))
-            size += len(batch[-1])
-            sep = "," + inner
-            if size >= _CHUNK:
-                yield "".join(batch)
-                batch, size = [], 0
-                memo.clear()
-        batch.append("[]" if sep[0] == "[" else nl + "]")
-        yield "".join(batch)
+    if isinstance(obj, _Rows):
+        rows = map(_dict_template(obj.keys, inner).__mod__, obj.values)
+        yield from _list_parts(rows, nl, memo)
+    elif isinstance(obj, Iterator):
+        items = (_json_value(item, inner, memo) for item in obj)
+        yield from _list_parts(items, nl, memo)
     elif isinstance(obj, dict) and obj:
         sep = "{" + inner
         for key in sorted(obj):
@@ -200,6 +219,25 @@ def _json_parts(obj, nl: str, memo: dict):
         yield nl + "}"
     else:
         yield _json_value(obj, nl, memo)
+
+
+def _list_parts(items, nl: str, memo: dict):
+    """The list whose items are written as the strings of items, at the
+    nesting whose line break and indent is nl, in batches of about _CHUNK
+    characters; memo is cleared after each batch."""
+    # head opens the next batch: the list, or the separator after the last.
+    batch, size, head, sep = [], 0, "[" + nl + "  ", "," + nl + "  "
+    for item in items:
+        batch.append(item)
+        size += len(item)
+        if size >= _CHUNK:
+            yield head + sep.join(batch)
+            batch, size, head = [], 0, sep
+            memo.clear()
+    if batch:
+        yield head + sep.join(batch) + nl + "]"
+    else:
+        yield nl + "]" if head is sep else "[]"
 
 
 def _json_chunks(obj):
@@ -242,16 +280,21 @@ def run_enum(args) -> int:
 
 
 def _poly_payload(poly, args, names, meta: dict) -> int:
+    """Write a character: its canonical text, or meta with its "terms",
+    one {"coeff", "q", and a key per z axis} row per term, and "text".
+    The terms are sorted once, for both."""
+    items = poly.terms()
+    text = poly.to_text(names, items)
     if args.format == "text":
-        _emit((poly.to_text(names), "\n"), args.output)
+        _emit((text, "\n"), args.output)
+        return 0
+    if names[0] == "z":
+        terms = _Rows(("coeff", "q", "z"), ((c, eq, e1) for (e1, _, eq), c in items))
     else:
-        if names[0] == "z":
-            terms = ({"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms())
-        else:
-            terms = (
-                {"z1": e1, "z2": e2, "q": eq, "coeff": c} for (e1, e2, eq), c in poly.terms()
-            )
-        _emit(_json_chunks({**meta, "terms": terms, "text": poly.to_text(names)}), args.output)
+        terms = _Rows(
+            ("coeff", "q", "z1", "z2"), ((c, eq, e1, e2) for (e1, e2, eq), c in items)
+        )
+    _emit(_json_chunks({**meta, "terms": terms, "text": text}), args.output)
     return 0
 
 

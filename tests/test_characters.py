@@ -69,6 +69,16 @@ class TestLaurentPoly:
         f = LaurentPoly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
         assert f.to_text() == "q + z2 + z1"
 
+    @given(polys, st.sampled_from([("z1", "z2", "q"), ("z", "_", "q")]))
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_a_term_by_term_rendering(self, f, names):
+        bits = []
+        for exps, c in f.terms():
+            var = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+            bits.append(str(c) if not var else {1: var, -1: "-" + var}.get(c, f"{c}*{var}"))
+        assert f.to_text(names) == (" + ".join(bits) or "0")
+        assert f.to_text(names, f.terms()) == f.to_text(names)
+
     def test_specialize(self):
         f = LaurentPoly({(1, 1, 1): 2, (0, 0, -3): 1})
         assert value_at_one(f) == 3

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutants
-from rigchar.cli import _CHECKS, _COMMANDS, _json_text, parse_enum_document
+from rigchar.cli import (
+    _CHECKS,
+    _COMMANDS,
+    _json_chunks,
+    _json_text,
+    _Rows,
+    parse_enum_document,
+)
 from rigchar.core import Params
 
 DATA = Path(__file__).parent / "data"
@@ -206,6 +213,10 @@ class TestChar:
             DATA / "charbf_k2_l1_2_l2_1_l3_0_M1_N1.txt"
         ).read_text()
 
+    def test_k2_json_golden(self):
+        proc = run_cli("char", "--k", "2", "--l1", "2", "--l2", "1", "--M", "1", "--N", "1")
+        assert proc.stdout == (DATA / "char_k2_l1_2_l2_1_M1_N1.json").read_text()
+
     def test_json_terms(self):
         proc = run_cli(
             "char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1",
@@ -233,6 +244,10 @@ class TestSl2Char:
             "--format", "text",
         )
         assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.txt").read_text()
+
+    def test_k2_json_golden(self):
+        proc = run_cli("sl2-char", "--k", "2", "--l", "1", "--M", "1", "--N", "1")
+        assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.json").read_text()
 
 
 # Grids on which each check reports the tau+1 mutant's counterexample.
@@ -1174,6 +1189,27 @@ class TestJsonWriter:
             doc = [build(s) for s in spec]
         assert _json_text(streamed) == reference_json(doc)
 
+    @given(
+        st.lists(json_keys, min_size=1, max_size=4, unique=True),
+        st.lists(st.lists(st.integers(), min_size=4, max_size=4), max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_json_dumps(self, keys, values, nested):
+        keys = sorted(keys)
+        rows = _Rows(tuple(keys), (tuple(v[:len(keys)]) for v in values))
+        doc = [dict(zip(keys, v)) for v in values]
+        if nested:
+            rows, doc = {"rows": rows, "x": 1}, {"rows": doc, "x": 1}
+        assert _json_text(rows) == reference_json(doc)
+
+    def test_rows_cross_batches(self):
+        values = [(i, -i, 10**30 + i) for i in range(3000)]
+        chunks = list(_json_chunks({"a": 0, "terms": _Rows(("c", "q", "z"), values)}))
+        doc = {"a": 0, "terms": [dict(zip("cqz", v)) for v in values]}
+        assert len(chunks) > 3 and max(map(len, chunks)) <= 64 * 1024
+        assert "".join(chunks) == reference_json(doc)
+
     def test_enum_document(self, capsys):
         from rigchar import cli
 
@@ -1201,6 +1237,66 @@ class TestJsonWriter:
             assert out == reference_json(json.loads(out))
 
 
+def character(command: str, flags: dict):
+    """The polynomial a character command writes for flags, and its axis names."""
+    from rigchar import characters
+
+    if command == "char":
+        return characters.fermionic_char(**flags), ("z1", "z2", "q")
+    if command == "char-bruteforce":
+        return characters.char_R(Params(**flags)), ("z1", "z2", "q")
+    return characters.sl2_char(**flags), ("z", "_", "q")
+
+
+# Character points: the zero polynomial first, sl2-char with negative z exponents.
+CHAR_POINTS = [
+    ("char", dict(k=1, l1=0, l2=0, M=0, N=0)),
+    *(("char", dict(k=k, l1=l1, l2=l2, M=M, N=N))
+      for k in (1, 2) for l1 in range(k + 1) for l2 in range(k + 1)
+      for M in (0, 2) for N in (1, 2)),
+    *(("char-bruteforce", dict(k=2, l1=l1, l2=2, l3=l3, M=2, N=1))
+      for l1 in range(3) for l3 in range(l1 + 1)),
+    ("char-bruteforce", dict(k=1, l1=0, l2=0, l3=0, M=0, N=0)),
+    *(("sl2-char", dict(k=k, l=l, M=M, N=N))
+      for k in (1, 2) for l in range(k + 1) for M in (0, 1) for N in (0, 2)),
+]
+
+
+class TestCharPayload:
+    """A character's document is the one built from a dict per term."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_matches_its_reconstruction(self, fmt, capsys):
+        from rigchar import cli
+
+        for command, flags in CHAR_POINTS:
+            argv = [command, *(f"--{k}={v}" for k, v in flags.items()), "--format", fmt]
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            poly, names = character(command, flags)
+            if fmt == "text":
+                assert out == poly.to_text(names) + "\n", argv
+                continue
+            if names[0] == "z":
+                terms = [{"z": e1, "q": eq, "coeff": c} for (e1, _, eq), c in poly.terms()]
+            else:
+                terms = [
+                    {"z1": e1, "z2": e2, "q": eq, "coeff": c}
+                    for (e1, e2, eq), c in poly.terms()
+                ]
+            doc = {"command": command, **flags, "terms": terms, "text": poly.to_text(names)}
+            assert out == reference_json(doc), argv
+
+    def test_grid_covers_the_edge_cases(self):
+        zero, _ = character(*CHAR_POINTS[0])
+        assert zero.terms() == [] and zero.to_text() == "0"
+        assert any(
+            e1 < 0
+            for command, flags in CHAR_POINTS if command == "sl2-char"
+            for (e1, _, _), _ in character(command, flags)[0].terms()
+        )
+
+
 class RecordingStdout:
     """A stdout that keeps each string written to it."""
 
@@ -1215,17 +1311,23 @@ class RecordingStdout:
         pass
 
 
+def streamed_invocations():
+    """enum's benchmark invocation, then every char and char-bruteforce
+    invocation whose stdout digest the benchmark records; the first two
+    keep their short ids."""
+    short = {
+        "enum --k 2 --l1 2 --l2 2 --l3 0 --M 5 --N 4": "enum",
+        "char --k 2 --l1 2 --l2 1 --M 10 --N 10": "char",
+    }
+    recorded = json.loads(WORKLOADS.read_text())["expected"]
+    argvs = [*short, *(a for a in recorded if a.split()[0] in ("char", "char-bruteforce"))]
+    return [pytest.param(a, id=short.get(a, a)) for a in dict.fromkeys(argvs)]
+
+
 class TestStreaming:
     """Documents go out in bounded chunks with the bytes the benchmark pins."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "enum --k 2 --l1 2 --l2 2 --l3 0 --M 5 --N 4",
-            "char --k 2 --l1 2 --l2 1 --M 10 --N 10",
-        ],
-        ids=["enum", "char"],
-    )
+    @pytest.mark.parametrize("argv", streamed_invocations())
     def test_chunks_are_bounded_and_exact(self, argv, monkeypatch):
         from rigchar import cli
 
@@ -1235,4 +1337,4 @@ class TestStreaming:
         assert cli.main(argv.split()) == 0
         chunks = [text.encode() for text in stdout.writes]
         assert hashlib.sha256(b"".join(chunks)).hexdigest() == expected
-        assert max(map(len, chunks)) <= 256 * 1024
+        assert max(map(len, chunks)) <= 64 * 1024
