@@ -5,18 +5,18 @@ captured output stays byte-stable.  verify splits its grid into blocks of
 equal (k, M), which share no rigged-set cache entries, and checks whole
 blocks on min(--jobs, number of blocks) workers: one runs the blocks
 in-process in ascending (k, M) order, more are processes fed one block at
-a time over pipes in descending order.  A block skips the points past the
-lowest failing grid index known when it starts, and the lowest is
-reported, so the output does not depend on the worker count.  Exit codes:
-0 pass, 1 verified failure with a counterexample report, 2 usage error (a
-plain ValueError), 3 internal failure (any other exception, or a dead
-worker), reported as one JSON line on stdout, or, if stdout cannot take
-it, as one error line on stderr.  main alone maps an exception to its
-code; console_entry, the entry point of python -m rigchar and of the
-rigchar script, runs main and ends the process without the interpreter's
-teardown.  A command imports the modules it runs when it runs, so the
-character commands never load bijection and the bijection checks never
-load characters.
+a time over pipes in descending order.  A block builds its points, skips
+those at or past the least failing point known when it starts, and the
+least failing point wins, so the output does not depend on the worker
+count.  Exit codes: 0 pass, 1 verified failure with a counterexample
+report, 2 usage error (a plain ValueError), 3 internal failure (any other
+exception, or a dead worker), reported as one JSON line on stdout, or, if
+stdout cannot take it, as one error line on stderr.  main alone maps an
+exception to its code; console_entry, the entry point of python -m
+rigchar and of the rigchar script, runs main and ends the process without
+the interpreter's teardown.  A command imports the modules it runs when
+it runs, so the character commands never load bijection and the bijection
+checks never load characters.
 
 JSON is written by _json_chunks, byte for byte as json.dumps(indent=2,
 sort_keys=True) writes it, in chunks of at most _CHUNK characters; a long
@@ -422,28 +422,30 @@ def _check_point(what: str, module: ModuleType, point: tuple) -> dict | None:
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}
 
 
-def _check_block(stop_at: int, block) -> tuple[int, tuple[int, dict] | None]:
-    """The size of a block and the grid index and report of its first
-    failing point, or None.
+def _check_block(stop_at: tuple, block) -> tuple[tuple, dict] | None:
+    """The least failing point of a block and its report, or None.
 
-    A block is (check name, (k, M), points), its points (grid index,
-    point) pairs in grid order.  Points at or past stop_at, the lowest
-    failing index seen when the block starts, are skipped: a failure
-    there cannot be the first in grid order.
+    A block is (check name, k, M, max_N, max_weight).  Its points
+    (k, *labels, M, N, m, n) are built here in grid order, their order as
+    tuples, since each labels list ascends.  Points at or past stop_at, the
+    least failing point seen when the block starts, cannot fail first.
     """
-    what, _, points = block
-    module = _CHECKS[what].load()
-    for index, point in points:
-        if index >= stop_at:
+    what, k, M, max_N, max_weight = block
+    check = _CHECKS[what]
+    module = check.load()
+    weights = [range(max_weight + 1)] * 2 if check.needs_weight else []
+    for labels, N, *mn in product(check.labels(k), range(check.first_N, max_N + 1), *weights):
+        point = (k, *labels, M, N, *mn)
+        if point >= stop_at:
             break
         failure = _check_point(what, module, point)
         if failure is not None:
-            return len(points), (index, failure)
-    return len(points), None
+            return point, failure
+    return None
 
 
 def _worker(conn) -> None:
-    """Answer each (stop index, block) on conn with _check_block's result, until None."""
+    """Answer each (stop point, block) on conn with _check_block's result, until None."""
     for task in iter(conn.recv, None):
         try:
             result = _check_block(*task)
@@ -452,11 +454,11 @@ def _worker(conn) -> None:
         conn.send(result)
 
 
-def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], int]):
-    """The results of blocks checked on worker processes, as they finish.
-    A worker gets its next block with stop_at() once its last result is
-    taken, then None.  Its exception, or RuntimeError if it dies, is
-    raised here once every worker is terminated."""
+def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], tuple]):
+    """(block, result) for blocks checked on worker processes, as they
+    finish.  A worker gets its next block with stop_at() once its last
+    result is taken, then None.  Its exception, or RuntimeError if it dies,
+    is raised here once every worker is terminated."""
     # Imported here so that the runs that start no worker do not pay for it.
     import multiprocessing
     from multiprocessing.connection import wait
@@ -481,10 +483,10 @@ def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], int]):
                 try:
                     result = conn.recv()
                 except EOFError:
-                    raise RuntimeError(f"a worker died in block (k, M) = {block[1]}") from None
+                    raise RuntimeError(f"a worker died in block (k, M) = {block[1:3]}") from None
                 if isinstance(result, BaseException):
                     raise result
-                yield result
+                yield block, result
     except BaseException:
         for proc in procs.values():
             proc.terminate()
@@ -494,23 +496,24 @@ def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], int]):
             proc.join()
 
 
-def _run_blocks(blocks: list[tuple], workers: int, total: int) -> dict | None:
-    """The report of the first failing point in grid order, or None.
+def _run_blocks(blocks: dict[tuple, int], workers: int, total: int) -> dict | None:
+    """The report of the least failing point, or None.
 
-    blocks come in ascending (k, M) order.  One worker checks them
-    in-process in that order, so a failure in a small block stops the
-    larger ones early; more check them in descending order, costliest
-    first, and read every result, since a block that finishes later may
-    hold an earlier failure.  A block reads stop_at once, when handed out.
+    blocks map each to its size, in ascending (k, M) order.  One worker
+    checks them in-process in that order, so a failure in a small block
+    stops the larger ones early; more check them in descending order,
+    costliest first, and read every result, since a block that finishes
+    later may hold a lesser failing point.  A block reads stop_at once, when
+    handed out; it starts at (max_k + 1,), above every point.
     """
-    stop_at, failure, done = total, None, 0
+    stop_at, failure, done = (max(blocks)[1] + 1,), None, 0
     if workers > 1:
-        results = _on_workers(blocks[::-1], workers, lambda: stop_at)
+        results = _on_workers(list(blocks)[::-1], workers, lambda: stop_at)
     else:
         # The generator reads stop_at afresh for each block.
-        results = (_check_block(stop_at, block) for block in blocks)
-    for size, found in results:
-        done += size
+        results = ((block, _check_block(stop_at, block)) for block in blocks)
+    for block, found in results:
+        done += blocks[block]
         print(f"progress: {done}/{total}", file=sys.stderr)
         if found is not None and found[0] < stop_at:
             stop_at, failure = found
@@ -524,24 +527,21 @@ def run_verify(args) -> int:
         raise ValueError(f"verify {args.what} {need} --max-weight")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    weights = [range(args.max_weight + 1)] * 2 if check.needs_weight else []
-    points = product(
-        [(k, *labels) for k in range(1, args.max_k + 1) for labels in check.labels(k)],
-        range(args.max_M + 1),
-        range(check.first_N, args.max_N + 1),
-        *weights,
-    )
+    per_labels = len(range(check.first_N, args.max_N + 1))
+    if check.needs_weight:
+        per_labels *= len(range(args.max_weight + 1)) ** 2
     # Every enumerate_R piece a check reads at a point has the point's k
     # and M; only its labels and N may differ.  So blocks of equal (k, M)
     # share no _R_CACHE entries, where blocks of equal labels would.
-    blocks: dict[tuple[int, int], list] = {}
-    for index, (kl, M, N, *mn) in enumerate(points):
-        blocks.setdefault((kl[0], M), []).append((index, (*kl, M, N, *mn)))
-    if not blocks:
+    blocks = {
+        (args.what, k, M, args.max_N, args.max_weight): len(check.labels(k)) * per_labels
+        for k in range(1, args.max_k + 1)
+        for M in range(args.max_M + 1)
+    }
+    total = sum(blocks.values())
+    if not total:
         raise ValueError(f"verify {args.what} has no grid points")
-    total = sum(map(len, blocks.values()))
-    order = [(args.what, key, blocks[key]) for key in sorted(blocks)]
-    failure = _run_blocks(order, min(args.jobs, len(blocks)), total)
+    failure = _run_blocks(blocks, min(args.jobs, len(blocks)), total)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight

@@ -301,8 +301,14 @@ class TestVerify:
              "--max-N", "1"],
             ["bijection", "--max-k", "0", "--max-weight", "1", "--max-M", "1",
              "--max-N", "1"],
+            ["recursion", "--max-k", "2", "--max-weight", "1", "--max-M", "-1",
+             "--max-N", "1"],
+            # N = 0..-2 has -1 values by subtraction, and a product of such
+            # counts would be a negative, nonzero number of points.
+            ["lower-decomp", "--max-k", "2", "--max-weight", "1", "--max-M", "1",
+             "--max-N", "-2"],
         ],
-        ids=["no-N", "no-weight", "no-k"],
+        ids=["no-N", "no-weight", "no-k", "no-M", "negative-N"],
     )
     def test_empty_grid_exit_2(self, argv, capsys):
         from rigchar import cli
@@ -521,9 +527,14 @@ class TestVerify:
         one = run_cli(*base, "--jobs", "1")
         many = run_cli(*base, "--jobs", "3")
         assert one.stdout == many.stdout
-        assert json.loads(one.stdout)["status"] == "pass"
-        # One progress line per finished block, in-process and on workers.
-        assert one.stderr.count("progress:") == many.stderr.count("progress:") == 4
+        doc = json.loads(one.stdout)
+        assert doc["status"] == "pass"
+        # One progress line per finished block, in-process and on workers;
+        # the block sizes, counted from the cutoffs, add up to the points.
+        points = doc["points"]
+        for proc in (one, many):
+            assert proc.stderr.count("progress:") == 4
+            assert proc.stderr.splitlines()[-1] == f"progress: {points}/{points}"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_job_count_exits_2(self, jobs):
@@ -566,14 +577,15 @@ def inline_workers(monkeypatch):
     stand-ins that run a worker's loop in this process each time the
     parent sends it a task, so each block is checked when it is
     dispatched.  Returns a namespace whose started lists the stand-in
-    processes started, pipes the pipes made, and failing_indices the grid
-    index of each failure the workers sent back, in the order sent."""
+    processes started, pipes the pipes made, tasks every (stop point,
+    block) task the parent sent, and failing_points the point of each
+    failure the workers sent back, in the order sent."""
     import multiprocessing
     import multiprocessing.connection
     from collections import deque
     from types import SimpleNamespace
 
-    seen = SimpleNamespace(started=[], pipes=[], failing_indices=[])
+    seen = SimpleNamespace(started=[], pipes=[], tasks=[], failing_points=[])
 
     class Idle(Exception):
         """A stand-in worker has read every task sent to it so far."""
@@ -586,8 +598,11 @@ def inline_workers(monkeypatch):
             self.inbox, self.peer, self.worker = deque(), None, None
 
         def send(self, obj):
-            if self.worker is not None and isinstance(obj, tuple) and obj[1] is not None:
-                seen.failing_indices.append(obj[1][0])
+            if self.worker is None:
+                if obj is not None:
+                    seen.tasks.append(obj)
+            elif isinstance(obj, tuple):
+                seen.failing_points.append(obj[0])
             self.peer.inbox.append(obj)
             if self.peer.worker is not None:
                 self.peer.worker.run()
@@ -650,7 +665,8 @@ def tau_one_up(monkeypatch):
 
 # Blocks (3, 1), (2, 1) and (1, 1) of this grid fail with tau one too
 # large (tau_plus_one in a subprocess, tau_one_up in this one), first at
-# grid indices 463, 193 and 85; the first failure in grid order has k = 1.
+# the points (k, 1, 1, 1, 1, 1, 1, 1), the 464th, 194th and 86th of the
+# grid; the first failure in grid order has k = 1.
 FIRST_FAILURE_GRID = [
     "verify", "recursion", "--max-k", "3", "--max-weight", "2",
     "--max-M", "1", "--max-N", "1",
@@ -687,12 +703,14 @@ class TestBlockScheduler:
 
     def test_lowest_failing_index_wins_in_process(self, inline_workers, tau_one_up, capsys):
         # Blocks run largest (k, M) first, and each later block still
-        # checks its points below the lowest failing index found so far.
+        # checks its points below the least failing point found so far.
         from rigchar import cli
 
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "2"]) == 1
         pooled = capsys.readouterr().out
-        assert inline_workers.failing_indices == [463, 193, 85]
+        assert inline_workers.failing_points == [
+            (3, 1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1)
+        ]
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
         assert capsys.readouterr().out == pooled
         assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
@@ -701,7 +719,8 @@ class TestBlockScheduler:
         self, inline_workers, tau_one_up, monkeypatch, capsys
     ):
         # One worker runs the blocks in ascending (k, M) order, so once the
-        # k = 1 failure at grid index 85 is found, no k >= 2 point is checked.
+        # k = 1 failure at the grid's 86th point is found, no k >= 2 point
+        # is checked.
         from rigchar import cli
 
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "2"]) == 1
@@ -716,10 +735,38 @@ class TestBlockScheduler:
         monkeypatch.setattr(cli, "_check_point", counted)
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
         assert capsys.readouterr().out == pooled
-        # Block (1, 0) whole and block (1, 1) up to index 85: as many points
-        # as grid order checks, indices 0..85.  --jobs 1 starts no worker.
+        # Block (1, 0) whole and block (1, 1) up to its failing point: as
+        # many points as grid order checks.  --jobs 1 starts no worker.
         assert set(levels) == {1} and len(levels) == 86
         assert len(inline_workers.started) == 2
+
+    def test_a_task_is_the_block_coordinates(self, inline_workers, capsys):
+        # A task names its block and the cutoffs, and the worker builds the
+        # points: it stays small however large the block.
+        import pickle
+
+        from rigchar import cli
+
+        argv = [
+            "verify", "recursion", "--max-k", "3", "--max-weight", "4",
+            "--max-M", "2", "--max-N", "2", "--jobs", "2",
+        ]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert len(inline_workers.tasks) == 9
+        sizes = [len(pickle.dumps(task)) for task in inline_workers.tasks]
+        assert max(sizes) <= 256, sizes
+
+    @pytest.mark.parametrize("what", sorted(_CHECKS))
+    def test_labels_ascend(self, what):
+        # _check_block skips each point at or past the least failing point
+        # known, which is sound only if it builds its points in grid order,
+        # that is if each labels list ascends as a list of tuples.
+        labels = _CHECKS[what].labels
+        for k in range(1, 5):
+            found = labels(k)
+            assert len({len(label) for label in found}) == 1
+            assert all(a < b for a, b in zip(found, found[1:]))
 
     @pytest.mark.parametrize("jobs", ["2", "4"])
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
