@@ -20,7 +20,6 @@ __all__ = [
     "Params",
     "Report",
     "RiggedPair",
-    "Rigging",
     "boundary_ok",
     "char_R",
     "char_recursion_check",

@@ -41,7 +41,7 @@ from .core import (
     Record,
     Report,
     RiggedPair,
-    Rigging,
+    checked_pair,
     pair_to_obj,
     params_to_obj,
     vacancy_P,
@@ -66,7 +66,7 @@ class MarkedBound(Record):
 
         An empty row fails a marked component and meets an unmarked one.
         The bound of a subset covers the rows of r, then those of s: an
-        element x is tested on x.r.rows + x.s.rows.
+        element x is tested on x.r + x.s.
         """
         for row, bound, eq in zip(rows, self.value, self.marked):
             if eq:
@@ -166,7 +166,7 @@ def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
 def lower_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
     entry = lower_table(p.k, p.l1, p.l2).get((I, J))
-    if entry is None or not entry.bound.satisfied_by(x.r.rows + x.s.rows):
+    if entry is None or not entry.bound.satisfied_by(x.r + x.s):
         return False
     return satisfies_cutoffs(x, p)
 
@@ -180,7 +180,7 @@ def upper_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], l1: int,
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
     entry = upper_table(p.k, l1).get((I, J))
-    if entry is None or not entry.bound.satisfied_by(x.r.rows + x.s.rows):
+    if entry is None or not entry.bound.satisfied_by(x.r + x.s):
         return False
     l1p, l2p, _ = entry.primed
     return satisfies_cutoffs(x, _tau_free(p.k, l1p, l2p, p.M, p.N - 1))
@@ -192,8 +192,8 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
     Multiplicities shift by epsilon; surviving riggings shift by
     delta_r/delta_s; a marked removal drops the bottom row and a new
     bottom row rigged by rho (resp. sigma) is appended where epsilon is
-    +1.  The image is validated against lower_member and a mismatch is a
-    hard error: the verifiers must not trust the formulas they test.
+    +1.  The image is checked (core.checked_pair, lower_member) and a
+    mismatch is a hard error: verifiers must not trust what they test.
     """
     if len(J) > p.l2:
         raise ValueError("|J| exceeds l2: the target lower subset is empty")
@@ -202,19 +202,19 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
     # An l1-admissible pair with |J| <= l2 is (l1, l2)-admissible.
     entry = lower_table(p.k, p.l1, p.l2)[I, J]
 
-    def shift(mult: tuple[int, ...], rig: Rigging, eps, delta, new_bottom):
+    def shift(mult: tuple[int, ...], rig: tuple, eps, delta, new_bottom):
         rows = []
-        for row, e, d, bottom in zip(rig.rows, eps, delta, new_bottom):
+        for row, e, d, bottom in zip(rig, eps, delta, new_bottom):
             new = [v + d for v in (row[:-1] if e == -1 else row)]
             if e == 1:
                 new.append(bottom)
-            rows.append(tuple(new))
-        return tuple(map(add, mult, eps)), Rigging(tuple(rows))
+            rows.append(new)
+        return tuple(map(add, mult, eps)), rows
 
     bottoms = entry.bound.value
     mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, bottoms[: p.k])
     nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, bottoms[p.k :])
-    out = RiggedPair(mu, r, nu, s)
+    out = checked_pair(mu, r, nu, s)
     if not lower_member(out, I, J, p):
         raise AssertionError(f"rigging map produced a non-member of the lower subset: {out}")
     return out
@@ -254,7 +254,7 @@ def _cover_scan(
     target = set(enumerate_R(p, m, n))
     ambient = _ambient(p, m, n)
     for x in ambient:
-        rows = x.r.rows + x.s.rows
+        rows = x.r + x.s
         covers = []
         for I, J, bound in pairs:
             if bound.satisfied_by(rows):
@@ -358,12 +358,12 @@ def verify_bijection(p: Params, m: int, n: int) -> Report:
         ups = enumerate_R(up_params, m - a, n - b)
         try:
             images = [
-                map_m(x, I, J, p) for x in ups if upper.bound.satisfied_by(x.r.rows + x.s.rows)
+                map_m(x, I, J, p) for x in ups if upper.bound.satisfied_by(x.r + x.s)
             ]
         except (ValueError, AssertionError) as exc:
             detail = {"reason": str(exc)}
         else:
-            lows = [y for y in lower_ambient if bound.satisfied_by(y.r.rows + y.s.rows)]
+            lows = [y for y in lower_ambient if bound.satisfied_by(y.r + y.s)]
             if len(set(images)) != len(images):
                 detail = {"reason": "not injective"}
             elif sorted(images, key=canonical_key) != lows:

@@ -228,16 +228,16 @@ def degree_D(mu: tuple[int, ...], nu: tuple[int, ...], l1: int, l2: int) -> int:
 
 def rig_degree(x: RiggedPair, l1: int, l2: int) -> int:
     """Degree of a rigged pair: the base degree plus all rigging entries."""
-    return degree_D(x.mu, x.nu, l1, l2) + x.r.total() + x.s.total()
+    return degree_D(x.mu, x.nu, l1, l2) + sum(map(sum, x.r)) + sum(map(sum, x.s))
 
 
 def piece_degrees(elements, l1: int, l2: int):
     """rig_degree of each element, in order.
 
     degree_D is computed once per run of elements that share their mu and
-    nu objects, and r.total() once per run that shares r, as the elements
-    of an enumerated piece do.  A run is detected by identity, so elements
-    that share nothing only cost a recomputation each.
+    nu objects, and the entry sum of r once per run that shares r, as the
+    elements of an enumerated piece do.  A run is detected by identity, so
+    elements that share nothing only cost a recomputation each.
     """
     mu = nu = r = None
     for x in elements:
@@ -246,8 +246,8 @@ def piece_degrees(elements, l1: int, l2: int):
             base = degree_D(mu, nu, l1, l2)
         if x.r is not r:
             r = x.r
-            base_r = base + r.total()
-        yield base_r + x.s.total()
+            base_r = base + sum(map(sum, r))
+        yield base_r + sum(map(sum, x.s))
 
 
 def char_R(p: Params) -> LaurentPoly:

@@ -1,14 +1,14 @@
 """Foundational types for level-restricted rigged partitions.
 
-Parameters, riggings, the tau lower bound on riggings, the vacancy-number
-upper bounds (KVector), the Report every verifier returns, and the JSON
-objects of a parameter tuple and a rigged pair (shared by the CLI and the
-verifiers' failure reports).
+Parameters, the checks on rigging rows, the tau lower bound on riggings,
+the vacancy-number upper bounds (KVector), the Report every verifier
+returns, and the JSON objects of a parameter tuple and a rigged pair
+(shared by the CLI and the verifiers' failure reports).
 
-A level-k partition is a plain tuple of k row-length multiplicities:
-mult[alpha-1] rows of length alpha, which is all the formulas read.  The
-other types are immutable values: Record subclasses, whose fields are
-properties, and KVector, a tuple subclass whose items are its entries.
+A level-k partition is a plain tuple of k row-length multiplicities, and
+a rigging a plain tuple of k rows (see RiggedPair).  The other types are
+immutable values: Record subclasses, whose fields are properties, and
+KVector, a tuple subclass whose items are its entries.
 The functions are pure apart from memo caches, those of the vacancy
 helpers.
 """
@@ -28,8 +28,8 @@ def pos_part(x: int) -> int:
 class InvariantError(ValueError):
     """A value that breaks an invariant of the types below.
 
-    Rigging, RiggedPair, pair_from_obj and vacancy_P raise it.  The
-    CLI builds these values itself, so one raised mid-run is an internal
+    RiggedPair, check_row, checked_pair and vacancy_P raise it.  The CLI
+    builds these values itself, so one raised mid-run is an internal
     fault (exit 3), not a usage error; it subclasses ValueError so that
     callers validating untrusted input can still catch ValueError.
     """
@@ -162,57 +162,30 @@ def partition_rows(mult: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-class Rigging(Record):
-    """One weakly decreasing list of non-negative integers per row length.
-
-    The row lengths (lengths) and the sum of all entries (total()) are
-    computed once, at construction, and stored after the rows; they are
-    functions of the rows, so equality and hashing are still on the rows.
-    """
-
-    __slots__ = ()
-    _fields = ("rows",)
-    lengths = property(itemgetter(1))
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "Rigging":
-        # islice, not row[1:]: a slice per row left enum's peak RSS about
-        # 1 MB higher (allocator layout; tracemalloc's peak was unchanged).
-        for row in rows:
-            if len(row) > 1 and any(map(lt, row, islice(row, 1, None))):
-                raise InvariantError(f"rigging row {row} is not weakly decreasing")
-            if row and row[-1] < 0:
-                raise InvariantError("rigging entries must be >= 0")
-        return tuple.__new__(cls, (rows, tuple(map(len, rows)), sum(map(sum, rows))))
-
-    def total(self) -> int:
-        return self[2]
-
-    def flat(self) -> tuple[int, ...]:
-        out = []
-        for row in self.rows:
-            out.extend(row)
-        return tuple(out)
+def check_row(row: tuple[int, ...]) -> None:
+    """Raise InvariantError unless row is a rigging row: weakly decreasing,
+    with entries >= 0."""
+    if len(row) > 1 and any(map(lt, row, islice(row, 1, None))):
+        raise InvariantError(f"rigging row {row} is not weakly decreasing")
+    if row and row[-1] < 0:
+        raise InvariantError("rigging entries must be >= 0")
 
 
 class RiggedPair(Record):
     """A pair of rigged partitions (mu, r; nu, s) at a common level.
 
-    mu and nu are multiplicity tuples.  The rows of a rigging count at
-    least 0, so matching them checks that no multiplicity is negative.
+    mu and nu are multiplicity tuples.  A rigging, r of mu or s of nu, is a
+    tuple whose row alpha-1 is a weakly decreasing tuple of mult[alpha-1]
+    non-negative integers.  Only the level is checked here: the rows are
+    checked where they are made, by riggedsets._row_choices or checked_pair.
     """
 
     __slots__ = ()
     _fields = ("mu", "r", "nu", "s")
 
-    def __new__(
-        cls, mu: tuple[int, ...], r: Rigging, nu: tuple[int, ...], s: Rigging
-    ) -> "RiggedPair":
+    def __new__(cls, mu: tuple[int, ...], r: tuple, nu: tuple[int, ...], s: tuple) -> "RiggedPair":
         if len(mu) != len(nu):
             raise InvariantError("mu and nu must share a level")
-        if r.lengths != mu:
-            raise InvariantError("r row counts do not match mu multiplicities")
-        if s.lengths != nu:
-            raise InvariantError("s row counts do not match nu multiplicities")
         return tuple.__new__(cls, (mu, r, nu, s))
 
 
@@ -223,21 +196,30 @@ def pair_to_obj(x: RiggedPair) -> dict:
     writes a tuple as a list.  Elements of one piece share these tuples
     (see riggedsets._riggings), which cli._json_chunks renders once each.
     """
-    return {"mu": x.mu, "r": x.r.rows, "nu": x.nu, "s": x.s.rows}
+    return {"mu": x.mu, "r": x.r, "nu": x.nu, "s": x.s}
+
+
+def checked_pair(mu: tuple[int, ...], r, nu: tuple[int, ...], s) -> RiggedPair:
+    """RiggedPair(mu, r, nu, s) with the rows of r and s, any iterables,
+    made tuples and checked: each is a rigging row (check_row), and row
+    alpha-1 of r holds mu[alpha-1] entries, that of s nu[alpha-1]."""
+    r, s = tuple(map(tuple, r)), tuple(map(tuple, s))
+    for row in r + s:
+        check_row(row)
+    if tuple(map(len, r)) != mu:
+        raise InvariantError("r row counts do not match mu multiplicities")
+    if tuple(map(len, s)) != nu:
+        raise InvariantError("s row counts do not match nu multiplicities")
+    return RiggedPair(mu, r, nu, s)
 
 
 def pair_from_obj(k: int, obj: dict) -> RiggedPair:
-    """Inverse of pair_to_obj at level k; a "degree" field, if present, is
-    ignored."""
+    """Inverse of pair_to_obj at level k, checking every row (checked_pair);
+    a "degree" field, if present, is ignored."""
     mu = tuple(obj["mu"])
     if len(mu) != k:
         raise InvariantError(f"need {k} multiplicities, got {len(mu)}")
-    return RiggedPair(
-        mu,
-        Rigging(tuple(tuple(row) for row in obj["r"])),
-        tuple(obj["nu"]),
-        Rigging(tuple(tuple(row) for row in obj["s"])),
-    )
+    return checked_pair(mu, obj["r"], tuple(obj["nu"]), obj["s"])
 
 
 def params_to_obj(p: Params) -> dict:

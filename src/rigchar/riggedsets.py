@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from operator import sub
 
 from .core import (
+    InvariantError,
     Params,
     RiggedPair,
-    Rigging,
+    check_row,
     partition_rows,
     tau,
     vacancy_P,
@@ -32,7 +33,8 @@ from .core import (
 
 def canonical_key(x: RiggedPair):
     """Sort key: lexicographic on (mu, nu) row lists, then flattened riggings."""
-    return (partition_rows(x.mu), partition_rows(x.nu), x.r.flat(), x.s.flat())
+    rigs = (tuple(chain.from_iterable(x.r)), tuple(chain.from_iterable(x.s)))
+    return (partition_rows(x.mu), partition_rows(x.nu), *rigs)
 
 
 @lru_cache(maxsize=None)
@@ -70,15 +72,15 @@ def _row_choices(count: int, bound, low: int = 0) -> tuple[tuple[int, ...], ...]
     [low, bound], in ascending lexicographic order.
 
     Combinations with replacement of bound, bound-1, ..., low are exactly
-    these tuples, in descending lexicographic order.
+    these tuples, in descending lexicographic order.  They are the rows of
+    enumerate_R's riggings, so each is checked here, once per cache entry.
     """
-    if count == 0:
-        return ((),)
-    if bound < low:
-        return ()
-    return tuple(
-        combinations_with_replacement(range(bound, low - 1, -1), count)
-    )[::-1]
+    rows = tuple(combinations_with_replacement(range(bound, low - 1, -1), count))[::-1]
+    for row in rows:
+        check_row(row)
+        if len(row) != count or not all(low <= v <= bound for v in row):
+            raise InvariantError(f"rigging row {row} is not {count} entries in [{low}, {bound}]")
+    return rows
 
 
 def satisfies_tau(x: RiggedPair, p: Params) -> bool:
@@ -86,10 +88,10 @@ def satisfies_tau(x: RiggedPair, p: Params) -> bool:
 
     Pairs where either row set is empty are vacuous.
     """
-    for alpha, ra in enumerate(x.r.rows, start=1):
+    for alpha, ra in enumerate(x.r, start=1):
         if not ra:
             continue
-        for beta, sb in enumerate(x.s.rows, start=1):
+        for beta, sb in enumerate(x.s, start=1):
             if sb and ra[-1] + sb[-1] < tau(alpha, beta, p):
                 return False
     return True
@@ -104,7 +106,7 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
     if not Q.is_nonneg():
         return False
     # One row of r per entry of P, then one row of s per entry of Q.
-    for row, bound in zip(x.r.rows + x.s.rows, P + Q):
+    for row, bound in zip(x.r + x.s, P + Q):
         if row and row[0] > bound:
             return False
     return True
@@ -158,9 +160,9 @@ def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
     already bounded below.  Those bounds, need_j = max(0, max_i
     taumat[i][j] - r_i[-1]) over the nonempty rows j of nu (the empty
     vector when tau bounds nothing), are all that the riggings s depend
-    on.  So the s riggings of each distinct bound vector are built, and
-    validated, once per call, and the elements of every r with that
-    vector share them.
+    on.  So the s riggings (product's tuples) of each distinct bound vector
+    are built once per call, and the elements of every r with that vector
+    share them.
     """
     k = len(mu)
     r_opts = list(map(_row_choices, mu, r_caps))
@@ -170,10 +172,9 @@ def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
     cols = []
     if taumat is not None and mu_rows:
         cols = [(j, [taumat[i][j] for i in mu_rows]) for j in range(k) if nu[j]]
-    s_by_need: dict[tuple[int, ...], list[Rigging]] = {}
+    s_by_need: dict[tuple[int, ...], list[tuple]] = {}
     need: tuple[int, ...] = ()
     for rr in product(*r_opts):
-        r_obj = Rigging(rr)
         if cols:
             bottoms = [rr[i][-1] for i in mu_rows]
             need = tuple(max(0, max(map(sub, col, bottoms))) for _, col in cols)
@@ -183,9 +184,9 @@ def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
             for (j, _), low in zip(cols, need):
                 if low:
                     s_now[j] = _row_choices(nu[j], s_caps[j], low)
-            s_objs = s_by_need[need] = [Rigging(ss) for ss in product(*s_now)]
+            s_objs = s_by_need[need] = list(product(*s_now))
         for s_obj in s_objs:
-            yield RiggedPair(mu, r_obj, nu, s_obj)
+            yield RiggedPair(mu, rr, nu, s_obj)
 
 
 def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:

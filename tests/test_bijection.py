@@ -34,7 +34,7 @@ from rigchar.bijection import (
     verify_upper_decomposition,
 )
 from rigchar.characters import LaurentPoly, rig_degree
-from rigchar.core import Params, RiggedPair, Rigging, weight
+from rigchar.core import Params, RiggedPair, weight
 from rigchar.riggedsets import enumerate_R
 
 
@@ -50,7 +50,7 @@ def ambient(p, m, n):
     return enumerate_R(free, m, n)
 
 
-EMPTY1 = RiggedPair((0,), Rigging(((),)), (0,), Rigging(((),)))
+EMPTY1 = RiggedPair((0,), ((),), (0,), ((),))
 
 
 class TestBoundTables:
@@ -306,7 +306,7 @@ class TestMapM:
                     y = map_m(x, I, J, p)
                     assert y.mu == x.mu and y.nu == x.nu
                     assert y.r == x.r
-                    for got, row, d in zip(y.s.rows, x.s.rows, shift):
+                    for got, row, d in zip(y.s, x.s, shift):
                         assert got == tuple(v + d for v in row)
                     if any(x.nu):
                         moved += 1
@@ -315,7 +315,7 @@ class TestMapM:
     def test_rejects_non_members(self):
         p = Params(1, 1, 1, 1, 1, 1)
         I = J = (1,)
-        bad = RiggedPair((1,), Rigging(((5,),)), (0,), Rigging(((),)))
+        bad = RiggedPair((1,), ((5,),), (0,), ((),))
         with pytest.raises(ValueError):
             map_m(bad, I, J, p)
 
@@ -327,7 +327,7 @@ class TestMapM:
         monkeypatch.setattr(bijection, "lower_member", lambda *args: False)
         message = (
             "rigging map produced a non-member of the lower subset: "
-            "RiggedPair(mu=(0,), r=Rigging(rows=((),)), nu=(0,), s=Rigging(rows=((),)))"
+            "RiggedPair(mu=(0,), r=((),), nu=(0,), s=((),))"
         )
         with pytest.raises(AssertionError) as exc:
             map_m(EMPTY1, I, J, p)

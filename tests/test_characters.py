@@ -19,7 +19,7 @@ from rigchar.characters import (
     sl2_char,
     verify_fermionic,
 )
-from rigchar.core import Params, RiggedPair, Rigging, vacancy_P, vacancy_Q
+from rigchar.core import Params, RiggedPair, vacancy_P, vacancy_Q
 from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
 
 polys = st.dictionaries(
@@ -207,12 +207,12 @@ class TestDegrees:
 
     def test_rig_degree(self):
         e = (0,)
-        empty = RiggedPair(e, Rigging(((),)), e, Rigging(((),)))
+        empty = RiggedPair(e, ((),), e, ((),))
         assert rig_degree(empty, 1, 1) == 0
         one = (1,)
-        x = RiggedPair(one, Rigging(((0,),)), one, Rigging(((0,),)))
+        x = RiggedPair(one, ((0,),), one, ((0,),))
         assert rig_degree(x, 1, 1) == 1
-        y = RiggedPair(one, Rigging(((1,),)), one, Rigging(((0,),)))
+        y = RiggedPair(one, ((1,),), one, ((0,),))
         assert rig_degree(y, 1, 1) == rig_degree(x, 1, 1) + 1
 
 

@@ -464,15 +464,21 @@ class TestVerify:
     @staticmethod
     def reverse_rows(monkeypatch):
         # The CLI builds every rigging itself, so one that fails its own
-        # validation is an internal fault, not a usage error.
+        # validation is an internal fault, not a usage error.  The fault
+        # goes in beneath _row_choices' check of the rows it makes, which
+        # runs on a fresh cache.
+        from functools import lru_cache
+
         from rigchar import riggedsets
 
-        real = riggedsets._row_choices
+        real = riggedsets.combinations_with_replacement
 
-        def reversed_rows(count, bound, low=0):
-            return tuple(row[::-1] for row in real(count, bound, low))
+        def reversed_rows(values, count):
+            return (row[::-1] for row in real(values, count))
 
-        monkeypatch.setattr(riggedsets, "_row_choices", reversed_rows)
+        monkeypatch.setattr(riggedsets, "combinations_with_replacement", reversed_rows)
+        fresh = lru_cache(maxsize=None)(riggedsets._row_choices.__wrapped__)
+        monkeypatch.setattr(riggedsets, "_row_choices", fresh)
         monkeypatch.setattr(riggedsets, "_R_CACHE", {})
 
     def test_invariant_failure_exits_3(self, monkeypatch, capsys):

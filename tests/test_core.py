@@ -16,7 +16,6 @@ from rigchar.core import (
     Record,
     Report,
     RiggedPair,
-    Rigging,
     boundary_ok,
     pair_from_obj,
     partition_rows,
@@ -203,36 +202,45 @@ class TestCutpro:
                                                 assert P[-1] >= 0
 
 
+def from_rows(r, s):
+    """pair_from_obj on the riggings r and s, with mu and nu their row
+    counts: only the rows themselves can fail."""
+    mu = [len(row) for row in r]
+    nu = [len(row) for row in s]
+    return pair_from_obj(len(mu), {"mu": mu, "r": r, "nu": nu, "s": s})
+
+
 class TestRiggedTypes:
     def test_rigging_must_decrease(self):
-        with pytest.raises(ValueError):
-            Rigging(((1, 2),))
-        with pytest.raises(ValueError):
-            Rigging(((-1,),))
+        assert from_rows([[2, 1]], [[0]]).r == ((2, 1),)
+        for r, s in (([[1, 2]], [[]]), ([[-1]], [[]]), ([[]], [[0, 1]]), ([[]], [[-1]])):
+            with pytest.raises(ValueError):
+                from_rows(r, s)
 
     def test_rigging_names_an_ascending_row(self):
         for row in ((1, 2), (3, 3, 4), (5, 0, 1)):
             with pytest.raises(InvariantError) as exc:
-                Rigging(((2,), row))
+                from_rows([[2], list(row)], [[], []])
             assert str(exc.value) == f"rigging row {row} is not weakly decreasing"
         # A row is checked for an ascent before its bottom entry's sign.
         with pytest.raises(InvariantError, match="not weakly decreasing"):
-            Rigging(((-2, -1),))
+            from_rows([[-2, -1]], [[]])
 
     def test_rigging_rejects_a_negative_entry(self):
         for rows in (((-1,),), ((3, 0), (2, -1)), ((), (0, 0, -3))):
-            with pytest.raises(InvariantError) as exc:
-                Rigging(rows)
-            assert str(exc.value) == "rigging entries must be >= 0"
+            for r, s in ((rows, [[]] * len(rows)), ([[]] * len(rows), rows)):
+                with pytest.raises(InvariantError) as exc:
+                    from_rows(r, s)
+                assert str(exc.value) == "rigging entries must be >= 0"
 
     def test_pair_row_counts_checked(self):
-        mu = (1, 0)
-        nu = (0, 1)
-        r = Rigging(((3,), ()))
-        s = Rigging(((), (0,)))
-        RiggedPair(mu, r, nu, s)
-        with pytest.raises(ValueError):
-            RiggedPair(mu, s, nu, r)
+        obj = {"mu": (1, 0), "r": ((3,), ()), "nu": (0, 1), "s": ((), (0,))}
+        pair_from_obj(2, obj)
+        swapped = {**obj, "r": obj["s"], "s": obj["r"]}
+        with pytest.raises(InvariantError, match="r row counts do not match mu multiplicities"):
+            pair_from_obj(2, swapped)
+        with pytest.raises(InvariantError, match="s row counts do not match nu multiplicities"):
+            pair_from_obj(2, {**obj, "s": obj["r"]})
 
     @pytest.mark.parametrize(
         "mu, nu, message",
@@ -244,13 +252,13 @@ class TestRiggedTypes:
         ids=["negative mu", "negative nu", "levels differ"],
     )
     def test_pair_checks_its_partitions(self, mu, nu, message):
-        r = Rigging(tuple(() for _ in mu))
-        s = Rigging(tuple(() for _ in nu))
-        with pytest.raises(InvariantError, match=message):
-            RiggedPair(mu, r, nu, s)
-        obj = {"mu": mu, "r": r.rows, "nu": nu, "s": s.rows}
+        obj = {"mu": mu, "r": [[] for _ in mu], "nu": nu, "s": [[] for _ in nu]}
         with pytest.raises(InvariantError, match=message):
             pair_from_obj(len(mu), obj)
+
+    def test_pair_checks_its_level(self):
+        with pytest.raises(InvariantError, match="mu and nu must share a level"):
+            RiggedPair((0, 0), ((), ()), (0, 0, 0), ((), (), ()))
 
     def test_pair_from_obj_checks_the_level(self):
         obj = {"mu": [1, 0], "r": [[0], []], "nu": [0, 0], "s": [[], []]}
@@ -276,18 +284,16 @@ class TestRiggedTypes:
 
 MU = (1, 0)
 NU = (0, 1)
-R = Rigging(((3,), ()))
-S = Rigging(((), (0,)))
+R = ((3,), ())
+S = ((), (0,))
 
 # One value of each immutable type, with the repr a frozen dataclass gave it.
 VALUES = {
     "Params": (Params(3, 1, 2, 1, 0, 4), "Params(k=3, l1=1, l2=2, l3=1, M=0, N=4)"),
     "KVector": (KVector((1, -2, 3)), "KVector(entries=(1, -2, 3))"),
-    "Rigging": (R, "Rigging(rows=((3,), ()))"),
     "RiggedPair": (
         RiggedPair(MU, R, NU, S),
-        "RiggedPair(mu=(1, 0), r=Rigging(rows=((3,), ())), "
-        "nu=(0, 1), s=Rigging(rows=((), (0,))))",
+        "RiggedPair(mu=(1, 0), r=((3,), ()), nu=(0, 1), s=((), (0,)))",
     ),
     "MarkedBound": (
         MarkedBound((0, 1), (True, False)),
@@ -300,7 +306,7 @@ VALUES = {
 }
 # KVector has no named field: its items are its entries.
 FIRST_FIELD = {
-    "Params": "k", "Rigging": "rows", "RiggedPair": "mu",
+    "Params": "k", "RiggedPair": "mu",
     "MarkedBound": "value", "Report": "ok",
 }
 each_type = pytest.mark.parametrize("name", sorted(VALUES))
@@ -334,7 +340,7 @@ class TestValueSemantics:
 
     def test_hash_follows_equality(self):
         assert hash(Params(3, 1, 2, 1, 0, 4)) == hash(Params(3, 1, 2, 1, 0, 4))
-        assert hash(Rigging(((3,), ()))) == hash(R)
+        assert hash(RiggedPair(MU, ((3,), ()), NU, S)) == hash(VALUES["RiggedPair"][0])
         with pytest.raises(TypeError):
             hash(VALUES["Report"][0])
 
@@ -379,17 +385,12 @@ class TestValueSemantics:
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
     def test_unpickling_runs_the_checks(self):
-        # Protocol 0 is text: swap the row (2, 1) for (1, 2) in the stream.
-        data = pickle.dumps(Rigging(((2, 1),)), 0)
-        assert data.count(b"I2\nI1\n") == 1
-        with pytest.raises(ValueError, match="weakly decreasing"):
-            pickle.loads(data.replace(b"I2\nI1\n", b"I1\nI2\n"))
-
-    def test_rigging_stores_lengths_and_total(self):
-        rig = Rigging(((4, 2), (), (1,)))
-        assert rig.lengths == (2, 0, 1)
-        assert rig.total() == 7
-        assert rig.rows == ((4, 2), (), (1,))
+        # Protocol 0 is text: give nu = (3,) a second multiplicity in the
+        # stream, so that it no longer shares mu's level.
+        data = pickle.dumps(RiggedPair((5,), ((0,) * 5,), (3,), ((1, 1, 1),)), 0)
+        assert data.count(b"(I3\ntp") == 1
+        with pytest.raises(ValueError, match="mu and nu must share a level"):
+            pickle.loads(data.replace(b"(I3\ntp", b"(I3\nI0\ntp"))
 
     @each_type
     def test_not_a_json_value(self, name):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rigchar.core import Params, RiggedPair, Rigging, partition_rows, weight
+from rigchar.core import Params, RiggedPair, pair_from_obj, pair_to_obj, partition_rows, weight
 from rigchar.riggedsets import (
     canonical_key,
     enumerate_partitions,
@@ -45,7 +45,7 @@ def two_step_piece(p, m, n):
             r_opts = [_row_choices(c, cap) for c in mu]
             s_opts = [_row_choices(c, cap) for c in nu]
             for rr, ss in product(product(*r_opts), product(*s_opts)):
-                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                x = RiggedPair(mu, rr, nu, ss)
                 if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
                     piece.append(x)
     return tuple(piece)
@@ -99,7 +99,7 @@ class TestEnumerateR:
         assert len(piece) == 1
         x = piece[0]
         assert x.mu == (1,) and x.nu == (1,)
-        assert x.r.rows == ((0,),) and x.s.rows == ((0,),)
+        assert x.r == ((0,),) and x.s == ((0,),)
 
     def test_partitions_are_plain_tuples(self):
         # cli._json_value writes exact tuples only, and the scan's identity
@@ -147,33 +147,16 @@ class TestEnumerateR:
                                 assert enumerate_R(p, m, n) == two_step_piece(p, m, n)
 
     @staticmethod
-    def _count_constructions(monkeypatch):
-        # Every Rigging and RiggedPair that enumerate_R builds goes through
-        # these bindings, so each counted construction ran its checks.
-        from collections import Counter
+    def _distinct_riggings(piece):
+        # The riggings that enumerate_R built for a piece, counted by
+        # identity: an r or s that elements share is one object.
+        return len({id(x.r) for x in piece}) + len({id(x.s) for x in piece})
 
-        from rigchar import riggedsets
-
-        counts = Counter()
-
-        def counted(cls):
-            def construct(*args):
-                counts[cls.__name__] += 1
-                return cls(*args)
-
-            return construct
-
-        monkeypatch.setattr(riggedsets, "Rigging", counted(Rigging))
-        monkeypatch.setattr(riggedsets, "RiggedPair", counted(RiggedPair))
-        monkeypatch.setattr(riggedsets, "_R_CACHE", {})
-        return counts
-
-    def test_riggings_of_a_tau_vacuous_piece_are_built_once(self, monkeypatch):
+    def test_riggings_of_a_tau_vacuous_piece_are_built_once(self):
         # l3 = min(l1, l2): tau bounds nothing, so every r of a pair shares
         # one list of s riggings.
         p, m, n = Params(2, 2, 2, 2, 4, 4), 4, 4
         assert _tau_table(2, 2, 2, 2) is None
-        expected = two_step_piece(p, m, n)
         riggings = 0
         for mu, nu, P, Q in feasible_pairs(p, m, n):
             for part, caps in ((mu, P), (nu, Q)):
@@ -181,22 +164,33 @@ class TestEnumerateR:
                 for c, cap in zip(part, caps):
                     count *= len(_row_choices(c, cap))
                 riggings += count
-        counts = self._count_constructions(monkeypatch)
         piece = enumerate_R(p, m, n)
-        assert piece == expected
-        assert counts["Rigging"] == riggings
+        assert piece == two_step_piece(p, m, n)
+        assert self._distinct_riggings(piece) == riggings
         assert riggings * 4 < len(piece)
-        assert counts["RiggedPair"] == len(piece)
+        s_lists = {}
+        for x in piece:
+            s_lists.setdefault((x.mu, x.nu), {}).setdefault(id(x.r), []).append(id(x.s))
+        for by_r in s_lists.values():
+            first, *rest = by_r.values()
+            assert all(ids == first for ids in rest)
 
-    def test_riggings_of_a_tau_active_piece_are_shared(self, monkeypatch):
+    def test_riggings_of_a_tau_active_piece_are_shared(self):
         p, m, n = Params(2, 2, 2, 0, 4, 4), 4, 4
         assert _tau_table(2, 2, 2, 0) is not None
-        expected = two_step_piece(p, m, n)
-        counts = self._count_constructions(monkeypatch)
         piece = enumerate_R(p, m, n)
-        assert piece == expected
-        assert counts["Rigging"] < len(piece)
-        assert counts["RiggedPair"] == len(piece)
+        assert piece == two_step_piece(p, m, n)
+        assert self._distinct_riggings(piece) < len(piece)
+
+    def test_riggings_are_plain_tuples_of_rows(self):
+        for p in (Params(2, 2, 2, 0, 4, 4), Params(3, 2, 1, 1, 2, 2)):
+            for piece in enumerate_total(p).values():
+                for x in piece:
+                    for rig, mult in ((x.r, x.mu), (x.s, x.nu)):
+                        assert type(rig) is tuple and all(type(row) is tuple for row in rig)
+                        assert tuple(map(len, rig)) == mult
+                    obj = pair_to_obj(x)
+                    assert obj["r"] is x.r and obj["s"] is x.s
 
     def test_swap_symmetry(self):
         # (mu, r, nu, s) -> (nu, s, mu, r) maps R(k,l1,l2,l3,M,N)_{m,n} onto
@@ -318,11 +312,34 @@ class TestCanonicalOrder:
                     assert list(got) == sorted(every)
                 assert _row_choices(count, bound) == _row_choices(count, bound, 0)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(2, 3)], r"rigging row \(2, 3\) is not weakly decreasing"),
+            ([(3, 2, 1)], r"rigging row \(3, 2, 1\) is not 2 entries in \[1, 3\]"),
+            ([(4, 2)], r"rigging row \(4, 2\) is not 2 entries in \[1, 3\]"),
+            ([(2, 0)], r"rigging row \(2, 0\) is not 2 entries in \[1, 3\]"),
+        ],
+        ids=["ascending", "length", "above bound", "below low"],
+    )
+    def test_row_choices_checks_each_row(self, monkeypatch, rows, message):
+        # Every rigging row of an enumerated element comes from
+        # _row_choices, and no later constructor checks it again.
+        from functools import lru_cache
+
+        from rigchar import riggedsets
+        from rigchar.core import InvariantError
+
+        monkeypatch.setattr(riggedsets, "combinations_with_replacement", lambda *args: rows)
+        fresh = lru_cache(maxsize=None)(_row_choices.__wrapped__)
+        with pytest.raises(InvariantError, match=message):
+            fresh(2, 3, 1)
+
     def test_elements_rebuild_through_public_constructors(self):
+        # pair_from_obj checks every row and row count of its input.
         for p, _, _, elems in order_grid_pieces():
             for x in elems:
-                again = RiggedPair(x.mu, Rigging(x.r.rows), x.nu, Rigging(x.s.rows))
-                assert again == x
+                assert pair_from_obj(p.k, pair_to_obj(x)) == x
 
 
 class TestEnumerateRPlain:
@@ -345,7 +362,7 @@ class TestEnumerateRPlain:
                             r_opts = [_row_choices(c, cap) for c in mu]
                             s_opts = [_row_choices(c, cap) for c in nu]
                             for rr, ss in product(product(*r_opts), product(*s_opts)):
-                                x = RiggedPair(mu, Rigging(rr), nu, Rigging(ss))
+                                x = RiggedPair(mu, rr, nu, ss)
                                 if satisfies_tau(x, p):
                                     ref.append(x)
                             got.extend(_riggings(mu, nu, (cap,) * k, (cap,) * k, taumat))
@@ -354,12 +371,7 @@ class TestEnumerateRPlain:
 
 class TestSatisfiesTau:
     def test_membership_degenerates_when_l3_min(self):
-        x = RiggedPair(
-            (1, 1),
-            Rigging(((5,), (0,))),
-            (2, 0),
-            Rigging(((3, 1), ())),
-        )
+        x = RiggedPair((1, 1), ((5,), (0,)), (2, 0), ((3, 1), ()))
         for l1 in range(3):
             for l2 in range(3):
                 assert satisfies_tau(x, Params(2, l1, l2, min(l1, l2), 0, 0))
