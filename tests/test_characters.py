@@ -1,7 +1,10 @@
 """Laurent polynomials, Gaussian binomials and the character formulas."""
 
-from itertools import combinations_with_replacement
+import hashlib
+import json
+from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -377,3 +380,39 @@ class TestSl2Char:
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             sl2_char(2, 3, 0, 0)
+
+
+class TestPinnedDigests:
+    """tests/data/digests_closed_form.json holds the sha256 of the text form
+    of fermionic_char and sl2_char on their reference grids (k <= 4,
+    M, N <= 4), written by the script next to it.  The points with k <= 3
+    are recomputed here; CI recomputes the whole file."""
+
+    DIGESTS = json.loads(
+        (Path(__file__).parent / "data" / "digests_closed_form.json").read_text()
+    )
+    ROUTES = {"fermionic_char": (fermionic_char, 2), "sl2_char": (sl2_char, 1)}
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_file_covers_the_grid(self, route):
+        labels = self.ROUTES[route][1]
+        expected = {
+            ",".join(map(str, (k, *ls, M, N)))
+            for k in range(1, 5)
+            for ls in product(range(k + 1), repeat=labels)
+            for M, N in product(range(5), repeat=2)
+        }
+        assert set(self.DIGESTS[route]) == expected
+        assert len(expected) == {"fermionic_char": 1350, "sl2_char": 350}[route]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_points_up_to_k3(self, route):
+        fn = self.ROUTES[route][0]
+        wrong = []
+        for key, want in self.DIGESTS[route].items():
+            point = tuple(map(int, key.split(",")))
+            if point[0] <= 3:
+                got = hashlib.sha256(fn(*point).to_text().encode()).hexdigest()
+                if got != want:
+                    wrong.append(key)
+        assert not wrong, f"{route} differs from the pinned digest at {wrong}"
