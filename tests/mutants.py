@@ -226,8 +226,8 @@ MUTANTS = (
     ),
     Mutant(
         "pascal", "characters.py",
-        "LaurentPoly.monomial(1, eq=n) * gauss_binomial(m - 1, n)",
-        "LaurentPoly.monomial(1, eq=n - 1) * gauss_binomial(m - 1, n)",
+        "gauss_binomial(m - 1, n).mapped(times=(0, 0, n))",
+        "gauss_binomial(m - 1, n).mapped(times=(0, 0, n - 1))",
         "000001",
     ),
     Mutant(
@@ -259,15 +259,15 @@ MUTANTS = (
     ),
     Mutant(
         "sl2q", "characters.py",
-        '"z1": LaurentPoly.monomial(1, 2, 0, -1)',
-        '"z1": LaurentPoly.monomial(1, 2, 0, 0)',
+        "z1=(2, 0, -1)",
+        "z1=(2, 0, 0)",
         "000000",
         "ROADMAP item 9: no verify check reads sl2_char",
     ),
     Mutant(
         "recq", "characters.py",
-        "q_z2 = LaurentPoly.monomial(1, 0, 1, 1)",
-        "q_z2 = LaurentPoly.monomial(1, 0, 1, 0)",
+        "z2=(0, 1, 1)",
+        "z2=(0, 1, 0)",
         "000010",
     ),
 )

@@ -471,8 +471,7 @@ class TestAggregateGradingLaw:
                         lhs = lhs + LaurentPoly.monomial(
                             1, weight(x.mu), weight(x.nu), rig_degree(x, l1p, l2p)
                         )
-                lhs = lhs.substitute({"z2": LaurentPoly.monomial(1, 0, 1, 1)})
-                lhs = LaurentPoly.monomial(1, a, b, b) * lhs
+                lhs = lhs.mapped(z2=(0, 1, 1), times=(a, b, b))
                 rhs = LaurentPoly.zero()
                 for y in lower_amb:
                     if lower_member(y, I, J, p):

@@ -56,8 +56,7 @@ class TestLaurentPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == LaurentPoly.zero()
-        monic = {"z1": LaurentPoly.monomial(1, 0, 1, 0), "q": LaurentPoly.monomial(1, 1, 0, -1)}
-        for f in (a + b, a - b, a * b, a.substitute(monic)):
+        for f in (a + b, a - b, a * b, a.mapped(z1=(0, 1, 0), q=(1, 0, -1), times=(2, 0, 1))):
             assert all(coeff != 0 for _, coeff in f.terms())
 
     def test_canonical_text(self):
@@ -87,47 +86,63 @@ class TestLaurentPoly:
         assert value_at_one(f) == 3
 
 
+triples = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+
+# The map z1 -> q^-1 z^2, z2 -> z^-2 of sl2_char, times z^-l at l = 0.
+SL2_MAP = {"z1": (2, 0, -1), "z2": (-2, 0, 0)}
+
+
+def power(exps, n: int) -> LaurentPoly:
+    """The monic monomial with exponent triple exps to the power n, by
+    repeated products with it or with its inverse."""
+    step = LaurentPoly.monomial(1, *(e if n > 0 else -e for e in exps))
+    out = LaurentPoly.one()
+    for _ in range(abs(n)):
+        out = out * step
+    return out
+
+
 class TestSubstitution:
+    """LaurentPoly.mapped: a change of variables by monic monomials, times one."""
+
     def test_identity_substitution(self):
         f = LaurentPoly({(1, 2, 3): 4, (0, -1, 0): 2})
-        assert f.substitute({}) == f
-        ident = {
-            "z1": LaurentPoly.monomial(1, 1),
-            "z2": LaurentPoly.monomial(1, 0, 1),
-            "q": LaurentPoly.monomial(1, 0, 0, 1),
-        }
-        assert f.substitute(ident) == f
+        assert f.mapped() == f
+        assert f.mapped(z1=(1, 0, 0), z2=(0, 1, 0), q=(0, 0, 1), times=(0, 0, 0)) == f
 
     def test_z2_to_q_z2(self):
         f = LaurentPoly.monomial(1, 0, 1)
-        got = f.substitute({"z2": LaurentPoly.monomial(1, 0, 1, 1)})
-        assert got == LaurentPoly.monomial(1, 0, 1, 1)
+        assert f.mapped(z2=(0, 1, 1)) == LaurentPoly.monomial(1, 0, 1, 1)
 
     def test_z1_to_negative_power_monomial(self):
         f = LaurentPoly.monomial(1, 1)
-        got = f.substitute({"z1": LaurentPoly.monomial(1, 2, 0, -2)})
-        assert got == LaurentPoly.monomial(1, 2, 0, -2)
+        assert f.mapped(z1=(2, 0, -2)) == LaurentPoly.monomial(1, 2, 0, -2)
 
-    def test_rejects_non_monomial_image(self):
-        f = LaurentPoly.monomial(1, 1)
-        with pytest.raises(ValueError):
-            f.substitute({"z1": LaurentPoly({(0, 0, 0): 1, (1, 0, 0): 1})})
-        non_monic = (LaurentPoly.monomial(-1, 1), LaurentPoly.monomial(2, 0, 1), LaurentPoly.zero())
-        for image in non_monic:
-            with pytest.raises(ValueError):
-                f.substitute({"z1": image})
-        with pytest.raises(ValueError):
-            f.substitute({"z": LaurentPoly.monomial(1, 1)})
+    def test_colliding_terms_add_up(self):
+        # z1*z2*q goes to z^2 q^-1 * z^-2 * q = 1, where the constant lands.
+        f = LaurentPoly({(0, 0, 0): 2, (1, 1, 1): 3})
+        assert f.mapped(**SL2_MAP) == LaurentPoly({(0, 0, 0): 5})
+        g = LaurentPoly({(0, 0, 0): 2, (1, 1, 1): -2})
+        assert g.mapped(**SL2_MAP) == LaurentPoly.zero()
 
-    @given(polys, polys)
+    @given(polys, triples, triples, triples, triples)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_term_by_term_rebuild(self, f, z1, z2, q, times):
+        expected = LaurentPoly.zero()
+        for (a, b, e), c in f.terms():
+            term = LaurentPoly.monomial(c, *times)
+            expected = expected + term * power(z1, a) * power(z2, b) * power(q, e)
+        assert f.mapped(z1=z1, z2=z2, q=q, times=times) == expected
+
+    @given(polys, polys, triples)
     @settings(max_examples=100)
-    def test_ring_morphism(self, a, b):
-        img = {
-            "z1": LaurentPoly.monomial(1, 0, 2, -1),
-            "q": LaurentPoly.monomial(1, 1, 0, 0),
-        }
-        assert (a * b).substitute(img) == a.substitute(img) * b.substitute(img)
-        assert (a + b).substitute(img) == a.substitute(img) + b.substitute(img)
+    def test_ring_morphism(self, a, b, times):
+        img = {"z1": (0, 2, -1), "q": (1, 0, 0)}
+        assert (a * b).mapped(**img) == a.mapped(**img) * b.mapped(**img)
+        assert (a + b).mapped(**img, times=times) == (
+            a.mapped(**img, times=times) + b.mapped(**img, times=times)
+        )
+        assert (a - b).mapped(**img) == a.mapped(**img) - b.mapped(**img)
 
 
 class TestGaussBinomial:
@@ -337,11 +352,7 @@ class TestSl2Char:
             for M in (0, 1):
                 for N in (0, 1):
                     assert fermionic_char(k, -1, k - 1, M + 1, N) == LaurentPoly.zero()
-                    images = {
-                        "z1": LaurentPoly.monomial(1, 2, 0, -1),
-                        "z2": LaurentPoly.monomial(1, -2, 0, 0),
-                    }
-                    first = fermionic_char(k, 0, k, M + 1, N).substitute(images)
+                    first = fermionic_char(k, 0, k, M + 1, N).mapped(**SL2_MAP)
                     assert sl2_char(k, 0, M, N) == first
 
     def test_nonnegative_coefficients(self):

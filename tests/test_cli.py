@@ -250,6 +250,42 @@ class TestSl2Char:
         assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.json").read_text()
 
 
+def test_commands_take_no_polynomial_product(monkeypatch, capsys):
+    """The program changes a character only through LaurentPoly.mapped: with
+    __mul__ raising, and the Gaussian memos emptied so that q-Pascal runs,
+    each command that builds a character still exits 0 with its stdout."""
+    from rigchar import characters, cli
+
+    monkeypatch.setattr(characters.LaurentPoly, "__mul__", raising(AssertionError("__mul__")))
+    monkeypatch.setattr(characters, "_GAUSS_CACHE", {})
+    characters._packed_gauss.cache_clear()
+    grid = {"max_M": 1, "max_N": 1, "max_k": 2}
+    flags = ["--max-k", "2", "--max-M", "1", "--max-N", "1", "--jobs", "1"]
+    cases = [
+        (
+            ["char", "--k", "2", "--l1", "2", "--l2", "1", "--M", "1", "--N", "1"],
+            (DATA / "char_k2_l1_2_l2_1_M1_N1.json").read_text(),
+        ),
+        (
+            ["sl2-char", "--k", "2", "--l", "1", "--M", "1", "--N", "1"],
+            (DATA / "sl2_k2_l1_M1_N1.json").read_text(),
+        ),
+    ] + [
+        (
+            ["verify", check, *flags],
+            json.dumps(
+                {"check": check, "command": "verify", "grid": grid, "points": points,
+                 "status": "pass"},
+                indent=2,
+            ) + "\n",
+        )
+        for check, points in (("char-recursion", 38), ("fermionic", 52))
+    ]
+    for argv, stdout in cases:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == stdout
+
+
 # Grids on which each check reports the tau+1 mutant's counterexample.
 # The cheap grid misses it for upper-decomp, hence the larger one there.
 FAILURE_GRIDS = [

@@ -52,6 +52,8 @@ READ_BY_TESTS_ONLY = {
     "core.tau_min_form": "the eight-term form of tau, compared with tau()",
     "core.boundary_ok": "the weight inequalities, compared with vacancy non-negativity",
     "characters.gauss_binomial_product": "the product form, compared with q-Pascal",
+    "characters.LaurentPoly.monomial": "one term, the building block of the "
+    "reference products that mapped is compared with",
     "riggedsets.satisfies_tau": "the per-element tau predicate, the reference "
     "that enumerate_R's bounded rows are checked against",
     "cli.parse_enum_document": "the reader of the enum format, for its round trip",

@@ -1,12 +1,16 @@
 """The source-mutant table of tests/mutants.py: every row applies to today's
-src/rigchar, and a subset of one mutant per module, the tau+1 mutant and
-the equivalent control gets exactly its recorded battery codes."""
+src/rigchar, README's mutation matrix lists the same rows, and a subset of
+one mutant per module, the tau+1 mutant and the equivalent control gets
+exactly its recorded battery codes."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 import mutants
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # One mutant per module, plus the tau+1 mutant (the failure goldens) and
 # the control, which must pass all six checks: a copy broken by the runner
@@ -49,3 +53,17 @@ def test_battery_codes(name, tmp_path, tau_plus_one):
     row = mutants.BY_ID[name]
     root = tau_plus_one if name == "tau+1" else mutants.mutate(row, tmp_path)
     assert mutants.run_battery(root) == row.codes
+
+
+def test_readme_matrix_matches_the_table():
+    """README's "Mutation matrix" table has one row per mutant, in table
+    order, with its module and its codes."""
+    section = README.read_text().split("\n## Mutation matrix\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [(name, f"{module}.py", "".join(codes)) for name, module, *codes in rows] == [
+        (row.id, row.file, row.codes) for row in mutants.MUTANTS
+    ]
