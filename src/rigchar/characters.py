@@ -16,7 +16,7 @@ from math import comb
 
 from .admissible import recursion_terms
 from .core import Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
-from .riggedsets import enumerate_total, feasible_pairs, weight_bound
+from .riggedsets import enumerate_total, feasible_pairs, rigging_sums, weight_bound
 
 
 def _power(name: str, e: int) -> str:
@@ -230,28 +230,35 @@ def piece_degrees(elements, l1: int, l2: int):
     """rig_degree of each element, in order.
 
     degree_D is computed once per run of elements that share their mu and
-    nu objects, and the entry sum of r once per run that shares r, as the
-    elements of an enumerated piece do.  A run is detected by identity, so
-    elements that share nothing only cost a recomputation each.
+    nu objects, the entry sum of r once per run that shares r and that of s
+    once per s object of a (mu, nu) run, as an enumerated piece shares them.
+    Sharing is detected by identity, so unshared elements cost no more.
     """
     mu = nu = r = None
     for x in elements:
         if x.mu is not mu or x.nu is not nu:
             mu, nu, r = x.mu, x.nu, None
             base = degree_D(mu, nu, l1, l2)
+            s_sums = {}  # id(s) -> (s, its entry sum): holding s keeps its id
         if x.r is not r:
             r = x.r
             base_r = base + sum(map(sum, r))
-        yield base_r + sum(map(sum, x.s))
+        s_sum = s_sums.get(id(x.s))
+        if s_sum is None:
+            s_sum = s_sums[id(x.s)] = (x.s, sum(map(sum, x.s)))
+        yield base_r + s_sum[1]
 
 
 def char_R(p: Params) -> LaurentPoly:
-    """Brute-force character: sum of z1^m z2^n q^degree over every element."""
+    """Brute-force character: z1^m z2^n q^degree summed over every element,
+    as count * z1^m z2^n q^(degree_D(mu, nu) + e) per count of rigging_sums."""
     acc: dict = {}
-    for (m, n), piece in enumerate_total(p).items():
-        for d in piece_degrees(piece, p.l1, p.l2):
-            key = (m, n, d)
-            acc[key] = acc.get(key, 0) + 1
+    for (m, n), sums in enumerate_total(p, rigging_sums).items():
+        for mu, nu, counts in sums:
+            D = degree_D(mu, nu, p.l1, p.l2)
+            for e, count in counts:
+                key = (m, n, D + e)
+                acc[key] = acc.get(key, 0) + count
     return LaurentPoly(acc)
 
 

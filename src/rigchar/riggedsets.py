@@ -1,9 +1,9 @@
 """Brute-force, provably complete enumeration of the rigged-partition sets.
 
 This module is the oracle every identity verifier is checked against: it
-materialises the graded pieces of the cutoff sets by direct scan over all
-partitions and all riggings below the vacancy bounds.  A graded piece is a
-plain tuple of RiggedPair values, duplicate-free and in canonical_key order.
+scans all partitions and all riggings below the vacancy bounds, and either
+materialises a graded piece of the cutoff sets, a duplicate-free tuple of
+RiggedPair values in canonical_key order, or counts it by rigging sum.
 
 Completeness of enumerate_total rests on the weight bound derived from the
 non-negativity of the k-th vacancy components: a nonempty piece forces
@@ -15,6 +15,7 @@ those bounds, so no nonempty piece can be missed.
 from __future__ import annotations
 
 import gc
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from operator import sub
@@ -116,6 +117,8 @@ _R_CACHE: dict[tuple[Params, int, int], tuple[RiggedPair, ...]] = {}
 # feasible_pairs(p, m, n) as a tuple, keyed by (k, l1, l2, M, N, m, n): the
 # vacancy vectors never read l3, so every l3 shares one scan.
 _SCAN_CACHE: dict[tuple[int, ...], tuple] = {}
+# rigging_sums(p, m, n), keyed as _R_CACHE is.
+_SUM_CACHE: dict[tuple[Params, int, int], tuple] = {}
 
 
 def feasible_pairs(p: Params, m: int, n: int):
@@ -150,19 +153,19 @@ def _tau_table(k: int, l1: int, l2: int, l3: int) -> tuple[tuple[int, ...], ...]
     return mat if any(v > 0 for row in mat for v in row) else None
 
 
-def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
-    """Every rigged pair on (mu, nu) whose rows of length alpha are capped
-    by r_caps[alpha-1] and s_caps[alpha-1] and whose bottom riggings meet
-    the tau bounds taumat (None: no bound), in canonical_key order.
+def _rigging_groups(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
+    """(r, list of the s that go with r) for each rigging on (mu, nu), in
+    canonical_key order, whose rows of length alpha are capped by
+    r_caps[alpha-1] and s_caps[alpha-1] and whose bottom riggings meet the
+    tau bounds taumat (None: no bound).
 
     For a fixed r, the tau condition is one lower bound on the bottom
     entry of each row of s, so the rows of s are drawn from choices
     already bounded below.  Those bounds, need_j = max(0, max_i
     taumat[i][j] - r_i[-1]) over the nonempty rows j of nu (the empty
     vector when tau bounds nothing), are all that the riggings s depend
-    on.  So the s riggings (product's tuples) of each distinct bound vector
-    are built once per call, and the elements of every r with that vector
-    share them.
+    on.  So the s riggings of each distinct bound vector are built once per
+    call, as one list that every r with that vector gets.
     """
     k = len(mu)
     r_opts = list(map(_row_choices, mu, r_caps))
@@ -185,8 +188,22 @@ def _riggings(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, taumat):
                 if low:
                     s_now[j] = _row_choices(nu[j], s_caps[j], low)
             s_objs = s_by_need[need] = list(product(*s_now))
-        for s_obj in s_objs:
-            yield RiggedPair(mu, rr, nu, s_obj)
+        yield rr, s_objs
+
+
+def _piece_groups(p: Params, m: int, n: int):
+    """(mu, nu, _rigging_groups on them) for each pair of feasible_pairs(p,
+    m, n), read from _SCAN_CACHE, which every l3 of the other parameters
+    shares; nothing for negative weights."""
+    if m < 0 or n < 0:
+        return
+    scan_key = (p.k, p.l1, p.l2, p.M, p.N, m, n)
+    pairs = _SCAN_CACHE.get(scan_key)
+    if pairs is None:
+        pairs = _SCAN_CACHE[scan_key] = tuple(feasible_pairs(p, m, n))
+    taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
+    for mu, nu, P, Q in pairs:
+        yield mu, nu, _rigging_groups(mu, nu, P, Q, taumat)
 
 
 def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
@@ -204,8 +221,7 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     each length alpha has the fixed size mult[alpha-1], and _row_choices
     lists its values in ascending lexicographic order; so product over
     alpha = 1..k lists the flattened riggings r, and for each r those of s,
-    in ascending lexicographic order too.  The (mu, nu) pairs come from
-    _SCAN_CACHE, which every l3 of the other parameters shares.
+    in ascending lexicographic order too.
 
     Each new piece is frozen (gc.freeze), so the cyclic collector stops
     walking the growing cache.  The one cost: cyclic garbage alive at a
@@ -215,21 +231,42 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     hit = _R_CACHE.get(key)
     if hit is not None:
         return hit
-    if m < 0 or n < 0:
-        piece = ()
-    else:
-        scan_key = (p.k, p.l1, p.l2, p.M, p.N, m, n)
-        pairs = _SCAN_CACHE.get(scan_key)
-        if pairs is None:
-            pairs = _SCAN_CACHE[scan_key] = tuple(feasible_pairs(p, m, n))
-        taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
-        piece = tuple(x for mu, nu, P, Q in pairs for x in _riggings(mu, nu, P, Q, taumat))
-    _R_CACHE[key] = piece
+    groups = _piece_groups(p, m, n)
+    piece = _R_CACHE[key] = tuple(
+        RiggedPair(mu, r, nu, s) for mu, nu, rs in groups for r, s_objs in rs for s in s_objs
+    )
     # Tuple subclasses are never untracked, and these live until exit: move
     # them and all else alive now to the permanent generation, which no later
     # collection scans.  Reference counting still frees non-cyclic objects.
     gc.freeze()
     return piece
+
+
+def rigging_sums(p: Params, m: int, n: int) -> tuple:
+    """(mu, nu, ((e, count), ...)) over feasible_pairs(p, m, n): count
+    elements of enumerate_R(p, m, n) on (mu, nu) have rigging entries
+    summing to e, memoised as enumerate_R is, but no element is built.  An
+    r goes with every s of its shared list (see _rigging_groups), so per
+    list the counts of r by entry sum convolve with those of s.
+    """
+    key = (p, m, n)
+    hit = _SUM_CACHE.get(key)
+    if hit is not None:
+        return hit
+    out = []
+    for mu, nu, groups in _piece_groups(p, m, n):
+        lists, by_r = {}, defaultdict(Counter)  # keyed by id of a shared s list
+        for r, s_objs in groups:
+            lists[id(s_objs)] = s_objs
+            by_r[id(s_objs)][sum(map(sum, r))] += 1
+        counts: Counter = Counter()
+        for i, s_objs in lists.items():
+            by_s = Counter(sum(map(sum, s)) for s in s_objs)
+            for er, cr in by_r[i].items():
+                for es, cs in by_s.items():
+                    counts[er + es] += cr * cs
+        out.append((mu, nu, tuple(counts.items())))
+    return _SUM_CACHE.setdefault(key, tuple(out))
 
 
 def weight_bound(p: Params) -> tuple[int, int]:
@@ -240,13 +277,14 @@ def weight_bound(p: Params) -> tuple[int, int]:
     )
 
 
-def enumerate_total(p: Params) -> dict[tuple[int, int], tuple[RiggedPair, ...]]:
+def enumerate_total(p: Params, read=None) -> dict[tuple[int, int], tuple]:
     """Every nonempty graded piece, keyed by (m, n) in ascending order: the
-    one walk over the weight box, shared by char_R and the enum document."""
+    one walk over the weight box, which reads each piece by read(p, m, n),
+    enumerate_R (the enum document's default) or rigging_sums (char_R's)."""
     mmax, nmax = weight_bound(p)
     return {
         (m, n): piece
         for m in range(mmax + 1)
         for n in range(nmax + 1)
-        if (piece := enumerate_R(p, m, n))
+        if (piece := (read or enumerate_R)(p, m, n))
     }

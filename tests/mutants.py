@@ -114,8 +114,8 @@ MUTANTS = (
     # riggedsets
     Mutant(
         "empty", "riggedsets.py",
-        "    if m < 0 or n < 0:\n        piece = ()\n",
-        "    if True:\n        piece = ()\n",
+        "    if m < 0 or n < 0:\n        return\n",
+        "    if True:\n        return\n",
         "000001",
     ),
     Mutant(
@@ -147,6 +147,12 @@ MUTANTS = (
         "(2 * p.k * p.M + p.k * p.N) // 3,\n",
         "(2 * p.k * p.M + p.k * p.N) // 3 - 1,\n",
         "000010",
+    ),
+    Mutant(
+        "rsum", "riggedsets.py",
+        "sum(map(sum, r))",
+        "sum(map(len, r))",
+        "000011",
     ),
     # admissible
     Mutant(

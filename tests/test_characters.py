@@ -18,11 +18,12 @@ from rigchar.characters import (
     fermionic_char,
     gauss_binomial,
     gauss_binomial_product,
+    piece_degrees,
     rig_degree,
     sl2_char,
     verify_fermionic,
 )
-from rigchar.core import Params, RiggedPair, vacancy_P, vacancy_Q
+from rigchar.core import Params, RiggedPair, pair_from_obj, pair_to_obj, vacancy_P, vacancy_Q
 from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
 
 polys = st.dictionaries(
@@ -247,6 +248,48 @@ class TestCharR:
         for p in (Params(2, 2, 1, 1, 1, 1), Params(2, 1, 2, 0, 2, 1)):
             total = sum(len(rs) for rs in enumerate_total(p).values())
             assert value_at_one(char_R(p)) == total
+
+    def test_equals_element_wise_sum(self):
+        # char_R counts the elements by rigging sum without building them;
+        # the reference builds every element and reads its degree.
+        points = 0
+        for k in (1, 2, 3):
+            for l1 in range(k + 1):
+                for l2 in range(k + 1):
+                    for l3 in range(min(l1, l2) + 1):
+                        for M in range(4):
+                            for N in range(4):
+                                p = Params(k, l1, l2, l3, M, N)
+                                assert char_R(p) == char_R_by_elements(p), p
+                                points += 1
+        assert points == 784
+
+    def test_count_at_a_large_point(self):
+        # 85,229,696 elements: about 200 s to build one by one, so only
+        # the counted sum can reach this point in a test.
+        assert value_at_one(char_R(Params(2, 2, 2, 2, 8, 8))) == 85_229_696
+
+    def test_piece_degrees_is_rig_degree(self):
+        # piece_degrees reuses the sums of the objects the elements of a
+        # piece share; copies that share nothing get the same degrees.
+        for p in (Params(2, 2, 2, 0, 3, 2), Params(3, 3, 2, 1, 2, 2)):
+            for piece in enumerate_total(p).values():
+                expected = [rig_degree(x, p.l1, p.l2) for x in piece]
+                assert list(piece_degrees(piece, p.l1, p.l2)) == expected
+                copies = [pair_from_obj(p.k, json.loads(json.dumps(pair_to_obj(x)))) for x in piece]
+                assert list(piece_degrees(copies, p.l1, p.l2)) == expected
+
+
+def char_R_by_elements(p: Params) -> LaurentPoly:
+    """The brute-force character as char_R computed it before it counted
+    by rigging sums: one term z1^m z2^n q^rig_degree per element of
+    enumerate_total."""
+    acc: dict = {}
+    for (m, n), piece in enumerate_total(p).items():
+        for x in piece:
+            key = (m, n, rig_degree(x, p.l1, p.l2))
+            acc[key] = acc.get(key, 0) + 1
+    return LaurentPoly(acc)
 
 
 def sparse_fermionic(k, l1, l2, M, N):

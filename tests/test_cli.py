@@ -516,6 +516,7 @@ class TestVerify:
         fresh = lru_cache(maxsize=None)(riggedsets._row_choices.__wrapped__)
         monkeypatch.setattr(riggedsets, "_row_choices", fresh)
         monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+        monkeypatch.setattr(riggedsets, "_SUM_CACHE", {})
 
     def test_invariant_failure_exits_3(self, monkeypatch, capsys):
         from rigchar import cli
@@ -694,12 +695,14 @@ def inline_workers(monkeypatch):
 @pytest.fixture
 def tau_one_up(monkeypatch):
     """Make tau one too large in this process, as the tau+1 source mutant
-    does, with the rigged-set cache and the tau-matrix memo empty on entry
-    and on exit, so that no piece built either way is served the other."""
+    does, with the rigged-set cache, the rigging-sum memo and the
+    tau-matrix memo empty on entry and on exit, so that no piece built or
+    counted either way is served the other."""
     from rigchar import core, riggedsets
 
     monkeypatch.setattr(riggedsets, "tau", lambda alpha, beta, p: core.tau(alpha, beta, p) + 1)
     monkeypatch.setattr(riggedsets, "_R_CACHE", {})
+    monkeypatch.setattr(riggedsets, "_SUM_CACHE", {})
     riggedsets._tau_table.cache_clear()
     yield
     riggedsets._tau_table.cache_clear()
@@ -915,9 +918,11 @@ class TestBlockScheduler:
 
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_block_key_is_sound(self, what, monkeypatch, capsys):
-        # Run every point against an empty rigged-set cache and scan memo:
-        # each entry it creates must have the point's k and M, or two
-        # blocks would repeat each other's work.
+        # Run every point against an empty rigged-set cache, scan memo and
+        # rigging-sum memo: each entry it creates must have the point's k
+        # and M, or two blocks would repeat each other's work.  The four
+        # bijection checks build pieces; fermionic and char-recursion reach
+        # the sets through char_R, which counts them and builds none.
         from rigchar import cli, riggedsets
 
         check = _CHECKS[what]
@@ -926,17 +931,19 @@ class TestBlockScheduler:
             grid += ["--max-weight", "2"]
         m_at = len(check.labels(1)[0]) + 1  # M's place in a point
         check_point = cli._check_point
-        built = {"pieces": [], "scans": []}
+        built = {"pieces": [], "scans": [], "sums": []}
         stray = []
 
         def isolated(what, module, point):
-            pieces, scans = {}, {}
+            pieces, scans, sums = {}, {}, {}
             monkeypatch.setattr(riggedsets, "_R_CACHE", pieces)
             monkeypatch.setattr(riggedsets, "_SCAN_CACHE", scans)
+            monkeypatch.setattr(riggedsets, "_SUM_CACHE", sums)
             failure = check_point(what, module, point)
             keys = {
                 "pieces": [(p.k, p.M) for p, _, _ in pieces],
                 "scans": [(k, M) for k, _, _, M, *_ in scans],
+                "sums": [(p.k, p.M) for p, _, _ in sums],
             }
             for name, found in keys.items():
                 built[name].extend(found)
@@ -946,7 +953,10 @@ class TestBlockScheduler:
         monkeypatch.setattr(cli, "_check_point", isolated)
         assert cli.main(["verify", what, *grid, "--jobs", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
-        assert built["pieces"] and built["scans"]
+        counted = what in ("fermionic", "char-recursion")
+        assert {name for name, found in built.items() if found} == (
+            {"scans", "sums"} if counted else {"pieces", "scans"}
+        )
         assert stray == []
 
 

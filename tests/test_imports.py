@@ -62,8 +62,9 @@ READ_BY_TESTS_ONLY = {
 # Definitions no code in src/rigchar reads, only bench/traced.py (its
 # PATCHES name them).  Each goes once the benchmark stops naming it.
 READ_BY_BENCH_ONLY = {
-    "characters.rig_degree": "the degree of one element; char_R reads "
-    "piece_degrees instead, and the tracer still wraps it",
+    "characters.rig_degree": "the degree of one element; char_R counts by "
+    "rigging_sums and enum reads piece_degrees instead, and the tracer "
+    "still wraps it",
     "cli._json_text": "one document's JSON as a string; the CLI streams "
     "_json_chunks instead, and the tracer still wraps it",
 }

@@ -13,7 +13,7 @@ from rigchar.riggedsets import (
     enumerate_R,
     enumerate_total,
     feasible_pairs,
-    _riggings,
+    _rigging_groups,
     _row_choices,
     _tau_table,
     satisfies_cutoffs,
@@ -346,8 +346,9 @@ class TestEnumerateRPlain:
     @pytest.mark.parametrize("k, cap", [(1, 3), (2, 2), (3, 1)])
     def test_equals_build_then_filter(self, k, cap):
         # The plain set, without cutoffs: every rigged pair with rows capped
-        # by one bound that satisfies tau, in canonical order.  _riggings
-        # builds it with tau as a lower bound on the rows of s.
+        # by one bound that satisfies tau, in canonical order.
+        # _rigging_groups builds it with tau as a lower bound on the rows of
+        # s, as each r with the list of every s that goes with it.
         from itertools import product
 
         for l1, l2, l3 in legal_labels(k):
@@ -365,7 +366,10 @@ class TestEnumerateRPlain:
                                 x = RiggedPair(mu, rr, nu, ss)
                                 if satisfies_tau(x, p):
                                     ref.append(x)
-                            got.extend(_riggings(mu, nu, (cap,) * k, (cap,) * k, taumat))
+                            groups = _rigging_groups(mu, nu, (cap,) * k, (cap,) * k, taumat)
+                            got.extend(
+                                RiggedPair(mu, rr, nu, ss) for rr, s_objs in groups for ss in s_objs
+                            )
                     assert got == ref
 
 
