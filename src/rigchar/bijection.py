@@ -308,26 +308,24 @@ def _upper_pairs(k: int, l1: int, a: int, c: int) -> tuple:
     )
 
 
-def verify_upper_decomposition(l1: int, a: int, c: int, p: Params, m: int, n: int) -> Report:
+def verify_upper_decomposition(
+    k: int, l1: int, a: int, c: int, M: int, N: int, m: int, n: int
+) -> Report:
     """Exact-cover check of the primed graded piece by the upper subsets.
 
     The target lives at (M, N-1) with the labels primed from (l1, a, c);
-    the cover runs over all (I, J) with |I| = a and |J| = a + c.  Only k,
-    M and N are read from p.  Nonempty subsets are also checked against
-    rho' <= P and sigma' <= Q.
+    the cover runs over all (I, J) with |I| = a and |J| = a + c.
+    Nonempty subsets are also checked against rho' <= P and sigma' <= Q.
     """
-    k = p.k
     b = a + c
     if not (0 <= a <= l1 <= k and a <= b <= k):
         raise ValueError(f"need 0 <= a <= l1 <= k and a+c <= k; got l1={l1}, a={a}, c={c}")
-    if p.N < 1:
+    if N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
     l1p, l2p, l3p = primed_labels(k, l1, a, c)
-    context = dict(
-        params=params_to_obj(p), l1=l1, a=a, c=c, primed=[l1p, l2p, l3p], m=m, n=n
-    )
+    context = dict(k=k, l1=l1, a=a, c=c, M=M, N=N, m=m, n=n, primed=[l1p, l2p, l3p])
     pairs = _upper_pairs(k, l1, a, c)
-    pp = Params(k, l1p, l2p, l3p, p.M, p.N - 1)
+    pp = Params(k, l1p, l2p, l3p, M, N - 1)
     reason = "nonempty upper subset violates rho'<=P, sigma'<=Q"
     return _cover_scan("upper-decomposition", context, pp, m, n, pairs, True, reason)
 

@@ -311,8 +311,9 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
 
     Sums z1^|mu| z2^|nu| q^D times the product of one Gaussian binomial
     per row length over all partition pairs with non-negative vacancy
-    vectors, inside the same weight box the enumeration uses.  Negative
-    labels give the zero polynomial by convention.
+    vectors, inside the same weight box the enumeration uses.  Labels
+    outside [0, k], a level below 1 or a negative cutoff raise ValueError,
+    through the Params at l3 = min(l1, l2).
 
     All terms of one (m, n) cell share their z1/z2 exponents, so each cell
     is one q-polynomial, computed by Kronecker substitution: q becomes
@@ -323,8 +324,6 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     coefficient of each partial product, and of the cell sum, lies between
     0 and that value, and no slot carries into the next.
     """
-    if l1 < 0 or l2 < 0:
-        return LaurentPoly.zero()
     p = Params(k, l1, l2, min(l1, l2), M, N)
     mmax, nmax = weight_bound(p)
     acc: dict = {}
@@ -340,20 +339,16 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-def verify_fermionic(p: Params) -> Report:
-    """Exact comparison of the closed-form character with the brute-force one.
-
-    The closed form has l3 = min(l1, l2), so p must carry that label.
-    """
-    if p.l3 != min(p.l1, p.l2):
-        raise ValueError("the closed form is the character at l3 = min(l1, l2)")
-    f = fermionic_char(p.k, p.l1, p.l2, p.M, p.N)
-    b = char_R(p)
+def verify_fermionic(k: int, l1: int, l2: int, M: int, N: int) -> Report:
+    """Exact comparison of the closed-form character with the brute-force
+    one, the character of the cutoff set at l3 = min(l1, l2)."""
+    f = fermionic_char(k, l1, l2, M, N)
+    b = char_R(Params(k, l1, l2, min(l1, l2), M, N))
     ok = f == b
     return Report(
         ok=ok,
         check="fermionic",
-        context={"k": p.k, "l1": p.l1, "l2": p.l2, "M": p.M, "N": p.N},
+        context={"k": k, "l1": l1, "l2": l2, "M": M, "N": N},
         detail=(
             {} if ok else {"closed_form": f.to_text(), "bruteforce": b.to_text()}
         ),
@@ -387,8 +382,10 @@ def sl2_char(k: int, l: int, M: int, N: int) -> LaurentPoly:
 
     The closed character one M-step up, less its companion at labels
     (l-1, k-l-1), under z1 -> q^-1 z^2, z2 -> z^-2, times z^-l.  The
-    q^-1 on z1 reflects that raising the first cutoff by one shifts every
-    e-type generator down one loop degree, while f-type generators are
+    companion exists for 0 < l < k only; at l = 0 and l = k one of its
+    labels is -1 and the first term stands alone.  The q^-1 on z1
+    reflects that raising the first cutoff by one shifts every e-type
+    generator down one loop degree, while f-type generators are
     untouched; the companion embeds degree-preservingly, so the
     difference carries no extra q factor.  The map sends every z2
     exponent to 0, and distinct terms may land on one triple.
@@ -398,6 +395,8 @@ def sl2_char(k: int, l: int, M: int, N: int) -> LaurentPoly:
     if M < 0 or N < 0:
         raise ValueError("cutoffs must be >= 0")
     first = fermionic_char(k, l, k - l, M + 1, N)
-    second = fermionic_char(k, l - 1, k - l - 1, M + 1, N)
+    second = LaurentPoly.zero()
+    if 0 < l < k:
+        second = fermionic_char(k, l - 1, k - l - 1, M + 1, N)
     poly = first - second
     return poly.mapped(z1=(2, 0, -1), z2=(-2, 0, 0), times=(-l, 0, 0))

@@ -45,6 +45,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
+from functools import partial
 from itertools import chain, product
 from types import ModuleType
 from typing import Callable, NamedTuple, NoReturn
@@ -298,37 +299,16 @@ def _poly_payload(poly, args, names, meta: dict) -> int:
     return 0
 
 
-def run_char(args) -> int:
+def _run_character(poly_of, names, args) -> int:
+    """Write the character poly_of(characters module, *values) of a
+    character command, in the variables names.  args.flags names the
+    command's integer flags in order, values are theirs, and the JSON head
+    is the command's name and those flags with their values."""
     from . import characters
 
-    Params(args.k, args.l1, args.l2, min(args.l1, args.l2), args.M, args.N)
-    poly = characters.fermionic_char(args.k, args.l1, args.l2, args.M, args.N)
-    meta = {
-        "command": "char",
-        "k": args.k,
-        "l1": args.l1,
-        "l2": args.l2,
-        "M": args.M,
-        "N": args.N,
-    }
-    return _poly_payload(poly, args, ("z1", "z2", "q"), meta)
-
-
-def run_char_bruteforce(args) -> int:
-    from . import characters
-
-    p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
-    poly = characters.char_R(p)
-    meta = {"command": "char-bruteforce", **params_to_obj(p)}
-    return _poly_payload(poly, args, ("z1", "z2", "q"), meta)
-
-
-def run_sl2_char(args) -> int:
-    from . import characters
-
-    poly = characters.sl2_char(args.k, args.l, args.M, args.N)
-    meta = {"command": "sl2-char", "k": args.k, "l": args.l, "M": args.M, "N": args.N}
-    return _poly_payload(poly, args, ("z", "_", "q"), meta)
+    flags = {flag: getattr(args, flag) for flag in args.flags}
+    poly = poly_of(characters, *flags.values())
+    return _poly_payload(poly, args, names, {"command": args.command, **flags})
 
 
 # ---------------------------------------------------------------- verify grids
@@ -345,25 +325,13 @@ def _labels_upper(k: int) -> list[tuple[int, ...]]:
     return [(l1, a, c) for l1 in range(k + 1) for a in range(l1 + 1) for c in range(k - a + 1)]
 
 
-def _bijection() -> ModuleType:
-    from . import bijection
-
-    return bijection
-
-
-def _characters() -> ModuleType:
-    from . import characters
-
-    return characters
-
-
 class _Check(NamedTuple):
     """One verify check: the axes of its grid (see the module docstring),
-    load, which imports and returns the module that holds its verifier,
-    and run, which takes that module and a point's coordinates and
-    returns a Report.
+    module, the name of the rigchar module that holds its verifier, and
+    run, which takes that module and a point's coordinates and returns a
+    Report.
 
-    Each block calls load once, so a run imports only the modules its
+    Each block imports module once, so a run imports only the modules its
     check reads.  run looks its verifier up through the module at call
     time, so a wrapper installed there is the one run.
     """
@@ -371,43 +339,39 @@ class _Check(NamedTuple):
     labels: Callable[[int], list[tuple[int, ...]]]
     first_N: int
     needs_weight: bool
-    load: Callable[[], ModuleType]
+    module: str
     run: Callable[..., Report]
 
 
 _CHECKS = {
     "recursion": _Check(
-        _labels_l3, 1, True, _bijection,
+        _labels_l3, 1, True, "bijection",
         lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_recursion(
             Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "lower-decomp": _Check(
-        _labels_l3, 0, True, _bijection,
+        _labels_l3, 0, True, "bijection",
         lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_lower_decomposition(
             Params(k, l1, l2, l3, M, N), m, n
         ),
     ),
     "upper-decomp": _Check(
-        _labels_upper, 1, True, _bijection,
-        lambda mod, k, l1, a, c, M, N, m, n: mod.verify_upper_decomposition(
-            l1, a, c, Params(k, k, k, 0, M, N), m, n
-        ),
+        _labels_upper, 1, True, "bijection",
+        lambda mod, *point: mod.verify_upper_decomposition(*point),
     ),
     "bijection": _Check(
-        _labels_pair, 1, True, _bijection,
+        _labels_pair, 1, True, "bijection",
         lambda mod, k, l1, l2, M, N, m, n: mod.verify_bijection(
             Params(k, l1, l2, min(l1, l2), M, N), m, n
         ),
     ),
     "fermionic": _Check(
-        _labels_pair, 0, False, _characters,
-        lambda mod, k, l1, l2, M, N: mod.verify_fermionic(
-            Params(k, l1, l2, min(l1, l2), M, N)
-        ),
+        _labels_pair, 0, False, "characters",
+        lambda mod, *point: mod.verify_fermionic(*point),
     ),
     "char-recursion": _Check(
-        _labels_l3, 1, False, _characters,
+        _labels_l3, 1, False, "characters",
         lambda mod, *point: mod.char_recursion_check(*point),
     ),
 }
@@ -432,7 +396,9 @@ def _check_block(stop_at: tuple, block) -> tuple[tuple, dict] | None:
     """
     what, k, M, max_N, max_weight = block
     check = _CHECKS[what]
-    module = check.load()
+    # __import__ takes the interpreter's import path, which python -X importtime
+    # reports; importlib.import_module bypasses it.
+    module = getattr(__import__(__package__, fromlist=[check.module]), check.module)
     weights = [range(max_weight + 1)] * 2 if check.needs_weight else []
     for labels, N, *mn in product(check.labels(k), range(check.first_N, max_N + 1), *weights):
         point = (k, *labels, M, N, *mn)
@@ -556,12 +522,21 @@ def run_verify(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-# The commands that write one result: name, help, integer flags (space-separated), runner.
+# The commands that write one result: name, help, integer flags (space-separated),
+# runner.  A character command runs _run_character with its polynomial, a
+# function of the characters module and its flags' values in order, and the
+# names of its variables.
 _COMMANDS = (
     ("enum", "enumerate every nonempty graded piece", "k l1 l2 l3 M N", run_enum),
-    ("char", "closed-form character (l3 = min(l1, l2))", "k l1 l2 M N", run_char),
-    ("char-bruteforce", "character by direct enumeration", "k l1 l2 l3 M N", run_char_bruteforce),
-    ("sl2-char", "two-variable character in (z, q)", "k l M N", run_sl2_char),
+    ("char", "closed-form character (l3 = min(l1, l2))", "k l1 l2 M N", partial(
+        _run_character, lambda mod, *flags: mod.fermionic_char(*flags), ("z1", "z2", "q")
+    )),
+    ("char-bruteforce", "character by direct enumeration", "k l1 l2 l3 M N", partial(
+        _run_character, lambda mod, *flags: mod.char_R(Params(*flags)), ("z1", "z2", "q")
+    )),
+    ("sl2-char", "two-variable character in (z, q)", "k l M N", partial(
+        _run_character, lambda mod, *flags: mod.sl2_char(*flags), ("z", "_", "q")
+    )),
 )
 _FLAG_HELP = {"k": "level"}
 _OUTPUT_HELP = "write to file instead of stdout"
@@ -582,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{flag}", type=int, required=True, help=_FLAG_HELP.get(flag))
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--output", default=None, help=_OUTPUT_HELP)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, flags=flags.split())
 
     sp = sub.add_parser("verify", help="run one verifier over a parameter grid")
     sp.add_argument("what", choices=sorted(_CHECKS))

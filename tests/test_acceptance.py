@@ -169,11 +169,10 @@ def test_criterion_5_decompositions():
                 for c in range(k - a + 1):
                     for M in (0, 1, 2):
                         for N in (1, 2):
-                            p = Params(k, k, k, 0, M, N)
                             for m in range(6):
                                 for n in range(6):
                                     rep = verify_upper_decomposition(
-                                        l1, a, c, p, m, n
+                                        k, l1, a, c, M, N, m, n
                                     )
                                     points += 1
                                     if not rep.ok:

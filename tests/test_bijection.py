@@ -404,21 +404,20 @@ class TestDecompositions:
                     for c in range(k - a + 1):
                         for M in (0, 1):
                             for N in (1, 2):
-                                p = Params(k, k, k, 0, M, N)
                                 for m in range(4):
                                     for n in range(4):
                                         rep = verify_upper_decomposition(
-                                            l1, a, c, p, m, n
+                                            k, l1, a, c, M, N, m, n
                                         )
                                         assert rep.ok, (rep.context, rep.detail)
 
     def test_upper_vacuous_for_negative_weight(self):
-        rep = verify_upper_decomposition(1, 0, 0, Params(2, 2, 2, 0, 1, 1), 0, -2)
+        rep = verify_upper_decomposition(2, 1, 0, 0, 1, 1, 0, -2)
         assert rep.ok
 
     def test_upper_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            verify_upper_decomposition(1, 2, 0, Params(2, 2, 2, 0, 1, 1), 0, 0)
+            verify_upper_decomposition(2, 1, 2, 0, 1, 1, 0, 0)
 
     def test_lower_subsets_pairwise_disjoint(self):
         p = Params(2, 2, 2, 2, 1, 1)
@@ -566,7 +565,7 @@ class TestFailureReports:
 
     def test_upper_vacancy_violation(self, monkeypatch):
         self.negative_vacancies(monkeypatch)
-        rep = verify_upper_decomposition(1, 1, 0, Params(1, 1, 1, 0, 1, 1), 0, 0)
+        rep = verify_upper_decomposition(1, 1, 1, 0, 1, 1, 0, 0)
         assert not rep.ok
         assert rep.detail == {
             "reason": "nonempty upper subset violates rho'<=P, sigma'<=Q",

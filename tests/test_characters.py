@@ -312,9 +312,12 @@ def sparse_fermionic(k, l1, l2, M, N):
 
 
 class TestFermionic:
-    def test_negative_labels_zero(self):
-        assert fermionic_char(2, -1, 1, 1, 1) == LaurentPoly.zero()
-        assert fermionic_char(2, 1, -1, 1, 1) == LaurentPoly.zero()
+    def test_negative_labels_raise(self):
+        # The labels are checked as char checks them, with char's message.
+        with pytest.raises(ValueError, match=r"^labels l1=-1, l2=1 must lie in \[0, 2\]$"):
+            fermionic_char(2, -1, 1, 1, 1)
+        with pytest.raises(ValueError, match=r"^labels l1=1, l2=-1 must lie in \[0, 2\]$"):
+            fermionic_char(2, 1, -1, 1, 1)
 
     def test_k1_all_ones(self):
         assert fermionic_char(1, 1, 1, 1, 1).to_text() == "1 + z1*z2*q"
@@ -349,18 +352,13 @@ class TestFermionic:
 
 class TestVerifyFermionic:
     def test_k1_report(self):
-        rep = verify_fermionic(Params(1, 1, 1, 1, 1, 1))
+        rep = verify_fermionic(1, 1, 1, 1, 1)
         assert rep.ok and rep.check == "fermionic"
         assert rep.context == {"k": 1, "l1": 1, "l2": 1, "M": 1, "N": 1}
         # A passing report carries no texts; they are rendered on failure only.
         assert rep.detail == {}
         assert fermionic_char(1, 1, 1, 1, 1).to_text() == "1 + z1*z2*q"
         assert char_R(Params(1, 1, 1, 1, 1, 1)).to_text() == "1 + z1*z2*q"
-
-    def test_rejects_l3_below_min(self):
-        # The closed form is the character at l3 = min(l1, l2) only.
-        with pytest.raises(ValueError):
-            verify_fermionic(Params(2, 2, 2, 1, 1, 1))
 
 
 class TestCharRecursion:
@@ -390,13 +388,16 @@ class TestSl2Char:
         assert value_at_one(sl2_char(1, 0, 0, 0)) == 1
 
     def test_l0_second_term_vanishes(self):
-        # l = 0 sends the companion labels negative, so only one term remains
+        # l = 0 and l = k send a companion label to -1, so only the first
+        # term remains.
         for k in (1, 2):
-            for M in (0, 1):
-                for N in (0, 1):
-                    assert fermionic_char(k, -1, k - 1, M + 1, N) == LaurentPoly.zero()
-                    first = fermionic_char(k, 0, k, M + 1, N).mapped(**SL2_MAP)
-                    assert sl2_char(k, 0, M, N) == first
+            for l in (0, k):
+                for M in (0, 1):
+                    for N in (0, 1):
+                        first = fermionic_char(k, l, k - l, M + 1, N).mapped(
+                            **SL2_MAP, times=(-l, 0, 0)
+                        )
+                        assert sl2_char(k, l, M, N) == first
 
     def test_nonnegative_coefficients(self):
         for k in (1, 2):

@@ -20,6 +20,7 @@ from rigchar.cli import (
     _json_chunks,
     _json_text,
     _Rows,
+    _run_character,
     parse_enum_document,
 )
 from rigchar.core import Params
@@ -248,6 +249,31 @@ class TestSl2Char:
     def test_k2_json_golden(self):
         proc = run_cli("sl2-char", "--k", "2", "--l", "1", "--M", "1", "--N", "1")
         assert proc.stdout == (DATA / "sl2_k2_l1_M1_N1.json").read_text()
+
+
+def test_character_head_is_command_and_flags(capsys):
+    """The JSON document of each character row, without its terms and
+    text, is the command's name and its integer flags with their values."""
+    from rigchar import cli
+
+    # Values that differ within every command, so a swapped pair shows.
+    values = {"k": 3, "l1": 2, "l2": 1, "l3": 0, "l": 2, "M": 1, "N": 4}
+    rows = [
+        (name, flags.split())
+        for name, _, flags, run in _COMMANDS
+        if getattr(run, "func", None) is _run_character
+    ]
+    assert [name for name, _ in rows] == ["char", "char-bruteforce", "sl2-char"]
+    for name, flags in rows:
+        head = {flag: values[flag] for flag in flags}
+        argv = [name]
+        for flag, value in head.items():
+            argv += [f"--{flag}", str(value)]
+        assert cli.main(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) >= {"terms", "text"}
+        del doc["terms"], doc["text"]
+        assert doc == {"command": name, **head}
 
 
 def test_commands_take_no_polynomial_product(monkeypatch, capsys):
