@@ -9,7 +9,9 @@ Completeness of enumerate_total rests on the weight bound derived from the
 non-negativity of the k-th vacancy components: a nonempty piece forces
 n >= 2m - kM + (k-l1)+ and m >= 2n - kN + (k-l2)+, hence
 3m <= 2kM + kN and 3n <= kM + 2kN.  The scan ranges below use exactly
-those bounds, so no nonempty piece can be missed.
+those bounds, so no nonempty piece can be missed.  The same two
+inequalities answer a cell of that box that breaks either one without a
+scan: it holds no pair.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
 
 _R_CACHE: dict[tuple[Params, int, int], tuple[RiggedPair, ...]] = {}
 # feasible_pairs(p, m, n) as a tuple, keyed by (k, l1, l2, M, N, m, n): the
-# vacancy vectors never read l3, so every l3 shares one scan.
+# vacancy vectors never read l3, so every l3 shares one scan.  A cell whose
+# k-th vacancy inequalities fail is stored as () without a scan.
 _SCAN_CACHE: dict[tuple[int, ...], tuple] = {}
 # rigging_sums(p, m, n), keyed as _R_CACHE is.
 _SUM_CACHE: dict[tuple[Params, int, int], tuple] = {}
@@ -200,7 +203,11 @@ def _piece_groups(p: Params, m: int, n: int):
     scan_key = (p.k, p.l1, p.l2, p.M, p.N, m, n)
     pairs = _SCAN_CACHE.get(scan_key)
     if pairs is None:
-        pairs = _SCAN_CACHE[scan_key] = tuple(feasible_pairs(p, m, n))
+        # A(x)_k = |x|, so P_k = kM - (k-l1) + n - 2m and Q_k = kN - (k-l2) +
+        # m - 2n for every pair of the cell: if either is negative, it has none.
+        k = p.k
+        empty = n - 2 * m < k - p.l1 - k * p.M or m - 2 * n < k - p.l2 - k * p.N
+        pairs = _SCAN_CACHE[scan_key] = () if empty else tuple(feasible_pairs(p, m, n))
     taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
     for mu, nu, P, Q in pairs:
         yield mu, nu, _rigging_groups(mu, nu, P, Q, taumat)

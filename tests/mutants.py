@@ -61,19 +61,19 @@ MUTANTS = (
         "vac+1", "core.py",
         "alpha * M - pos_part(alpha - l) - 2 * a\n",
         "alpha * M - pos_part(alpha - l) - 2 * a + 1\n",
-        "000010",
+        "100111",
     ),
     Mutant(
         "vac-l", "core.py",
         "pos_part(alpha - l) - 2 * a\n",
         "pos_part(alpha - l - 1) - 2 * a\n",
-        "111110",
+        "111111",
     ),
     Mutant(
         "minsum", "core.py",
         "        acc += tail\n        tail -= x\n",
         "        tail -= x\n        acc += tail\n",
-        "111112",
+        "111111",
     ),
     Mutant(
         "tau-l3", "core.py",
@@ -122,7 +122,13 @@ MUTANTS = (
         "feas", "riggedsets.py",
         "if min(P) < 0:",
         "if min(P) < -1:",
-        "111110",
+        "000001",
+    ),
+    Mutant(
+        "cell", "riggedsets.py",
+        "k - p.l1 - k * p.M",
+        "k - p.l1 - k * p.M + 1",
+        "100111",
     ),
     Mutant(
         "need0", "riggedsets.py",

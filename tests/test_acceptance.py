@@ -17,7 +17,6 @@ from rigchar.admissible import (
     delta_r,
     delta_s,
     epsilon,
-    is_admissible,
     is_l1_admissible,
     kappa,
     label_complement,

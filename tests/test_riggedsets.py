@@ -419,6 +419,44 @@ class TestFeasiblePairs:
         assert len(scans) == pairs * 3 * 16
         assert len(riggedsets._R_CACHE) > len(scans)
 
+    def test_cell_filter_is_sound_and_tight(self, monkeypatch):
+        # The scan memo answers a cell of the weight box without scanning it
+        # exactly when P_k = kM - (k-l1) + n - 2m or Q_k = kN - (k-l2) + m -
+        # 2n is negative.  Sound: no such cell has a pair.  Tight: on each
+        # side some cell at equality has one, so the bound cannot be raised.
+        from rigchar import riggedsets
+
+        scanned = []
+
+        def recording(p, m, n):
+            scanned.append(p)
+            return feasible_pairs(p, m, n)
+
+        monkeypatch.setattr(riggedsets, "feasible_pairs", recording)
+        monkeypatch.setattr(riggedsets, "_SCAN_CACHE", {})
+        tight_P = tight_Q = False
+        for k in range(1, 5):
+            for l1 in range(k + 1):
+                for l2 in range(k + 1):
+                    for M in range(4):
+                        for N in range(4):
+                            p = Params(k, l1, l2, 0, M, N)
+                            mmax, nmax = weight_bound(p)
+                            for m in range(mmax + 1):
+                                for n in range(nmax + 1):
+                                    scanned.clear()
+                                    pieces = list(riggedsets._piece_groups(p, m, n))
+                                    Pk = k * M - (k - l1) + n - 2 * m
+                                    Qk = k * N - (k - l2) + m - 2 * n
+                                    rejected = not scanned
+                                    assert rejected == (min(Pk, Qk) < 0)
+                                    if rejected:
+                                        assert next(feasible_pairs(p, m, n), None) is None
+                                    elif pieces:
+                                        tight_P |= Pk == 0
+                                        tight_Q |= Qk == 0
+        assert tight_P and tight_Q
+
     def test_scan_call_contract(self, monkeypatch):
         # bench/traced.py counts the scan at these two bindings: one
         # vacancy_P call per box pair, mu outer and nu inner, and one
