@@ -3,12 +3,12 @@ exhaustive verifiers for the recursion and both decomposition statements.
 
 The verifiers return structured Report values carrying the first
 counterexample with full provenance; they never assume the statements
-they are checking.  The per-pair data they read (the marked bound on the
-rows of r and s, epsilon, delta and the primed labels) depends only on the
-labels, so it is built once per label pair by lower_table / upper_table.
-The rest of what a verifier reads at a grid point apart from its weights
-(m, n), the filtered table rows and the primed parameters, is memoised on
-the labels or on the point's Params.
+they are checking.  Each verifier takes its grid point: the labels, the
+cutoffs (M, N) and the weights (m, n).  The marked bound of a pair on the
+rows of r and s depends only on the labels and the pair, so lower_bounds
+and upper_bounds are memoised on those plain values.  The rest of what a
+verifier reads at a grid point apart from its weights, the pair lists and
+the primed parameters, is memoised on the labels or on the point's Params.
 x lies in the subset of (I, J) if its rows meet that bound and x meets the
 cutoffs.  The verifiers scan pieces enumerate_R built inside the cutoffs,
 so they test the bound alone; map_m re-checks the cutoffs of its input and
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, le
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 from .admissible import (
     all_index_sets,
@@ -82,18 +80,21 @@ def _joined(br: MarkedBound, bs: MarkedBound) -> MarkedBound:
     return MarkedBound(br.value + bs.value, br.marked + bs.marked)
 
 
-def lower_bounds(I: tuple[int, ...], J: tuple[int, ...], p: Params) -> MarkedBound | None:
+@lru_cache(maxsize=None)
+def lower_bounds(
+    k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int, l2: int
+) -> MarkedBound | None:
     """Marked lower bound of the lower subset, rho on r and sigma on s, or
     None if the pair is not (l1, l2)-admissible."""
-    k = p.k
-    if not is_admissible(k, I, J, p.l1, p.l2):
+    if not is_admissible(k, I, J, l1, l2):
         return None
     return _joined(
-        MarkedBound(rho(k, I, J, p.l1), tuple(e == 1 for e in epsilon(k, I))),
-        MarkedBound(sigma(k, J, p.l2), tuple(e == 1 for e in epsilon(k, J))),
+        MarkedBound(rho(k, I, J, l1), tuple(e == 1 for e in epsilon(k, I))),
+        MarkedBound(sigma(k, J, l2), tuple(e == 1 for e in epsilon(k, J))),
     )
 
 
+@lru_cache(maxsize=None)
 def upper_bounds(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> MarkedBound | None:
     """Marked lower bound of the upper subset, rho' on r and sigma' on s, or
     None if the pair is not l1-admissible."""
@@ -105,58 +106,6 @@ def upper_bounds(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> Mar
     )
 
 
-class LowerEntry(NamedTuple):
-    """What the lower subset of one (l1, l2)-admissible pair reads; the
-    value of its bound is rho followed by sigma."""
-
-    bound: MarkedBound
-    eps_I: tuple[int, ...]
-    eps_J: tuple[int, ...]
-    delta_r: tuple[int, ...]
-    delta_s: tuple[int, ...]
-
-
-class UpperEntry(NamedTuple):
-    """What the upper subset of one l1-admissible pair reads; the value of
-    its bound is rho' followed by sigma'."""
-
-    bound: MarkedBound
-    primed: tuple[int, int, int]
-
-
-@lru_cache(maxsize=None)
-def lower_table(k: int, l1: int, l2: int) -> Mapping[tuple[tuple, tuple], LowerEntry]:
-    """Every (l1, l2)-admissible (I, J) at level k with its lower-subset
-    data, in all_index_sets order (I outer, J inner)."""
-    p = Params(k, l1, l2, min(l1, l2), 0, 0)
-    sets = tuple(all_index_sets(k))
-    table = {}
-    for I in sets:
-        for J in sets:
-            bound = lower_bounds(I, J, p)
-            if bound is None:
-                continue
-            table[I, J] = LowerEntry(
-                bound, epsilon(k, I), epsilon(k, J), delta_r(k, I, J, l1), delta_s(k, I, J, l1, l2)
-            )
-    return MappingProxyType(table)
-
-
-@lru_cache(maxsize=None)
-def upper_table(k: int, l1: int) -> Mapping[tuple[tuple, tuple], UpperEntry]:
-    """Every l1-admissible (I, J) at level k with its upper-subset data,
-    in all_index_sets order (I outer, J inner)."""
-    sets = tuple(all_index_sets(k))
-    table = {}
-    for I in sets:
-        for J in sets:
-            bound = upper_bounds(k, I, J, l1)
-            if bound is None:
-                continue
-            table[I, J] = UpperEntry(bound, primed_labels(k, l1, len(I), len(J) - len(I)))
-    return MappingProxyType(table)
-
-
 def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
     """The parameters of the cutoff set with the tau condition switched off
     (l3 = min(l1, l2))."""
@@ -165,8 +114,8 @@ def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
 
 def lower_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
-    entry = lower_table(p.k, p.l1, p.l2).get((I, J))
-    if entry is None or not entry.bound.satisfied_by(x.r + x.s):
+    bound = lower_bounds(p.k, I, J, p.l1, p.l2)
+    if bound is None or not bound.satisfied_by(x.r + x.s):
         return False
     return satisfies_cutoffs(x, p)
 
@@ -179,10 +128,10 @@ def upper_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], l1: int,
     """
     if p.N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
-    entry = upper_table(p.k, l1).get((I, J))
-    if entry is None or not entry.bound.satisfied_by(x.r + x.s):
+    bound = upper_bounds(p.k, I, J, l1)
+    if bound is None or not bound.satisfied_by(x.r + x.s):
         return False
-    l1p, l2p, _ = entry.primed
+    l1p, l2p, _ = primed_labels(p.k, l1, len(I), len(J) - len(I))
     return satisfies_cutoffs(x, _tau_free(p.k, l1p, l2p, p.M, p.N - 1))
 
 
@@ -199,8 +148,9 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
         raise ValueError("|J| exceeds l2: the target lower subset is empty")
     if not upper_member(x, I, J, p.l1, p):
         raise ValueError("input is not a member of the upper subset")
+    k = p.k
     # An l1-admissible pair with |J| <= l2 is (l1, l2)-admissible.
-    entry = lower_table(p.k, p.l1, p.l2)[I, J]
+    bottoms = lower_bounds(k, I, J, p.l1, p.l2).value
 
     def shift(mult: tuple[int, ...], rig: tuple, eps, delta, new_bottom):
         rows = []
@@ -211,9 +161,8 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
             rows.append(new)
         return tuple(map(add, mult, eps)), rows
 
-    bottoms = entry.bound.value
-    mu, r = shift(x.mu, x.r, entry.eps_I, entry.delta_r, bottoms[: p.k])
-    nu, s = shift(x.nu, x.s, entry.eps_J, entry.delta_s, bottoms[p.k :])
+    mu, r = shift(x.mu, x.r, epsilon(k, I), delta_r(k, I, J, p.l1), bottoms[:k])
+    nu, s = shift(x.nu, x.s, epsilon(k, J), delta_s(k, I, J, p.l1, p.l2), bottoms[k:])
     out = checked_pair(mu, r, nu, s)
     if not lower_member(out, I, J, p):
         raise AssertionError(f"rigging map produced a non-member of the lower subset: {out}")
@@ -225,9 +174,12 @@ def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
     return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
-def verify_recursion(p: Params, m: int, n: int) -> Report:
+def verify_recursion(
+    k: int, l1: int, l2: int, l3: int, M: int, N: int, m: int, n: int
+) -> Report:
     """Compare the cardinality of one graded piece against the recursion sum."""
-    if p.N < 1:
+    p = Params(k, l1, l2, l3, M, N)
+    if N < 1:
         raise ValueError("the recursion steps N down; need N >= 1")
     lhs = len(enumerate_R(p, m, n))
     terms = []
@@ -279,33 +231,42 @@ def _cover_scan(
 
 @lru_cache(maxsize=None)
 def _lower_pairs(k: int, l1: int, l2: int, l3: int) -> tuple:
-    """(I, J, bound) for the (l1, l2)-admissible pairs with |I| <= l3."""
-    return tuple(
-        (I, J, entry.bound) for (I, J), entry in lower_table(k, l1, l2).items() if len(I) <= l3
-    )
+    """(I, J, bound) for the (l1, l2)-admissible pairs with |I| <= l3, in
+    all_index_sets order (I outer, J inner)."""
+    sets = tuple(all_index_sets(k))
+    rows = ((I, J, lower_bounds(k, I, J, l1, l2)) for I in sets if len(I) <= l3 for J in sets)
+    return tuple(row for row in rows if row[2] is not None)
 
 
-def verify_lower_decomposition(p: Params, m: int, n: int) -> Report:
+def verify_lower_decomposition(
+    k: int, l1: int, l2: int, l3: int, M: int, N: int, m: int, n: int
+) -> Report:
     """Exact-cover check of the graded piece by the lower subsets.
 
     The cover runs over the admissible (I, J) with |I| <= l3 and
     |J| <= l2.  Nonempty subsets are also checked against the vacancy
     bounds rho <= P and sigma <= Q (valid for N >= 1).
     """
-    pairs = _lower_pairs(p.k, p.l1, p.l2, p.l3)
+    p = Params(k, l1, l2, l3, M, N)
+    pairs = _lower_pairs(k, l1, l2, l3)
     context = {"params": params_to_obj(p), "m": m, "n": n}
     reason = "nonempty lower subset violates rho<=P, sigma<=Q"
-    return _cover_scan("lower-decomposition", context, p, m, n, pairs, p.N >= 1, reason)
+    return _cover_scan("lower-decomposition", context, p, m, n, pairs, N >= 1, reason)
 
 
 @lru_cache(maxsize=None)
 def _upper_pairs(k: int, l1: int, a: int, c: int) -> tuple:
-    """(I, J, bound) for the l1-admissible pairs with |I| = a and |J| = a + c."""
-    return tuple(
-        (I, J, entry.bound)
-        for (I, J), entry in upper_table(k, l1).items()
-        if len(I) == a and len(J) == a + c
+    """(I, J, bound) for the l1-admissible pairs with |I| = a and |J| = a + c,
+    in all_index_sets order (I outer, J inner)."""
+    sets = tuple(all_index_sets(k))
+    rows = (
+        (I, J, upper_bounds(k, I, J, l1))
+        for I in sets
+        if len(I) == a
+        for J in sets
+        if len(J) == a + c
     )
+    return tuple(row for row in rows if row[2] is not None)
 
 
 def verify_upper_decomposition(
@@ -332,32 +293,36 @@ def verify_upper_decomposition(
 
 @lru_cache(maxsize=None)
 def _bijection_rows(p: Params) -> tuple:
-    """(I, J, lower bound, upper entry, tau-free upper Params at (M, N-1),
-    |I|, |J|) for each (l1, l2)-admissible pair, in lower_table order."""
-    uppers = upper_table(p.k, p.l1)
+    """(I, J, lower bound, upper bound, tau-free upper Params at (M, N-1),
+    |I|, |J|) for each (l1, l2)-admissible pair, in all_index_sets order.
+
+    Every such pair has |I| <= |J & [1, l1]| <= min(l1, l2), so
+    _lower_pairs at l3 = min(l1, l2) lists them all.
+    """
+    k = p.k
     rows = []
-    for (I, J), entry in lower_table(p.k, p.l1, p.l2).items():
-        upper = uppers[I, J]
-        l1p, l2p, _ = upper.primed
-        up_params = _tau_free(p.k, l1p, l2p, p.M, p.N - 1)
-        rows.append((I, J, entry.bound, upper, up_params, len(I), len(J)))
+    for I, J, bound in _lower_pairs(k, p.l1, p.l2, min(p.l1, p.l2)):
+        a, b = len(I), len(J)
+        l1p, l2p, _ = primed_labels(k, p.l1, a, b - a)
+        up_params = _tau_free(k, l1p, l2p, p.M, p.N - 1)
+        rows.append((I, J, bound, upper_bounds(k, I, J, p.l1), up_params, a, b))
     return tuple(rows)
 
 
-def verify_bijection(p: Params, m: int, n: int) -> Report:
+def verify_bijection(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int) -> Report:
     """Check, for every (l1, l2)-admissible (I, J), that the rigging map is
     injective on the upper subset at (m-a, n-b) with image exactly the
-    lower subset at (m, n).  An element map_m rejects is a counterexample."""
-    if p.N < 1:
+    lower subset at (m, n).  An element map_m rejects is a counterexample.
+    The tau condition plays no part: the point's Params has l3 = min(l1, l2)."""
+    p = _tau_free(k, l1, l2, M, N)
+    if N < 1:
         raise ValueError("the rigging map steps N down; need N >= 1")
     context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = _ambient(p, m, n)
     for I, J, bound, upper, up_params, a, b in _bijection_rows(p):
         ups = enumerate_R(up_params, m - a, n - b)
         try:
-            images = [
-                map_m(x, I, J, p) for x in ups if upper.bound.satisfied_by(x.r + x.s)
-            ]
+            images = [map_m(x, I, J, p) for x in ups if upper.satisfied_by(x.r + x.s)]
         except (ValueError, AssertionError) as exc:
             detail = {"reason": str(exc)}
         else:

@@ -52,7 +52,6 @@ from typing import Callable, NamedTuple, NoReturn
 
 from .core import (
     Params,
-    Report,
     pair_from_obj,
     pair_to_obj,
     params_from_obj,
@@ -328,11 +327,12 @@ def _labels_upper(k: int) -> list[tuple[int, ...]]:
 class _Check(NamedTuple):
     """One verify check: the axes of its grid (see the module docstring),
     module, the name of the rigchar module that holds its verifier, and
-    run, which takes that module and a point's coordinates and returns a
-    Report.
+    verifier, the name of that function, which takes a point's coordinates
+    (k, *labels, M, N, m, n), or (k, *labels, M, N) without weights, and
+    returns a Report.
 
     Each block imports module once, so a run imports only the modules its
-    check reads.  run looks its verifier up through the module at call
+    check reads.  The verifier is looked up through the module at call
     time, so a wrapper installed there is the one run.
     """
 
@@ -340,47 +340,23 @@ class _Check(NamedTuple):
     first_N: int
     needs_weight: bool
     module: str
-    run: Callable[..., Report]
+    verifier: str
 
 
 _CHECKS = {
-    "recursion": _Check(
-        _labels_l3, 1, True, "bijection",
-        lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_recursion(
-            Params(k, l1, l2, l3, M, N), m, n
-        ),
-    ),
-    "lower-decomp": _Check(
-        _labels_l3, 0, True, "bijection",
-        lambda mod, k, l1, l2, l3, M, N, m, n: mod.verify_lower_decomposition(
-            Params(k, l1, l2, l3, M, N), m, n
-        ),
-    ),
-    "upper-decomp": _Check(
-        _labels_upper, 1, True, "bijection",
-        lambda mod, *point: mod.verify_upper_decomposition(*point),
-    ),
-    "bijection": _Check(
-        _labels_pair, 1, True, "bijection",
-        lambda mod, k, l1, l2, M, N, m, n: mod.verify_bijection(
-            Params(k, l1, l2, min(l1, l2), M, N), m, n
-        ),
-    ),
-    "fermionic": _Check(
-        _labels_pair, 0, False, "characters",
-        lambda mod, *point: mod.verify_fermionic(*point),
-    ),
-    "char-recursion": _Check(
-        _labels_l3, 1, False, "characters",
-        lambda mod, *point: mod.char_recursion_check(*point),
-    ),
+    "recursion": _Check(_labels_l3, 1, True, "bijection", "verify_recursion"),
+    "lower-decomp": _Check(_labels_l3, 0, True, "bijection", "verify_lower_decomposition"),
+    "upper-decomp": _Check(_labels_upper, 1, True, "bijection", "verify_upper_decomposition"),
+    "bijection": _Check(_labels_pair, 1, True, "bijection", "verify_bijection"),
+    "fermionic": _Check(_labels_pair, 0, False, "characters", "verify_fermionic"),
+    "char-recursion": _Check(_labels_l3, 1, False, "characters", "char_recursion_check"),
 }
 
 
 def _check_point(what: str, module: ModuleType, point: tuple) -> dict | None:
     """None if the grid point passes check what, whose verifier module is
     module, else its counterexample report."""
-    rep = _CHECKS[what].run(module, *point)
+    rep = getattr(module, _CHECKS[what].verifier)(*point)
     if rep.ok:
         return None
     return {"check": rep.check, "context": rep.context, "detail": rep.detail}

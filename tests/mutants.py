@@ -212,8 +212,8 @@ MUTANTS = (
     # bijection
     Mutant(
         "mark", "bijection.py",
-        "MarkedBound(rho(k, I, J, p.l1), tuple(e == 1 for e in epsilon(k, I)))",
-        "MarkedBound(rho(k, I, J, p.l1), tuple(False for e in epsilon(k, I)))",
+        "MarkedBound(rho(k, I, J, l1), tuple(e == 1 for e in epsilon(k, I)))",
+        "MarkedBound(rho(k, I, J, l1), tuple(False for e in epsilon(k, I)))",
         "010100",
     ),
     Mutant(

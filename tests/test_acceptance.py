@@ -97,10 +97,9 @@ def test_criterion_2_recursion():
         for l1, l2, l3 in legal_labels(k):
             for M in (0, 1, 2):
                 for N in (1, 2):
-                    p = Params(k, l1, l2, l3, M, N)
                     for m in range(7):
                         for n in range(7):
-                            rep = verify_recursion(p, m, n)
+                            rep = verify_recursion(k, l1, l2, l3, M, N, m, n)
                             points += 1
                             if not rep.ok:
                                 ok = False
@@ -154,10 +153,9 @@ def test_criterion_5_decompositions():
         for l1, l2, l3 in legal_labels(k):
             for M in (0, 1, 2):
                 for N in (0, 1, 2):
-                    p = Params(k, l1, l2, l3, M, N)
                     for m in range(6):
                         for n in range(6):
-                            rep = verify_lower_decomposition(p, m, n)
+                            rep = verify_lower_decomposition(k, l1, l2, l3, M, N, m, n)
                             points += 1
                             if not rep.ok:
                                 ok = False
@@ -193,10 +191,9 @@ def test_criterion_6_rigging_map_bijection():
             for l2 in range(k + 1):
                 for M in (0, 1, 2):
                     for N in (1, 2):
-                        p = Params(k, l1, l2, min(l1, l2), M, N)
                         for m in range(6):
                             for n in range(6):
-                                rep = verify_bijection(p, m, n)
+                                rep = verify_bijection(k, l1, l2, M, N, m, n)
                                 points += 1
                                 if not rep.ok:
                                     ok = False

@@ -6,8 +6,6 @@ import pytest
 
 from rigchar.admissible import (
     all_index_sets,
-    delta_r,
-    delta_s,
     epsilon,
     is_admissible,
     is_l1_admissible,
@@ -23,11 +21,9 @@ from rigchar.bijection import (
     MarkedBound,
     lower_bounds,
     lower_member,
-    lower_table,
     map_m,
     upper_bounds,
     upper_member,
-    upper_table,
     verify_bijection,
     verify_lower_decomposition,
     verify_recursion,
@@ -53,57 +49,38 @@ def ambient(p, m, n):
 EMPTY1 = RiggedPair((0,), ((),), (0,), ((),))
 
 
-class TestBoundTables:
-    """The cached tables hold exactly what the per-pair builders return."""
+class TestBoundBuilders:
+    """The memoised builders return None exactly where a pair is not
+    admissible, and otherwise its bound vectors and epsilon marks."""
 
-    def test_lower_table_matches_per_pair_builders(self):
+    def test_lower_bounds_match_the_per_pair_builders(self):
         for k in range(1, 5):
             for l1 in range(k + 1):
                 for l2 in range(k + 1):
-                    p = Params(k, l1, l2, min(l1, l2), 0, 0)
-                    table = lower_table(k, l1, l2)
-                    expected = [
-                        (I, J)
-                        for I in all_index_sets(k)
-                        for J in all_index_sets(k)
-                        if is_admissible(k, I, J, l1, l2)
-                    ]
-                    assert list(table) == expected
-                    for (I, J), entry in table.items():
-                        assert entry.bound == lower_bounds(I, J, p)
-                        assert entry.bound.value == rho(k, I, J, l1) + sigma(k, J, l2)
-                        assert entry.bound.marked == tuple(
-                            e == 1 for e in epsilon(k, I) + epsilon(k, J)
-                        )
-                        assert entry.eps_I == epsilon(k, I)
-                        assert entry.eps_J == epsilon(k, J)
-                        assert entry.delta_r == delta_r(k, I, J, l1)
-                        assert entry.delta_s == delta_s(k, I, J, l1, l2)
+                    for I in all_index_sets(k):
+                        for J in all_index_sets(k):
+                            bound = lower_bounds(k, I, J, l1, l2)
+                            if not is_admissible(k, I, J, l1, l2):
+                                assert bound is None
+                                continue
+                            assert bound.value == rho(k, I, J, l1) + sigma(k, J, l2)
+                            assert bound.marked == tuple(
+                                e == 1 for e in epsilon(k, I) + epsilon(k, J)
+                            )
 
-    def test_upper_table_matches_per_pair_builders(self):
+    def test_upper_bounds_match_the_per_pair_builders(self):
         for k in range(1, 5):
             for l1 in range(k + 1):
-                table = upper_table(k, l1)
-                expected = [
-                    (I, J)
-                    for I in all_index_sets(k)
-                    for J in all_index_sets(k)
-                    if is_l1_admissible(k, I, J, l1)
-                ]
-                assert list(table) == expected
-                for (I, J), entry in table.items():
-                    assert entry.bound == upper_bounds(k, I, J, l1)
-                    assert entry.bound.value == rho_prime(k, I, J, l1) + sigma_prime(k, I, J, l1)
-                    assert entry.bound.marked == tuple(
-                        e == -1 for e in epsilon(k, I) + epsilon(k, J)
-                    )
-                    assert entry.primed == primed_labels(k, l1, len(I), len(J) - len(I))
-
-    def test_tables_are_read_only(self):
-        with pytest.raises(TypeError):
-            lower_table(1, 1, 1)[None] = None
-        with pytest.raises(TypeError):
-            upper_table(1, 1)[None] = None
+                for I in all_index_sets(k):
+                    for J in all_index_sets(k):
+                        bound = upper_bounds(k, I, J, l1)
+                        if not is_l1_admissible(k, I, J, l1):
+                            assert bound is None
+                            continue
+                        assert bound.value == rho_prime(k, I, J, l1) + sigma_prime(k, I, J, l1)
+                        assert bound.marked == tuple(
+                            e == -1 for e in epsilon(k, I) + epsilon(k, J)
+                        )
 
 
 class TestPointMemos:
@@ -123,7 +100,7 @@ class TestPointMemos:
                         for a in range(l3 + 1)
                         for c in range(l2 - a + 1)
                     )
-                    rep = verify_recursion(p, 0, 0)
+                    rep = verify_recursion(*p, 0, 0)
                     assert [(t["a"], t["c"]) for t in rep.detail["terms"]] == [
                         (a, c) for a, c, _ in recursion_terms(p)
                     ]
@@ -139,16 +116,15 @@ class TestPointMemos:
         for module in (bijection, characters):
             monkeypatch.setattr(module, "recursion_terms", lambda q: recursion_terms(q)[1:])
         assert not characters.char_recursion_check(2, 2, 2, 1, 1, 1).ok
-        assert not all(verify_recursion(p, m, n).ok for m in range(4) for n in range(4))
+        assert not all(verify_recursion(*p, m, n).ok for m in range(4) for n in range(4))
 
     def test_lower_pairs(self):
         from rigchar.bijection import _lower_pairs
 
         for k in range(1, 5):
             for l1, l2, l3 in legal_labels(k):
-                p = Params(k, l1, l2, l3, 0, 0)
                 assert list(_lower_pairs(k, l1, l2, l3)) == [
-                    (I, J, lower_bounds(I, J, p))
+                    (I, J, lower_bounds(k, I, J, l1, l2))
                     for I in all_index_sets(k)
                     for J in all_index_sets(k)
                     if is_admissible(k, I, J, l1, l2) and len(I) <= l3
@@ -183,8 +159,8 @@ class TestPointMemos:
                                 l1p, l2p, _ = primed_labels(k, l1, len(I), len(J) - len(I))
                                 up = Params(k, l1p, l2p, min(l1p, l2p), M, N - 1)
                                 expected.append(
-                                    (I, J, lower_bounds(I, J, p), upper_table(k, l1)[I, J],
-                                     up, len(I), len(J))
+                                    (I, J, lower_bounds(k, I, J, l1, l2),
+                                     upper_bounds(k, I, J, l1), up, len(I), len(J))
                                 )
                         assert list(_bijection_rows(p)) == expected
 
@@ -337,16 +313,15 @@ class TestMapM:
         for k in (1, 2):
             for l1 in range(k + 1):
                 for l2 in range(k + 1):
-                    p = Params(k, l1, l2, min(l1, l2), 1, 1)
                     for m in range(4):
                         for n in range(4):
-                            rep = verify_bijection(p, m, n)
+                            rep = verify_bijection(k, l1, l2, 1, 1, m, n)
                             assert rep.ok, (rep.context, rep.detail)
 
 
 class TestVerifyRecursion:
     def test_k1_hand_case(self):
-        rep = verify_recursion(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        rep = verify_recursion(1, 1, 1, 1, 1, 1, 1, 1)
         assert rep.ok
         assert rep.detail["lhs"] == 1 and rep.detail["rhs"] == 1
         contributing = [t for t in rep.detail["terms"] if t["count"]]
@@ -354,18 +329,18 @@ class TestVerifyRecursion:
 
     def test_initial_chain(self):
         for k in (1, 2, 3):
-            rep = verify_recursion(Params(k, k, k, 0, 0, 1), 0, 0)
+            rep = verify_recursion(k, k, k, 0, 0, 1, 0, 0)
             assert rep.ok
             assert rep.detail["lhs"] == 1 and rep.detail["rhs"] == 1
 
     def test_l3_zero_has_only_a0_terms(self):
-        rep = verify_recursion(Params(2, 2, 2, 0, 1, 1), 2, 2)
+        rep = verify_recursion(2, 2, 2, 0, 1, 1, 2, 2)
         assert rep.ok
         assert all(t["a"] == 0 for t in rep.detail["terms"])
 
     def test_rejects_N0(self):
         with pytest.raises(ValueError):
-            verify_recursion(Params(1, 1, 1, 1, 1, 0), 0, 0)
+            verify_recursion(1, 1, 1, 1, 1, 0, 0, 0)
 
 
 class TestDecompositions:
@@ -374,14 +349,13 @@ class TestDecompositions:
             for l1, l2, l3 in legal_labels(k):
                 for M in (0, 1):
                     for N in (0, 1):
-                        p = Params(k, l1, l2, l3, M, N)
                         for m in range(4):
                             for n in range(4):
-                                rep = verify_lower_decomposition(p, m, n)
+                                rep = verify_lower_decomposition(k, l1, l2, l3, M, N, m, n)
                                 assert rep.ok, (rep.context, rep.detail)
 
     def test_lower_vacuous_for_negative_weight(self):
-        rep = verify_lower_decomposition(Params(2, 1, 1, 0, 1, 1), -1, 2)
+        rep = verify_lower_decomposition(2, 1, 1, 0, 1, 1, -1, 2)
         assert rep.ok and rep.detail["elements"] == 0
 
     def test_empty_pair_covered_by_single_J(self):
@@ -516,7 +490,7 @@ class TestFailureReports:
             raise exc
 
         monkeypatch.setattr(bijection, "map_m", broken)
-        rep = verify_bijection(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        rep = verify_bijection(1, 1, 1, 1, 1, 1, 1)
         assert not rep.ok
         assert rep.detail == {"pair": {"I": [1], "J": [1]}, "reason": str(exc)}
 
@@ -530,7 +504,7 @@ class TestFailureReports:
         monkeypatch.setattr(
             bijection, "map_m", lambda x, I, J, p: first.setdefault((I, J), real(x, I, J, p))
         )
-        rep = verify_bijection(Params(1, 1, 0, 0, 2, 2), 1, 1)
+        rep = verify_bijection(1, 1, 0, 2, 2, 1, 1)
         assert not rep.ok
         assert rep.detail == {"pair": {"I": [], "J": []}, "reason": "not injective"}
 
@@ -540,7 +514,7 @@ class TestFailureReports:
         import rigchar.bijection as bijection
 
         monkeypatch.setattr(bijection, "satisfies_cutoffs", lambda x, p: False)
-        rep = verify_bijection(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        rep = verify_bijection(1, 1, 1, 1, 1, 1, 1)
         assert not rep.ok
         assert rep.detail == {
             "pair": {"I": [1], "J": [1]},
@@ -555,7 +529,7 @@ class TestFailureReports:
 
     def test_lower_vacancy_violation(self, monkeypatch):
         self.negative_vacancies(monkeypatch)
-        rep = verify_lower_decomposition(Params(1, 1, 1, 1, 1, 1), 1, 1)
+        rep = verify_lower_decomposition(1, 1, 1, 1, 1, 1, 1, 1)
         assert not rep.ok
         assert rep.detail == {
             "reason": "nonempty lower subset violates rho<=P, sigma<=Q",

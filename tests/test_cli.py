@@ -2,6 +2,8 @@
 
 import errno
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from rigchar.cli import (
     _run_character,
     parse_enum_document,
 )
-from rigchar.core import Params
+from rigchar.core import Params, Report
 
 DATA = Path(__file__).parent / "data"
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.json"
@@ -444,7 +446,7 @@ class TestVerify:
         "what, check", [("lower-decomp", "lower-decomposition"), ("bijection", "bijection")]
     )
     def test_corrupted_tau_fails_the_table_driven_checks(self, what, check, jobs, tau_plus_one):
-        # The bound tables depend on labels only; a corrupted tau must
+        # The memoised bounds depend on labels only; a corrupted tau must
         # still surface through the sets they are checked against.
         proc = run_cli(
             "verify", what, "--max-k", "2", "--max-weight", "2",
@@ -489,6 +491,20 @@ class TestVerify:
         capsys.readouterr()
         assert calls["verify_lower_decomposition"] > 0
         assert calls["char_recursion_check"] > 0
+
+    @pytest.mark.parametrize("what", sorted(_CHECKS))
+    def test_each_row_names_a_verifier_that_takes_its_grid_point(self, what):
+        # The row passes a grid point through unchanged: its verifier takes
+        # k, the labels, M, N and, with weights, m and n, and nothing else.
+        check = _CHECKS[what]
+        verifier = getattr(importlib.import_module(f"rigchar.{check.module}"), check.verifier)
+        labels = check.labels(1)[0]
+        width = 1 + len(labels) + 2 + 2 * check.needs_weight
+        assert len(inspect.signature(verifier).parameters) == width
+        point = (1, *labels, 0, check.first_N, *((0, 0) if check.needs_weight else ()))
+        assert len(point) == width
+        rep = verifier(*point)
+        assert isinstance(rep, Report) and rep.ok, (rep.context, rep.detail)
 
     def test_internal_error_exit_3(self, inline_workers, monkeypatch, capsys):
         # Every exception but a plain ValueError is a fault of the program,
@@ -874,7 +890,7 @@ class TestBlockScheduler:
         # and leave no worker running.
         pids = tmp_path / "pids"
         pids.touch()
-        old = "    rep = _CHECKS[what].run(module, *point)\n"
+        old = "    rep = getattr(module, _CHECKS[what].verifier)(*point)\n"
         new = (
             f"    with open({str(pids)!r}, 'a') as fh:\n"
             "        fh.write(f'{os.getpid()}\\n')\n"

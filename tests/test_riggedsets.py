@@ -547,10 +547,9 @@ class TestRecursionSmoke:
             for l1, l2, l3 in legal_labels(k):
                 for M in (0, 1):
                     for N in (1, 2):
-                        p = Params(k, l1, l2, l3, M, N)
                         for m in range(5):
                             for n in range(5):
-                                rep = verify_recursion(p, m, n)
+                                rep = verify_recursion(k, l1, l2, l3, M, N, m, n)
                                 assert rep.ok, (rep.context, rep.detail)
 
 
