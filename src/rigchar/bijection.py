@@ -4,15 +4,14 @@ exhaustive verifiers for the recursion and both decomposition statements.
 The verifiers return structured Report values carrying the first
 counterexample with full provenance; they never assume the statements
 they are checking.  Each verifier takes its grid point: the labels, the
-cutoffs (M, N) and the weights (m, n).  The marked bound of a pair on the
-rows of r and s depends only on the labels and the pair, so lower_bounds
-and upper_bounds are memoised on those plain values.  The rest of what a
-verifier reads at a grid point apart from its weights, the pair lists and
-the primed parameters, is memoised on the labels or on the point's Params.
-x lies in the subset of (I, J) if its rows meet that bound and x meets the
-cutoffs.  The verifiers scan pieces enumerate_R built inside the cutoffs,
-so they test the bound alone; map_m re-checks the cutoffs of its input and
-of its image, through upper_member and lower_member.
+cutoffs (M, N) and the weights (m, n).  A Params is built only for a set
+R(p) that is read; every other function takes the plain values it reads.
+x lies in the subset of (I, J) if its rows meet the pair's marked bound
+and x meets the cutoffs.  The bound depends only on the level, the labels
+and the pair, so lower_bounds and upper_bounds are memoised on those.
+The verifiers scan pieces enumerate_R built inside the cutoffs, so they
+test the bound alone; map_m re-checks the cutoffs of its input and of its
+image, through upper_member and lower_member.
 """
 
 from __future__ import annotations
@@ -112,30 +111,33 @@ def _tau_free(k: int, l1: int, l2: int, M: int, N: int) -> Params:
     return Params(k, l1, l2, min(l1, l2), M, N)
 
 
-def lower_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> bool:
+def lower_member(
+    x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], k: int, l1: int, l2: int, M: int, N: int
+) -> bool:
     """Membership of x in the lower subset attached to (I, J) at (M, N)."""
-    bound = lower_bounds(p.k, I, J, p.l1, p.l2)
+    bound = lower_bounds(k, I, J, l1, l2)
     if bound is None or not bound.satisfied_by(x.r + x.s):
         return False
-    return satisfies_cutoffs(x, p)
+    return satisfies_cutoffs(x, l1, l2, M, N)
 
 
-def upper_member(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], l1: int, p: Params) -> bool:
-    """Membership of x in the upper subset attached to (I, J) at (M, N-1).
-
-    Only k, M and N are read from p; the labels come from l1 and the
-    primed labels derived from (l1, |I|, |J|-|I|).
-    """
-    if p.N < 1:
+def upper_member(
+    x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], k: int, l1: int, M: int, N: int
+) -> bool:
+    """Membership of x in the upper subset attached to (I, J) at (M, N-1),
+    whose labels are primed from (l1, |I|, |J|-|I|)."""
+    if N < 1:
         raise ValueError("upper subsets live one N-step down; need N >= 1")
-    bound = upper_bounds(p.k, I, J, l1)
+    bound = upper_bounds(k, I, J, l1)
     if bound is None or not bound.satisfied_by(x.r + x.s):
         return False
-    l1p, l2p, _ = primed_labels(p.k, l1, len(I), len(J) - len(I))
-    return satisfies_cutoffs(x, _tau_free(p.k, l1p, l2p, p.M, p.N - 1))
+    l1p, l2p, _ = primed_labels(k, l1, len(I), len(J) - len(I))
+    return satisfies_cutoffs(x, l1p, l2p, M, N - 1)
 
 
-def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> RiggedPair:
+def map_m(
+    x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], k: int, l1: int, l2: int, M: int, N: int
+) -> RiggedPair:
     """The rigging map from the upper subset onto the lower subset.
 
     Multiplicities shift by epsilon; surviving riggings shift by
@@ -144,13 +146,12 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
     +1.  The image is checked (core.checked_pair, lower_member) and a
     mismatch is a hard error: verifiers must not trust what they test.
     """
-    if len(J) > p.l2:
+    if len(J) > l2:
         raise ValueError("|J| exceeds l2: the target lower subset is empty")
-    if not upper_member(x, I, J, p.l1, p):
+    if not upper_member(x, I, J, k, l1, M, N):
         raise ValueError("input is not a member of the upper subset")
-    k = p.k
     # An l1-admissible pair with |J| <= l2 is (l1, l2)-admissible.
-    bottoms = lower_bounds(k, I, J, p.l1, p.l2).value
+    bottoms = lower_bounds(k, I, J, l1, l2).value
 
     def shift(mult: tuple[int, ...], rig: tuple, eps, delta, new_bottom):
         rows = []
@@ -161,17 +162,12 @@ def map_m(x: RiggedPair, I: tuple[int, ...], J: tuple[int, ...], p: Params) -> R
             rows.append(new)
         return tuple(map(add, mult, eps)), rows
 
-    mu, r = shift(x.mu, x.r, epsilon(k, I), delta_r(k, I, J, p.l1), bottoms[:k])
-    nu, s = shift(x.nu, x.s, epsilon(k, J), delta_s(k, I, J, p.l1, p.l2), bottoms[k:])
+    mu, r = shift(x.mu, x.r, epsilon(k, I), delta_r(k, I, J, l1), bottoms[:k])
+    nu, s = shift(x.nu, x.s, epsilon(k, J), delta_s(k, I, J, l1, l2), bottoms[k:])
     out = checked_pair(mu, r, nu, s)
-    if not lower_member(out, I, J, p):
+    if not lower_member(out, I, J, k, l1, l2, M, N):
         raise AssertionError(f"rigging map produced a non-member of the lower subset: {out}")
     return out
-
-
-def _ambient(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
-    """The graded piece of the cutoff set with the tau condition switched off."""
-    return enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
 
 
 def verify_recursion(
@@ -198,13 +194,14 @@ def _cover_scan(
     """Exact-cover check of the graded piece of p at (m, n).
 
     pairs holds (I, J, bound) per subset, its marked bound.  Every element
-    of the ambient cutoff set is scanned: one in the tau-restricted set
-    must lie in exactly one subset, any other in none.  If vacancy, a
-    subset that holds an element must also have bound.value <= P + Q
-    componentwise there; reason names a violation.
+    of the ambient cutoff set, p's with the tau condition switched off, is
+    scanned: one in the tau-restricted set must lie in exactly one subset,
+    any other in none.  If vacancy, a subset that holds an element must
+    also have bound.value <= P + Q componentwise there; reason names a
+    violation.
     """
     target = set(enumerate_R(p, m, n))
-    ambient = _ambient(p, m, n)
+    ambient = enumerate_R(_tau_free(p.k, p.l1, p.l2, p.M, p.N), m, n)
     for x in ambient:
         rows = x.r + x.s
         covers = []
@@ -318,11 +315,11 @@ def verify_bijection(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int) -
     if N < 1:
         raise ValueError("the rigging map steps N down; need N >= 1")
     context = {"params": params_to_obj(p), "m": m, "n": n}
-    lower_ambient = _ambient(p, m, n)
+    lower_ambient = enumerate_R(p, m, n)
     for I, J, bound, upper, up_params, a, b in _bijection_rows(p):
         ups = enumerate_R(up_params, m - a, n - b)
         try:
-            images = [map_m(x, I, J, p) for x in ups if upper.satisfied_by(x.r + x.s)]
+            images = [map_m(x, I, J, k, l1, l2, M, N) for x in ups if upper.satisfied_by(x.r + x.s)]
         except (ValueError, AssertionError) as exc:
             detail = {"reason": str(exc)}
         else:

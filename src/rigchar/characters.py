@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 
 from .admissible import recursion_terms
-from .core import Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
+from .core import InvariantError, Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
 from .riggedsets import enumerate_total, feasible_pairs, rigging_sums, weight_bound
 
 
@@ -211,7 +211,7 @@ def degree_D(mu: tuple[int, ...], nu: tuple[int, ...], l1: int, l2: int) -> int:
     with the double sum read off the O(k) vectors min_sums(mu), min_sums(nu).
     """
     if len(mu) != len(nu):
-        raise ValueError("mu and nu must share a level")
+        raise InvariantError("mu and nu must share a level")
     total = 0
     for alpha, (x, y, ax, ay) in enumerate(
         zip(mu, nu, min_sums(mu), min_sums(nu)), start=1
@@ -324,13 +324,13 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     coefficient of each partial product, and of the cell sum, lies between
     0 and that value, and no slot carries into the next.
     """
-    p = Params(k, l1, l2, min(l1, l2), M, N)
-    mmax, nmax = weight_bound(p)
+    Params(k, l1, l2, min(l1, l2), M, N)  # the label check
+    mmax, nmax = weight_bound(k, M, N)
     acc: dict = {}
     for m in range(mmax + 1):
         for n in range(nmax + 1):
             cell = []
-            for mu, nu, P, Q in feasible_pairs(p, m, n):
+            for mu, nu, P, Q in feasible_pairs(k, l1, l2, M, N, m, n):
                 binoms = [(x + c, c) for x, c in zip(P, mu) if c]
                 binoms += [(x + c, c) for x, c in zip(Q, nu) if c]
                 cell.append((degree_D(mu, nu, l1, l2), binoms))

@@ -60,13 +60,14 @@ from .core import (
 
 # ---------------------------------------------------------------- serialization
 
-def _enum_pieces(p: Params, pieces: dict):
-    """enum's pieces, given enumerate_total(p), each built when reached."""
+def _enum_pieces(pieces: dict, l1: int, l2: int):
+    """enum's pieces, given enumerate_total of a set with labels l1 and l2,
+    each built when reached."""
     from . import characters
 
     for (m, n), piece in pieces.items():
         elements = []
-        for x, degree in zip(piece, characters.piece_degrees(piece, p.l1, p.l2)):
+        for x, degree in zip(piece, characters.piece_degrees(piece, l1, l2)):
             obj = pair_to_obj(x)
             obj["degree"] = degree
             elements.append(obj)
@@ -271,7 +272,7 @@ def run_enum(args) -> int:
     from . import riggedsets
 
     p = Params(args.k, args.l1, args.l2, args.l3, args.M, args.N)
-    pieces = _enum_pieces(p, riggedsets.enumerate_total(p))
+    pieces = _enum_pieces(riggedsets.enumerate_total(p), args.l1, args.l2)
     if args.format == "json":
         _emit(_json_chunks({"params": params_to_obj(p), "pieces": pieces}), args.output)
     else:

@@ -28,10 +28,10 @@ def pos_part(x: int) -> int:
 class InvariantError(ValueError):
     """A value that breaks an invariant of the types below.
 
-    RiggedPair, check_row, checked_pair and vacancy_P raise it.  The CLI
-    builds these values itself, so one raised mid-run is an internal
-    fault (exit 3), not a usage error; it subclasses ValueError so that
-    callers validating untrusted input can still catch ValueError.
+    RiggedPair, check_row, checked_pair, vacancy_P and characters.degree_D
+    raise it.  The CLI builds these values itself, so one raised mid-run is
+    an internal fault (exit 3), not a usage error; it subclasses ValueError
+    so that callers validating untrusted input can still catch ValueError.
     """
 
 
@@ -97,14 +97,16 @@ class Report(Record):
 
 
 class Params(Record):
-    """The parameter tuple (k, l1, l2, l3, M, N).
+    """The parameter tuple (k, l1, l2, l3, M, N), which names one rigged set R(p).
 
     k is the level, l1/l2/l3 the highest-weight labels subject to
     0 <= l1, l2 <= k and 0 <= l3 <= min(l1, l2), and M/N the degree
-    cutoffs.  Illegal labels are rejected at construction.  Each value is
-    checked and built once per process and then shared from _PARAMS, so
-    the caches keyed by Params (_R_CACHE among them) find their keys by
-    identity and never call the Python-level __eq__.
+    cutoffs.  A function takes or builds a Params only where R(p) is read
+    or serialised; one that reads only some labels or cutoffs takes those
+    plain values.  Illegal labels are rejected at construction.  Each
+    value is checked and built once per process and then shared from
+    _PARAMS, so the caches keyed by Params (_R_CACHE among them) find their
+    keys by identity and never call the Python-level __eq__.
     """
 
     __slots__ = ()
@@ -235,17 +237,17 @@ def weight(mult: tuple[int, ...]) -> int:
     return sum(alpha * m for alpha, m in enumerate(mult, start=1))
 
 
-def tau(alpha: int, beta: int, p: Params) -> int:
+def tau(alpha: int, beta: int, l1: int, l2: int, l3: int) -> int:
     """Lower bound on r[alpha] + s[beta]: min(a,b) - (a-l1)+ - (b-l2)+ - l3."""
     return (
         min(alpha, beta)
-        - pos_part(alpha - p.l1)
-        - pos_part(beta - p.l2)
-        - p.l3
+        - pos_part(alpha - l1)
+        - pos_part(beta - l2)
+        - l3
     )
 
 
-def tau_min_form(alpha: int, beta: int, p: Params) -> int:
+def tau_min_form(alpha: int, beta: int, l1: int, l2: int, l3: int) -> int:
     """The equivalent eight-term minimum form of the tau bound.
 
     Kept as an independent route so tests can compare it with tau().
@@ -254,14 +256,14 @@ def tau_min_form(alpha: int, beta: int, p: Params) -> int:
         min(
             alpha,
             beta,
-            p.l1,
-            p.l2,
-            p.l1 + beta - alpha,
-            p.l2 + alpha - beta,
-            p.l1 + p.l2 - alpha,
-            p.l1 + p.l2 - beta,
+            l1,
+            l2,
+            l1 + beta - alpha,
+            l2 + alpha - beta,
+            l1 + l2 - alpha,
+            l1 + l2 - beta,
         )
-        - p.l3
+        - l3
     )
 
 
@@ -311,7 +313,9 @@ def vacancy_Q(mu: tuple[int, ...], nu: tuple[int, ...], N: int, l: int) -> KVect
     return vacancy_P(nu, mu, N, l)
 
 
-def boundary_ok(p: Params, mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
+def boundary_ok(
+    k: int, l1: int, l2: int, M: int, N: int, mu: tuple[int, ...], nu: tuple[int, ...]
+) -> bool:
     """The M=0 / N=0 boundary inequalities on the weights.
 
     Given the rigging upper bounds, this is equivalent to requiring both
@@ -319,8 +323,8 @@ def boundary_ok(p: Params, mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
     """
     m = weight(mu)
     n = weight(nu)
-    if p.M == 0 and n - 2 * m < p.k - p.l1:
+    if M == 0 and n - 2 * m < k - l1:
         return False
-    if p.N == 0 and m - 2 * n < p.k - p.l2:
+    if N == 0 and m - 2 * n < k - l2:
         return False
     return True

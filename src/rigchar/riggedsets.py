@@ -86,7 +86,7 @@ def _row_choices(count: int, bound, low: int = 0) -> tuple[tuple[int, ...], ...]
     return rows
 
 
-def satisfies_tau(x: RiggedPair, p: Params) -> bool:
+def satisfies_tau(x: RiggedPair, l1: int, l2: int, l3: int) -> bool:
     """Condition on the bottom riggings: r[a] + s[b] >= tau(a, b) for all a, b.
 
     Pairs where either row set is empty are vacuous.
@@ -95,17 +95,17 @@ def satisfies_tau(x: RiggedPair, p: Params) -> bool:
         if not ra:
             continue
         for beta, sb in enumerate(x.s, start=1):
-            if sb and ra[-1] + sb[-1] < tau(alpha, beta, p):
+            if sb and ra[-1] + sb[-1] < tau(alpha, beta, l1, l2, l3):
                 return False
     return True
 
 
-def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
+def satisfies_cutoffs(x: RiggedPair, l1: int, l2: int, M: int, N: int) -> bool:
     """Vacancy non-negativity plus the upper bounds on the top riggings."""
-    P = vacancy_P(x.mu, x.nu, p.M, p.l1)
+    P = vacancy_P(x.mu, x.nu, M, l1)
     if not P.is_nonneg():
         return False
-    Q = vacancy_Q(x.mu, x.nu, p.N, p.l2)
+    Q = vacancy_Q(x.mu, x.nu, N, l2)
     if not Q.is_nonneg():
         return False
     # One row of r per entry of P, then one row of s per entry of Q.
@@ -116,24 +116,23 @@ def satisfies_cutoffs(x: RiggedPair, p: Params) -> bool:
 
 
 _R_CACHE: dict[tuple[Params, int, int], tuple[RiggedPair, ...]] = {}
-# feasible_pairs(p, m, n) as a tuple, keyed by (k, l1, l2, M, N, m, n): the
-# vacancy vectors never read l3, so every l3 shares one scan.  A cell whose
-# k-th vacancy inequalities fail is stored as () without a scan.
+# feasible_pairs(k, l1, l2, M, N, m, n) as a tuple, keyed by exactly those
+# arguments; a cell whose k-th vacancy inequalities fail is stored as ()
+# without a scan.
 _SCAN_CACHE: dict[tuple[int, ...], tuple] = {}
 # rigging_sums(p, m, n), keyed as _R_CACHE is.
 _SUM_CACHE: dict[tuple[Params, int, int], tuple] = {}
 
 
-def feasible_pairs(p: Params, m: int, n: int):
-    """The partition pairs of weights (m, n) with both vacancy vectors
-    non-negative, as (mu, nu, P, Q).
+def feasible_pairs(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int):
+    """The level-k partition pairs of weights (m, n) with both vacancy
+    vectors non-negative, as (mu, nu, P, Q).
 
     mu is the outer and nu the inner loop, each in enumerate_partitions
     order; Q is computed only for pairs whose P is non-negative.
     """
-    M, N, l1, l2 = p.M, p.N, p.l1, p.l2
-    nus = enumerate_partitions(n, p.k)
-    for mu in enumerate_partitions(m, p.k):
+    nus = enumerate_partitions(n, k)
+    for mu in enumerate_partitions(m, k):
         for nu in nus:
             P = vacancy_P(mu, nu, M, l1)
             if min(P) < 0:
@@ -145,14 +144,10 @@ def feasible_pairs(p: Params, m: int, n: int):
 
 @lru_cache(maxsize=1024)
 def _tau_table(k: int, l1: int, l2: int, l3: int) -> tuple[tuple[int, ...], ...] | None:
-    """tau(alpha, beta, p) for alpha, beta = 1..k and p with these labels,
-    or None if no entry is positive: riggings are non-negative, so then
-    tau bounds nothing.
-
-    The matrix depends on the labels alone, so it is memoised on those.
+    """tau(alpha, beta, l1, l2, l3) for alpha, beta = 1..k, or None if no
+    entry is positive: riggings are non-negative, so then tau bounds nothing.
     """
-    p = Params(k, l1, l2, l3, 0, 0)
-    mat = tuple(tuple(tau(a, b, p) for b in range(1, k + 1)) for a in range(1, k + 1))
+    mat = tuple(tuple(tau(a, b, l1, l2, l3) for b in range(1, k + 1)) for a in range(1, k + 1))
     return mat if any(v > 0 for row in mat for v in row) else None
 
 
@@ -195,9 +190,9 @@ def _rigging_groups(mu: tuple[int, ...], nu: tuple[int, ...], r_caps, s_caps, ta
 
 
 def _piece_groups(p: Params, m: int, n: int):
-    """(mu, nu, _rigging_groups on them) for each pair of feasible_pairs(p,
-    m, n), read from _SCAN_CACHE, which every l3 of the other parameters
-    shares; nothing for negative weights."""
+    """(mu, nu, _rigging_groups on them) for each pair of feasible_pairs at
+    the labels, cutoffs and weights of p but l3, read from _SCAN_CACHE;
+    nothing for negative weights."""
     if m < 0 or n < 0:
         return
     scan_key = (p.k, p.l1, p.l2, p.M, p.N, m, n)
@@ -207,7 +202,7 @@ def _piece_groups(p: Params, m: int, n: int):
         # m - 2n for every pair of the cell: if either is negative, it has none.
         k = p.k
         empty = n - 2 * m < k - p.l1 - k * p.M or m - 2 * n < k - p.l2 - k * p.N
-        pairs = _SCAN_CACHE[scan_key] = () if empty else tuple(feasible_pairs(p, m, n))
+        pairs = _SCAN_CACHE[scan_key] = () if empty else tuple(feasible_pairs(*scan_key))
     taumat = _tau_table(p.k, p.l1, p.l2, p.l3)
     for mu, nu, P, Q in pairs:
         yield mu, nu, _rigging_groups(mu, nu, P, Q, taumat)
@@ -250,7 +245,7 @@ def enumerate_R(p: Params, m: int, n: int) -> tuple[RiggedPair, ...]:
 
 
 def rigging_sums(p: Params, m: int, n: int) -> tuple:
-    """(mu, nu, ((e, count), ...)) over feasible_pairs(p, m, n): count
+    """(mu, nu, ((e, count), ...)) over the pairs of _piece_groups: count
     elements of enumerate_R(p, m, n) on (mu, nu) have rigging entries
     summing to e, memoised as enumerate_R is, but no element is built.  An
     r goes with every s of its shared list (see _rigging_groups), so per
@@ -276,11 +271,11 @@ def rigging_sums(p: Params, m: int, n: int) -> tuple:
     return _SUM_CACHE.setdefault(key, tuple(out))
 
 
-def weight_bound(p: Params) -> tuple[int, int]:
+def weight_bound(k: int, M: int, N: int) -> tuple[int, int]:
     """Largest (m, n) a nonempty graded piece can have (see module docstring)."""
     return (
-        (2 * p.k * p.M + p.k * p.N) // 3,
-        (p.k * p.M + 2 * p.k * p.N) // 3,
+        (2 * k * M + k * N) // 3,
+        (k * M + 2 * k * N) // 3,
     )
 
 
@@ -288,7 +283,7 @@ def enumerate_total(p: Params, read=None) -> dict[tuple[int, int], tuple]:
     """Every nonempty graded piece, keyed by (m, n) in ascending order: the
     one walk over the weight box, which reads each piece by read(p, m, n),
     enumerate_R (the enum document's default) or rigging_sums (char_R's)."""
-    mmax, nmax = weight_bound(p)
+    mmax, nmax = weight_bound(p.k, p.M, p.N)
     return {
         (m, n): piece
         for m in range(mmax + 1)

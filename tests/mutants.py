@@ -77,38 +77,38 @@ MUTANTS = (
     ),
     Mutant(
         "tau-l3", "core.py",
-        "- pos_part(beta - p.l2)\n        - p.l3\n",
-        "- pos_part(beta - p.l2)\n        - p.l3 // 2\n",
+        "- pos_part(beta - l2)\n        - l3\n",
+        "- pos_part(beta - l2)\n        - l3 // 2\n",
         "111111",
     ),
     Mutant(
         "tau-min", "core.py",
-        "min(alpha, beta)\n        - pos_part(alpha - p.l1)",
-        "max(alpha, beta)\n        - pos_part(alpha - p.l1)",
+        "min(alpha, beta)\n        - pos_part(alpha - l1)",
+        "max(alpha, beta)\n        - pos_part(alpha - l1)",
         "111111",
     ),
     Mutant(
         "tau-swap", "core.py",
-        "- pos_part(alpha - p.l1)\n        - pos_part(beta - p.l2)\n",
-        "- pos_part(alpha - p.l2)\n        - pos_part(beta - p.l1)\n",
+        "- pos_part(alpha - l1)\n        - pos_part(beta - l2)\n",
+        "- pos_part(alpha - l2)\n        - pos_part(beta - l1)\n",
         "111010",
     ),
     Mutant(
         "tau+1", "core.py",
-        "- pos_part(beta - p.l2)\n        - p.l3\n",
-        "- pos_part(beta - p.l2)\n        - p.l3\n        + 1\n",
+        "- pos_part(beta - l2)\n        - l3\n",
+        "- pos_part(beta - l2)\n        - l3\n        + 1\n",
         "111111",
     ),
     Mutant(
         "tau-1", "core.py",
-        "- pos_part(beta - p.l2)\n        - p.l3\n",
-        "- pos_part(beta - p.l2)\n        - p.l3\n        - 1\n",
+        "- pos_part(beta - l2)\n        - l3\n",
+        "- pos_part(beta - l2)\n        - l3\n        - 1\n",
         "111010",
     ),
     Mutant(
         "tau+2", "core.py",
-        "- pos_part(beta - p.l2)\n        - p.l3\n",
-        "- pos_part(beta - p.l2)\n        - p.l3\n        + 2\n",
+        "- pos_part(beta - l2)\n        - l3\n",
+        "- pos_part(beta - l2)\n        - l3\n        + 2\n",
         "111111",
     ),
     # riggedsets
@@ -150,8 +150,8 @@ MUTANTS = (
     ),
     Mutant(
         "wbound", "riggedsets.py",
-        "(2 * p.k * p.M + p.k * p.N) // 3,\n",
-        "(2 * p.k * p.M + p.k * p.N) // 3 - 1,\n",
+        "(2 * k * M + k * N) // 3,\n",
+        "(2 * k * M + k * N) // 3 - 1,\n",
         "000010",
     ),
     Mutant(

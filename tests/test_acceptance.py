@@ -250,7 +250,6 @@ def test_criterion_7_property_suites():
             for N in (0, 1, 2):
                 for l1 in range(k + 1):
                     for l2 in range(k + 1):
-                        p = Params(k, l1, l2, 0, M, N)
                         for m in range(7):
                             for n in range(7):
                                 for mu in enumerate_partitions(m, k):
@@ -267,7 +266,7 @@ def test_criterion_7_property_suites():
                                         if not feasible:
                                             continue
                                         coc = P.is_nonneg() and Q.is_nonneg()
-                                        ok = ok and coc == boundary_ok(p, mu, nu)
+                                        ok = ok and coc == boundary_ok(k, l1, l2, M, N, mu, nu)
                                         if M >= 1:
                                             ok = ok and P[-1] >= 0
 

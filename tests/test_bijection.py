@@ -188,15 +188,14 @@ class TestLowerMember:
         p = Params(2, 0, 1, 0, 1, 1)
         I = (1,)
         J = (2,)
-        assert not is_admissible(2, I, J, p.l1, p.l2)
+        assert not is_admissible(2, I, J, 0, 1)
         for x in ambient(p, 1, 1):
-            assert not lower_member(x, I, J, p)
+            assert not lower_member(x, I, J, 2, 0, 1, 1, 1)
 
     def test_marked_alpha_needs_a_row(self):
         # epsilon(1, I) = 1 at alpha forces rows of length alpha
-        p = Params(1, 1, 1, 1, 1, 1)
         I = J = (1,)
-        assert not lower_member(EMPTY1, I, J, p)
+        assert not lower_member(EMPTY1, I, J, 1, 1, 1, 1, 1)
 
     def test_full_interval_J(self):
         # J = [1, l2]: sigma vanishes and only s[l2] is marked
@@ -211,20 +210,18 @@ class TestLowerMember:
         p = Params(1, 1, 1, 1, 1, 1)
         I = J = (1,)
         x = enumerate_R(p, 1, 1)[0]
-        assert lower_member(x, I, J, p)
+        assert lower_member(x, I, J, 1, 1, 1, 1, 1)
 
 
 class TestUpperMember:
     def test_non_admissible_always_false(self):
-        p = Params(2, 0, 2, 0, 1, 1)
         I = (1,)
         J = (2,)
-        for x in ambient(Params(2, 2, 2, 0, p.M, p.N - 1 + 1), 1, 1):
-            assert not upper_member(x, I, J, 0, p)
+        for x in ambient(Params(2, 2, 2, 0, 1, 1), 1, 1):
+            assert not upper_member(x, I, J, 2, 0, 1, 1)
 
     def test_empty_pair_at_l1_k_reduces_to_cutoffs(self):
         k = 2
-        p = Params(k, k, k, 0, 1, 1)
         I = J = ()
         l1p, l2p, _ = primed_labels(k, k, 0, 0)
         assert (l1p, l2p) == (k, k)
@@ -232,54 +229,65 @@ class TestUpperMember:
             for n in range(4):
                 cut = enumerate_R(Params(k, l1p, l2p, min(l1p, l2p), 1, 0), m, n)
                 for x in cut:
-                    assert upper_member(x, I, J, k, p)
+                    assert upper_member(x, I, J, k, k, 1, 1)
+
+    def test_reads_plain_values_and_builds_no_params(self, monkeypatch):
+        # A Params names a set R(p) that is read.  upper_member and the tau
+        # matrix read only labels and cutoffs, so neither builds one.
+        from rigchar import core
+        from rigchar.riggedsets import _tau_table
+
+        x = enumerate_R(Params(2, 2, 2, 2, 2, 1), 1, 1)[0]
+        built = {}
+        monkeypatch.setattr(core, "_PARAMS", built)
+        _tau_table.cache_clear()
+        assert _tau_table(3, 2, 3, 1) is not None
+        assert upper_member(x, (), (), 2, 2, 2, 2)
+        assert built == {}
 
     def test_requires_positive_N(self):
-        p = Params(1, 1, 1, 1, 1, 0)
         I = J = ()
         with pytest.raises(ValueError):
-            upper_member(EMPTY1, I, J, 1, p)
+            upper_member(EMPTY1, I, J, 1, 1, 1, 0)
 
 
 class TestMapM:
     def test_weight_shift(self):
-        p = Params(2, 2, 2, 1, 1, 1)
-        for I in all_index_sets(2):
-            for J in all_index_sets(2):
-                if not is_admissible(2, I, J, p.l1, p.l2):
+        k, l1, l2, M, N = 2, 2, 2, 1, 1
+        for I in all_index_sets(k):
+            for J in all_index_sets(k):
+                if not is_admissible(k, I, J, l1, l2):
                     continue
                 a, b = len(I), len(J)
-                l1p, l2p, _ = primed_labels(2, p.l1, a, b - a)
+                l1p, l2p, _ = primed_labels(k, l1, a, b - a)
                 for m in range(4):
                     for n in range(4):
                         up = enumerate_R(
-                            Params(2, l1p, l2p, min(l1p, l2p), 1, 0), m - a, n - b
+                            Params(k, l1p, l2p, min(l1p, l2p), M, N - 1), m - a, n - b
                         )
                         for x in up:
-                            if not upper_member(x, I, J, p.l1, p):
+                            if not upper_member(x, I, J, k, l1, M, N):
                                 continue
-                            y = map_m(x, I, J, p)
+                            y = map_m(x, I, J, k, l1, l2, M, N)
                             # cli._json_value writes exact tuples only.
                             assert type(y.mu) is tuple and type(y.nu) is tuple
                             assert weight(y.mu) == weight(x.mu) + a
                             assert weight(y.nu) == weight(x.nu) + b
 
     def test_empty_sets_shift_riggings_only(self):
-        k = 2
-        p = Params(k, k, 1, 0, 1, 2)
+        k = l1 = 2
+        l2, M, N = 1, 1, 2
         I = J = ()
-        l1p, l2p, _ = primed_labels(k, k, 0, 0)
-        shift = kappa(k, range(1, p.l2 + 1))
+        l1p, l2p, _ = primed_labels(k, l1, 0, 0)
+        shift = kappa(k, range(1, l2 + 1))
         moved = 0
         for m in range(4):
             for n in range(4):
-                up = enumerate_R(
-                    Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1), m, n
-                )
+                up = enumerate_R(Params(k, l1p, l2p, min(l1p, l2p), M, N - 1), m, n)
                 for x in up:
-                    if not upper_member(x, I, J, p.l1, p):
+                    if not upper_member(x, I, J, k, l1, M, N):
                         continue
-                    y = map_m(x, I, J, p)
+                    y = map_m(x, I, J, k, l1, l2, M, N)
                     assert y.mu == x.mu and y.nu == x.nu
                     assert y.r == x.r
                     for got, row, d in zip(y.s, x.s, shift):
@@ -289,16 +297,14 @@ class TestMapM:
         assert moved > 0
 
     def test_rejects_non_members(self):
-        p = Params(1, 1, 1, 1, 1, 1)
         I = J = (1,)
         bad = RiggedPair((1,), ((5,),), (0,), ((),))
         with pytest.raises(ValueError):
-            map_m(bad, I, J, p)
+            map_m(bad, I, J, 1, 1, 1, 1, 1)
 
     def test_a_non_member_image_is_a_hard_error(self, monkeypatch):
         import rigchar.bijection as bijection
 
-        p = Params(1, 1, 1, 1, 1, 1)
         I = J = ()
         monkeypatch.setattr(bijection, "lower_member", lambda *args: False)
         message = (
@@ -306,7 +312,7 @@ class TestMapM:
             "RiggedPair(mu=(0,), r=((),), nu=(0,), s=((),))"
         )
         with pytest.raises(AssertionError) as exc:
-            map_m(EMPTY1, I, J, p)
+            map_m(EMPTY1, I, J, 1, 1, 1, 1, 1)
         assert str(exc.value) == message
 
     def test_bijectivity_smoke(self):
@@ -366,7 +372,7 @@ class TestDecompositions:
             for I in all_index_sets(2)
             if len(I) <= p.l3
             for J in all_index_sets(2)
-            if len(J) <= p.l2 and lower_member(empty, I, J, p)
+            if len(J) <= p.l2 and lower_member(empty, I, J, 2, 2, 2, 1, 1)
         ]
         assert len(covers) == 1
         assert covers[0][0] == ()
@@ -405,7 +411,7 @@ class TestDecompositions:
             for n in range(4):
                 for x in ambient(p, m, n):
                     covers = [
-                        (I, J) for I, J in pairs if lower_member(x, I, J, p)
+                        (I, J) for I, J in pairs if lower_member(x, I, J, 2, 2, 2, 1, 1)
                     ]
                     assert len(covers) <= 1
 
@@ -427,29 +433,29 @@ class TestAggregateGradingLaw:
 
     @staticmethod
     def _check_point(p, m, n):
-        k = p.k
+        k, l1, l2, _, M, N = p
         lower_amb = ambient(p, m, n)
         for I in all_index_sets(k):
             for J in all_index_sets(k):
-                if len(J) > p.l2 or not is_admissible(k, I, J, p.l1, p.l2):
+                if len(J) > l2 or not is_admissible(k, I, J, l1, l2):
                     continue
                 a, b = len(I), len(J)
-                l1p, l2p, _ = primed_labels(k, p.l1, a, b - a)
+                l1p, l2p, _ = primed_labels(k, l1, a, b - a)
                 upper_amb = enumerate_R(
-                    Params(k, l1p, l2p, min(l1p, l2p), p.M, p.N - 1), m - a, n - b
+                    Params(k, l1p, l2p, min(l1p, l2p), M, N - 1), m - a, n - b
                 )
                 lhs = LaurentPoly.zero()
                 for x in upper_amb:
-                    if upper_member(x, I, J, p.l1, p):
+                    if upper_member(x, I, J, k, l1, M, N):
                         lhs = lhs + LaurentPoly.monomial(
                             1, weight(x.mu), weight(x.nu), rig_degree(x, l1p, l2p)
                         )
                 lhs = lhs.mapped(z2=(0, 1, 1), times=(a, b, b))
                 rhs = LaurentPoly.zero()
                 for y in lower_amb:
-                    if lower_member(y, I, J, p):
+                    if lower_member(y, I, J, k, l1, l2, M, N):
                         rhs = rhs + LaurentPoly.monomial(
-                            1, weight(y.mu), weight(y.nu), rig_degree(y, p.l1, p.l2)
+                            1, weight(y.mu), weight(y.nu), rig_degree(y, l1, l2)
                         )
                 assert lhs == rhs
 
@@ -471,10 +477,10 @@ class TestBoundInequalities:
                                             k, I, J, l1, l2
                                         ):
                                             continue
-                                        if not lower_member(x, I, J, p):
+                                        if not lower_member(x, I, J, k, l1, l2, 1, 1):
                                             continue
-                                        P = vacancy_P(x.mu, x.nu, p.M, l1)
-                                        Q = vacancy_Q(x.mu, x.nu, p.N, l2)
+                                        P = vacancy_P(x.mu, x.nu, 1, l1)
+                                        Q = vacancy_Q(x.mu, x.nu, 1, l2)
                                         assert all(map(le, rho(k, I, J, l1), P))
                                         assert all(map(le, sigma(k, J, l2), Q))
 
@@ -502,7 +508,11 @@ class TestFailureReports:
         first = {}
         real = bijection.map_m
         monkeypatch.setattr(
-            bijection, "map_m", lambda x, I, J, p: first.setdefault((I, J), real(x, I, J, p))
+            bijection,
+            "map_m",
+            lambda x, I, J, k, l1, l2, M, N: first.setdefault(
+                (I, J), real(x, I, J, k, l1, l2, M, N)
+            ),
         )
         rep = verify_bijection(1, 1, 0, 2, 2, 1, 1)
         assert not rep.ok
@@ -513,7 +523,7 @@ class TestFailureReports:
         # element outside the cutoffs reaches map_m, which rejects it.
         import rigchar.bijection as bijection
 
-        monkeypatch.setattr(bijection, "satisfies_cutoffs", lambda x, p: False)
+        monkeypatch.setattr(bijection, "satisfies_cutoffs", lambda x, l1, l2, M, N: False)
         rep = verify_bijection(1, 1, 1, 1, 1, 1, 1)
         assert not rep.ok
         assert rep.detail == {

@@ -23,7 +23,15 @@ from rigchar.characters import (
     sl2_char,
     verify_fermionic,
 )
-from rigchar.core import Params, RiggedPair, pair_from_obj, pair_to_obj, vacancy_P, vacancy_Q
+from rigchar.core import (
+    InvariantError,
+    Params,
+    RiggedPair,
+    pair_from_obj,
+    pair_to_obj,
+    vacancy_P,
+    vacancy_Q,
+)
 from rigchar.riggedsets import enumerate_partitions, enumerate_total, weight_bound
 
 polys = st.dictionaries(
@@ -197,6 +205,12 @@ class TestDegrees:
         one = (1,)
         assert degree_D(one, one, 1, 1) == 1
 
+    def test_level_mismatch_is_an_invariant_error(self):
+        # The program builds every pair it passes here, so a mismatch is
+        # its own fault (cli exit 3), not a usage error.
+        with pytest.raises(InvariantError, match="mu and nu must share a level"):
+            degree_D((1,), (1, 0), 1, 1)
+
     @given(st.data())
     @settings(max_examples=200)
     def test_swap_symmetry(self, data):
@@ -294,7 +308,7 @@ def char_R_by_elements(p: Params) -> LaurentPoly:
 
 def sparse_fermionic(k, l1, l2, M, N):
     """The closed form summed term by term as sparse LaurentPoly products."""
-    mmax, nmax = weight_bound(Params(k, l1, l2, min(l1, l2), M, N))
+    mmax, nmax = weight_bound(k, M, N)
     total = LaurentPoly.zero()
     for m in range(mmax + 1):
         for n in range(nmax + 1):

@@ -575,6 +575,23 @@ class TestVerify:
         }
         assert "error:" not in captured.err
 
+    def test_degree_level_mismatch_exits_3(self, monkeypatch, capsys):
+        # char_R hands degree_D the partitions the program built itself, so
+        # a level mismatch there is an internal fault, not a usage error.
+        from rigchar import characters, cli
+
+        def mismatched(p, read):
+            return {(1, 1): (((1,), (1, 0), ((0, 1),)),)}
+
+        monkeypatch.setattr(characters, "enumerate_total", mismatched)
+        code = cli.main("char-bruteforce --k 1 --l1 1 --l2 1 --l3 0 --M 1 --N 1".split())
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "internal-error",
+            "error": "InvariantError",
+            "message": "mu and nu must share a level",
+        }
+
     def test_enum_invariant_failure_exits_3(self, monkeypatch, capsys):
         # enum walks every piece before it writes a byte, so the error
         # line is all of stdout.
@@ -742,7 +759,9 @@ def tau_one_up(monkeypatch):
     counted either way is served the other."""
     from rigchar import core, riggedsets
 
-    monkeypatch.setattr(riggedsets, "tau", lambda alpha, beta, p: core.tau(alpha, beta, p) + 1)
+    monkeypatch.setattr(
+        riggedsets, "tau", lambda alpha, beta, l1, l2, l3: core.tau(alpha, beta, l1, l2, l3) + 1
+    )
     monkeypatch.setattr(riggedsets, "_R_CACHE", {})
     monkeypatch.setattr(riggedsets, "_SUM_CACHE", {})
     riggedsets._tau_table.cache_clear()

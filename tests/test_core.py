@@ -79,36 +79,32 @@ class TestWeight:
 
 class TestTau:
     def test_hand_value(self):
-        assert tau(2, 2, Params(3, 1, 2, 0, 0, 0)) == 1
+        assert tau(2, 2, 1, 2, 0) == 1
 
     def test_k1_all_ones(self):
-        assert tau(1, 1, Params(1, 1, 1, 1, 0, 0)) == 0
+        assert tau(1, 1, 1, 1, 1) == 0
 
     def test_nonpositive_when_l3_is_min(self):
         for k in range(1, 6):
             for l1 in range(k + 1):
                 for l2 in range(k + 1):
-                    p = Params(k, l1, l2, min(l1, l2), 0, 0)
                     for a in range(1, k + 1):
                         for b in range(1, k + 1):
-                            assert tau(a, b, p) <= 0
+                            assert tau(a, b, l1, l2, min(l1, l2)) <= 0
 
     def test_two_closed_forms_agree(self):
         for k in range(1, 6):
             for l1, l2, l3 in legal_labels(k):
-                p = Params(k, l1, l2, l3, 0, 0)
                 for a in range(1, k + 1):
                     for b in range(1, k + 1):
-                        assert tau(a, b, p) == tau_min_form(a, b, p)
+                        assert tau(a, b, l1, l2, l3) == tau_min_form(a, b, l1, l2, l3)
 
     def test_symmetry(self):
         for k in range(1, 5):
             for l1, l2, l3 in legal_labels(k):
-                p = Params(k, l1, l2, l3, 0, 0)
-                q = Params(k, l2, l1, l3, 0, 0)
                 for a in range(1, k + 1):
                     for b in range(1, k + 1):
-                        assert tau(a, b, p) == tau(b, a, q)
+                        assert tau(a, b, l1, l2, l3) == tau(b, a, l2, l1, l3)
 
 
 class TestVacancy:
@@ -157,16 +153,13 @@ class TestVacancy:
 
 class TestBoundary:
     def test_positive_cutoffs_vacuous(self):
-        p = Params(2, 0, 0, 0, 1, 1)
-        assert boundary_ok(p, (2, 1), (0, 2))
+        assert boundary_ok(2, 0, 0, 1, 1, (2, 1), (0, 2))
 
     def test_N0_violation(self):
-        p = Params(1, 1, 1, 1, 1, 0)
-        assert not boundary_ok(p, (1,), (1,))
+        assert not boundary_ok(1, 1, 1, 1, 0, (1,), (1,))
 
     def test_M0_equality_case(self):
-        p = Params(2, 2, 0, 0, 0, 1)
-        assert boundary_ok(p, (0, 0), (0, 0))
+        assert boundary_ok(2, 2, 0, 0, 1, (0, 0), (0, 0))
 
 
 class TestCutpro:
@@ -180,7 +173,6 @@ class TestCutpro:
                 for N in (0, 1, 2):
                     for l1 in range(k + 1):
                         for l2 in range(k + 1):
-                            p = Params(k, l1, l2, 0, M, N)
                             for m in range(7):
                                 for n in range(7):
                                     for mu in enumerate_partitions(m, k):
@@ -197,7 +189,7 @@ class TestCutpro:
                                             if not feasible:
                                                 continue
                                             coc = P.is_nonneg() and Q.is_nonneg()
-                                            assert coc == boundary_ok(p, mu, nu)
+                                            assert coc == boundary_ok(k, l1, l2, M, N, mu, nu)
                                             if M >= 1:
                                                 assert P[-1] >= 0
 

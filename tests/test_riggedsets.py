@@ -46,7 +46,8 @@ def two_step_piece(p, m, n):
             s_opts = [_row_choices(c, cap) for c in nu]
             for rr, ss in product(product(*r_opts), product(*s_opts)):
                 x = RiggedPair(mu, rr, nu, ss)
-                if satisfies_cutoffs(x, p) and satisfies_tau(x, p):
+                cut = satisfies_cutoffs(x, p.l1, p.l2, p.M, p.N)
+                if cut and satisfies_tau(x, p.l1, p.l2, p.l3):
                     piece.append(x)
     return tuple(piece)
 
@@ -133,7 +134,7 @@ class TestEnumerateR:
                 for m in range(4):
                     for n in range(4):
                         for x in enumerate_R(p, m, n):
-                            assert satisfies_tau(x, p)
+                            assert satisfies_tau(x, l1, l2, l3)
 
     def test_two_step_definition(self):
         # k = 3 keeps the tau bounds of a 3 x 3 matrix in the grid.
@@ -158,7 +159,7 @@ class TestEnumerateR:
         p, m, n = Params(2, 2, 2, 2, 4, 4), 4, 4
         assert _tau_table(2, 2, 2, 2) is None
         riggings = 0
-        for mu, nu, P, Q in feasible_pairs(p, m, n):
+        for mu, nu, P, Q in feasible_pairs(2, 2, 2, 4, 4, m, n):
             for part, caps in ((mu, P), (nu, Q)):
                 count = 1
                 for c, cap in zip(part, caps):
@@ -352,7 +353,6 @@ class TestEnumerateRPlain:
         from itertools import product
 
         for l1, l2, l3 in legal_labels(k):
-            p = Params(k, l1, l2, l3, 0, 0)
             taumat = _tau_table(k, l1, l2, l3)
             for m in range(-1, 4):
                 for n in range(4):
@@ -364,7 +364,7 @@ class TestEnumerateRPlain:
                             s_opts = [_row_choices(c, cap) for c in nu]
                             for rr, ss in product(product(*r_opts), product(*s_opts)):
                                 x = RiggedPair(mu, rr, nu, ss)
-                                if satisfies_tau(x, p):
+                                if satisfies_tau(x, l1, l2, l3):
                                     ref.append(x)
                             groups = _rigging_groups(mu, nu, (cap,) * k, (cap,) * k, taumat)
                             got.extend(
@@ -378,7 +378,7 @@ class TestSatisfiesTau:
         x = RiggedPair((1, 1), ((5,), (0,)), (2, 0), ((3, 1), ()))
         for l1 in range(3):
             for l2 in range(3):
-                assert satisfies_tau(x, Params(2, l1, l2, min(l1, l2), 0, 0))
+                assert satisfies_tau(x, l1, l2, min(l1, l2))
 
 
 class TestFeasiblePairs:
@@ -386,7 +386,6 @@ class TestFeasiblePairs:
         for k in (1, 2, 3):
             for l1, l2, l3 in legal_labels(k):
                 for M, N in ((0, 0), (1, 2), (2, 1)):
-                    p = Params(k, l1, l2, l3, M, N)
                     for m in range(5):
                         for n in range(5):
                             ref = []
@@ -396,7 +395,7 @@ class TestFeasiblePairs:
                                     Q = vacancy_Q(mu, nu, N, l2)
                                     if P.is_nonneg() and Q.is_nonneg():
                                         ref.append((mu, nu, P, Q))
-                            assert list(feasible_pairs(p, m, n)) == ref
+                            assert list(feasible_pairs(k, l1, l2, M, N, m, n)) == ref
 
     def test_shared_scan_equals_feasible_pairs_at_every_l3(self, monkeypatch):
         # enumerate_R reads its (mu, nu) pairs from one memo entry per
@@ -414,7 +413,7 @@ class TestFeasiblePairs:
                         for n in range(4):
                             enumerate_R(p, m, n)
                             shared = scans[k, l1, l2, M, N, m, n]
-                            assert shared == tuple(feasible_pairs(p, m, n))
+                            assert shared == tuple(feasible_pairs(k, l1, l2, M, N, m, n))
         pairs = sum((k + 1) ** 2 for k in range(1, 5))
         assert len(scans) == pairs * 3 * 16
         assert len(riggedsets._R_CACHE) > len(scans)
@@ -428,9 +427,9 @@ class TestFeasiblePairs:
 
         scanned = []
 
-        def recording(p, m, n):
-            scanned.append(p)
-            return feasible_pairs(p, m, n)
+        def recording(k, l1, l2, M, N, m, n):
+            scanned.append((k, l1, l2, M, N, m, n))
+            return feasible_pairs(k, l1, l2, M, N, m, n)
 
         monkeypatch.setattr(riggedsets, "feasible_pairs", recording)
         monkeypatch.setattr(riggedsets, "_SCAN_CACHE", {})
@@ -441,7 +440,7 @@ class TestFeasiblePairs:
                     for M in range(4):
                         for N in range(4):
                             p = Params(k, l1, l2, 0, M, N)
-                            mmax, nmax = weight_bound(p)
+                            mmax, nmax = weight_bound(k, M, N)
                             for m in range(mmax + 1):
                                 for n in range(nmax + 1):
                                     scanned.clear()
@@ -451,7 +450,8 @@ class TestFeasiblePairs:
                                     rejected = not scanned
                                     assert rejected == (min(Pk, Qk) < 0)
                                     if rejected:
-                                        assert next(feasible_pairs(p, m, n), None) is None
+                                        scan = feasible_pairs(k, l1, l2, M, N, m, n)
+                                        assert next(scan, None) is None
                                     elif pieces:
                                         tight_P |= Pk == 0
                                         tight_Q |= Qk == 0
@@ -491,7 +491,7 @@ class TestFeasiblePairs:
         k = l1 = l2 = M = N = 3
         characters.fermionic_char(k, l1, l2, M, N)
 
-        mmax, nmax = weight_bound(Params(k, l1, l2, min(l1, l2), M, N))
+        mmax, nmax = weight_bound(k, M, N)
         expected = []
         for m in range(mmax + 1):
             for n in range(nmax + 1):
@@ -531,7 +531,7 @@ class TestEnumerateTotal:
                 for M in (0, 1, 2):
                     for N in (0, 1, 2):
                         p = Params(k, l1, l2, l3, M, N)
-                        mmax, nmax = weight_bound(p)
+                        mmax, nmax = weight_bound(k, M, N)
                         for extra in range(1, 3):
                             for n in range(nmax + 1):
                                 assert len(enumerate_R(p, mmax + extra, n)) == 0
