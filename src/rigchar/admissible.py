@@ -5,9 +5,9 @@ each function that needs the level k takes it as its first argument.
 Staircase vectors kappa/epsilon, the labelling of the complement of J
 above l1, (l1,l2)-admissibility, the pair map from (I, J) to
 (tilde I, tilde J), the bound vectors rho, sigma, rho', sigma', delta_r
-and delta_s, and the terms of the recursion sum.  A bound vector is a
-plain tuple whose entry alpha-1 is its component alpha, each one a single
-staircase difference (kappa).
+and delta_s, the set one recursion step down and the terms of the
+recursion sum.  A bound vector is a plain tuple whose entry alpha-1 is
+its component alpha, each one a single staircase difference (kappa).
 
 Every function but the recursion-term memo recomputes from scratch: the
 sets involved have at most 2^k elements and purity keeps the exhaustive
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Params, pos_part
+from .core import InvariantError, Params, pos_part
 
 
 def all_index_sets(k: int):
@@ -83,12 +83,25 @@ def primed_labels(k: int, l1: int, a: int, c: int) -> tuple[int, int, int]:
     return l1p, l2p, l1p + l2p - k
 
 
+def primed_params(k: int, l1: int, a: int, c: int, M: int, N: int) -> Params:
+    """The set one recursion step down: labels primed from (l1, a, c) at the
+    cutoffs (M, N-1).  N < 1 is a usage error (ValueError); primed labels
+    outside level k are a fault (InvariantError): no reachable step has them."""
+    if N < 1:
+        raise ValueError("the recursion steps N down; need N >= 1")
+    l1p, l2p, l3p = primed_labels(k, l1, a, c)
+    # Only the labels are checked here: a bad level or cutoff stays Params' usage error.
+    if not (0 <= l3p <= min(l1p, l2p) and max(l1p, l2p) <= k):
+        raise InvariantError(f"primed labels ({l1p}, {l2p}, {l3p}) are not legal at level {k}")
+    return Params(k, l1p, l2p, l3p, M, N - 1)
+
+
 @lru_cache(maxsize=None)
 def recursion_terms(p: Params) -> tuple[tuple[int, int, Params], ...]:
-    """(a, c, primed Params at (M, N-1)) for each term of the recursion sum
-    at p, which needs N >= 1: a runs over 0..l3 and c over 0..l2-a."""
+    """(a, c, primed_params at (l1, a, c)) for each term of the recursion
+    sum at p, which needs N >= 1: a runs over 0..l3 and c over 0..l2-a."""
     return tuple(
-        (a, c, Params(p.k, *primed_labels(p.k, p.l1, a, c), p.M, p.N - 1))
+        (a, c, primed_params(p.k, p.l1, a, c, p.M, p.N))
         for a in range(p.l3 + 1)
         for c in range(p.l2 - a + 1)
     )
@@ -102,8 +115,8 @@ def tilde_pair(
     Identity when l1 + c >= k.  Otherwise tilde I absorbs the complement
     labels with index <= |I| together with the w block, and tilde J keeps
     the part of J below the first absorbed label.  An absorbed label that
-    is already a member of I is an error: it would make tilde I a
-    multiset, which no admissible pair yields.
+    is already a member of I would make tilde I a multiset, which no
+    admissible pair yields: a fault of the program (InvariantError).
     """
     if not is_l1_admissible(k, I, J, l1):
         raise ValueError("pair is not l1-admissible")
@@ -116,7 +129,7 @@ def tilde_pair(
     absorbed = comp[p - a:]
     tI = tuple(sorted((*I, *absorbed)))
     if len(set(tI)) != len(tI):
-        raise ValueError(f"tilde I {tI} has a repeated member")
+        raise InvariantError(f"tilde I {tI} has a repeated member")
     boundary = absorbed[0]
     tJ = tuple(v for v in J if v < boundary)
     return tI, tJ

@@ -27,6 +27,7 @@ from .admissible import (
     is_admissible,
     is_l1_admissible,
     primed_labels,
+    primed_params,
     recursion_terms,
     rho,
     rho_prime,
@@ -74,11 +75,6 @@ class MarkedBound(Record):
         return True
 
 
-def _joined(br: MarkedBound, bs: MarkedBound) -> MarkedBound:
-    """The bound br on the rows of r and bs on those of s, as one bound."""
-    return MarkedBound(br.value + bs.value, br.marked + bs.marked)
-
-
 @lru_cache(maxsize=None)
 def lower_bounds(
     k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int, l2: int
@@ -87,9 +83,9 @@ def lower_bounds(
     None if the pair is not (l1, l2)-admissible."""
     if not is_admissible(k, I, J, l1, l2):
         return None
-    return _joined(
-        MarkedBound(rho(k, I, J, l1), tuple(e == 1 for e in epsilon(k, I))),
-        MarkedBound(sigma(k, J, l2), tuple(e == 1 for e in epsilon(k, J))),
+    return MarkedBound(
+        rho(k, I, J, l1) + sigma(k, J, l2),
+        tuple(e == 1 for e in epsilon(k, I)) + tuple(e == 1 for e in epsilon(k, J)),
     )
 
 
@@ -99,9 +95,9 @@ def upper_bounds(k: int, I: tuple[int, ...], J: tuple[int, ...], l1: int) -> Mar
     None if the pair is not l1-admissible."""
     if not is_l1_admissible(k, I, J, l1):
         return None
-    return _joined(
-        MarkedBound(rho_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, I))),
-        MarkedBound(sigma_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, J))),
+    return MarkedBound(
+        rho_prime(k, I, J, l1) + sigma_prime(k, I, J, l1),
+        tuple(e == -1 for e in epsilon(k, I)) + tuple(e == -1 for e in epsilon(k, J)),
     )
 
 
@@ -173,10 +169,8 @@ def map_m(
 def verify_recursion(
     k: int, l1: int, l2: int, l3: int, M: int, N: int, m: int, n: int
 ) -> Report:
-    """Compare the cardinality of one graded piece against the recursion sum."""
+    """Compare the cardinality of one graded piece against the recursion sum (N >= 1)."""
     p = Params(k, l1, l2, l3, M, N)
-    if N < 1:
-        raise ValueError("the recursion steps N down; need N >= 1")
     lhs = len(enumerate_R(p, m, n))
     terms = []
     rhs = 0
@@ -271,52 +265,46 @@ def verify_upper_decomposition(
 ) -> Report:
     """Exact-cover check of the primed graded piece by the upper subsets.
 
-    The target lives at (M, N-1) with the labels primed from (l1, a, c);
-    the cover runs over all (I, J) with |I| = a and |J| = a + c.
-    Nonempty subsets are also checked against rho' <= P and sigma' <= Q.
+    The target is primed_params(k, l1, a, c, M, N), so N >= 1; the cover
+    runs over all (I, J) with |I| = a and |J| = a + c.  Nonempty subsets
+    are also checked against rho' <= P and sigma' <= Q.
     """
-    b = a + c
-    if not (0 <= a <= l1 <= k and a <= b <= k):
+    if not (0 <= a <= l1 <= k and a <= a + c <= k):
         raise ValueError(f"need 0 <= a <= l1 <= k and a+c <= k; got l1={l1}, a={a}, c={c}")
-    if N < 1:
-        raise ValueError("upper subsets live one N-step down; need N >= 1")
-    l1p, l2p, l3p = primed_labels(k, l1, a, c)
-    context = dict(k=k, l1=l1, a=a, c=c, M=M, N=N, m=m, n=n, primed=[l1p, l2p, l3p])
+    pp = primed_params(k, l1, a, c, M, N)
+    context = dict(k=k, l1=l1, a=a, c=c, M=M, N=N, m=m, n=n, primed=[pp.l1, pp.l2, pp.l3])
     pairs = _upper_pairs(k, l1, a, c)
-    pp = Params(k, l1p, l2p, l3p, M, N - 1)
     reason = "nonempty upper subset violates rho'<=P, sigma'<=Q"
     return _cover_scan("upper-decomposition", context, pp, m, n, pairs, True, reason)
 
 
 @lru_cache(maxsize=None)
-def _bijection_rows(p: Params) -> tuple:
-    """(I, J, lower bound, upper bound, tau-free upper Params at (M, N-1),
-    |I|, |J|) for each (l1, l2)-admissible pair, in all_index_sets order.
+def _bijection_rows(k: int, l1: int, l2: int, M: int, N: int) -> tuple:
+    """(I, J, lower bound, upper bound, upper Params, |I|, |J|) for each
+    (l1, l2)-admissible pair, in all_index_sets order.  The upper Params is
+    primed_params at (l1, |I|, |J|-|I|), tau-free, so N >= 1.
 
     Every such pair has |I| <= |J & [1, l1]| <= min(l1, l2), so
     _lower_pairs at l3 = min(l1, l2) lists them all.
     """
-    k = p.k
     rows = []
-    for I, J, bound in _lower_pairs(k, p.l1, p.l2, min(p.l1, p.l2)):
+    for I, J, bound in _lower_pairs(k, l1, l2, min(l1, l2)):
         a, b = len(I), len(J)
-        l1p, l2p, _ = primed_labels(k, p.l1, a, b - a)
-        up_params = _tau_free(k, l1p, l2p, p.M, p.N - 1)
-        rows.append((I, J, bound, upper_bounds(k, I, J, p.l1), up_params, a, b))
+        up = primed_params(k, l1, a, b - a, M, N)
+        up_params = _tau_free(k, up.l1, up.l2, M, up.N)
+        rows.append((I, J, bound, upper_bounds(k, I, J, l1), up_params, a, b))
     return tuple(rows)
 
 
 def verify_bijection(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int) -> Report:
     """Check, for every (l1, l2)-admissible (I, J), that the rigging map is
-    injective on the upper subset at (m-a, n-b) with image exactly the
-    lower subset at (m, n).  An element map_m rejects is a counterexample.
-    The tau condition plays no part: the point's Params has l3 = min(l1, l2)."""
+    injective on the upper subset at (m-a, n-b), one N-step down (N >= 1),
+    with image exactly the lower subset at (m, n); an element map_m rejects
+    is a counterexample.  Tau plays no part: p has l3 = min(l1, l2)."""
     p = _tau_free(k, l1, l2, M, N)
-    if N < 1:
-        raise ValueError("the rigging map steps N down; need N >= 1")
     context = {"params": params_to_obj(p), "m": m, "n": n}
     lower_ambient = enumerate_R(p, m, n)
-    for I, J, bound, upper, up_params, a, b in _bijection_rows(p):
+    for I, J, bound, upper, up_params, a, b in _bijection_rows(k, l1, l2, M, N):
         ups = enumerate_R(up_params, m - a, n - b)
         try:
             images = [map_m(x, I, J, k, l1, l2, M, N) for x in ups if upper.satisfied_by(x.r + x.s)]

@@ -359,10 +359,8 @@ def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> R
     """Exact polynomial comparison of a character against its recursion sum.
 
     Both sides are computed from the brute-force character, so the check
-    is independent of the closed fermionic form.
+    is independent of the closed fermionic form.  It needs N >= 1.
     """
-    if N < 1:
-        raise ValueError("the character recursion steps N down; need N >= 1")
     p = Params(k, l1, l2, l3, M, N)
     lhs = char_R(p)
     rhs = LaurentPoly.zero()

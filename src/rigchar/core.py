@@ -28,10 +28,10 @@ def pos_part(x: int) -> int:
 class InvariantError(ValueError):
     """A value that breaks an invariant of the types below.
 
-    RiggedPair, check_row, checked_pair, vacancy_P and characters.degree_D
-    raise it.  The CLI builds these values itself, so one raised mid-run is
-    an internal fault (exit 3), not a usage error; it subclasses ValueError
-    so that callers validating untrusted input can still catch ValueError.
+    RiggedPair, check_row, checked_pair, vacancy_P, riggedsets' row lists,
+    characters.degree_D, admissible.tilde_pair and primed_params raise it,
+    all on values the CLI builds itself: one raised mid-run is a fault
+    (exit 3), not a usage error.  Callers checking input catch it as ValueError.
     """
 
 

@@ -183,13 +183,13 @@ MUTANTS = (
         "adm", "admissible.py",
         "v <= u < vp for u, v, vp",
         "v <= u <= vp for u, v, vp",
-        "002200",
+        "003300",
     ),
     Mutant(
         "primed", "admissible.py",
         "    l2p = k - c\n",
         "    l2p = k - c - (c > 1)\n",
-        "202220",
+        "303330",
     ),
     Mutant(
         "sigma", "admissible.py",
@@ -212,14 +212,14 @@ MUTANTS = (
     # bijection
     Mutant(
         "mark", "bijection.py",
-        "MarkedBound(rho(k, I, J, l1), tuple(e == 1 for e in epsilon(k, I)))",
-        "MarkedBound(rho(k, I, J, l1), tuple(False for e in epsilon(k, I)))",
+        "tuple(e == 1 for e in epsilon(k, I)) +",
+        "tuple(False for e in epsilon(k, I)) +",
         "010100",
     ),
     Mutant(
         "markU", "bijection.py",
-        "MarkedBound(sigma_prime(k, I, J, l1), tuple(e == -1 for e in epsilon(k, J)))",
-        "MarkedBound(sigma_prime(k, I, J, l1), tuple(e == 1 for e in epsilon(k, J)))",
+        "+ tuple(e == -1 for e in epsilon(k, J))",
+        "+ tuple(e == 1 for e in epsilon(k, J))",
         "001100",
     ),
     # characters

@@ -24,7 +24,7 @@ from rigchar.admissible import (
     sigma_prime,
     tilde_pair,
 )
-from rigchar.core import pos_part, vacancy_P, vacancy_Q
+from rigchar.core import InvariantError, pos_part, vacancy_P, vacancy_Q
 
 
 def admissible_pairs(k, l1, l2=None):
@@ -133,7 +133,7 @@ class TestIndexSets:
         # ({2}, {1}) at k = 2, l1 = 1 fails only u_1 < v'_1 = 2; let through,
         # tilde I would absorb 2 a second time.
         monkeypatch.setattr(admissible, "is_l1_admissible", lambda *args: True)
-        with pytest.raises(ValueError, match="repeated member"):
+        with pytest.raises(InvariantError, match="repeated member"):
             tilde_pair(2, (2,), (1,), 1)
 
 

@@ -1,5 +1,6 @@
 """Lower/upper subsets, the rigging map, and the exhaustive verifiers."""
 
+import json
 from operator import le
 
 import pytest
@@ -11,6 +12,7 @@ from rigchar.admissible import (
     is_l1_admissible,
     kappa,
     primed_labels,
+    primed_params,
     recursion_terms,
     rho,
     rho_prime,
@@ -150,7 +152,6 @@ class TestPointMemos:
             for l1 in range(k + 1):
                 for l2 in range(k + 1):
                     for M, N in self.CUTOFFS:
-                        p = Params(k, l1, l2, min(l1, l2), M, N)
                         expected = []
                         for I in all_index_sets(k):
                             for J in all_index_sets(k):
@@ -162,7 +163,61 @@ class TestPointMemos:
                                     (I, J, lower_bounds(k, I, J, l1, l2),
                                      upper_bounds(k, I, J, l1), up, len(I), len(J))
                                 )
-                        assert list(_bijection_rows(p)) == expected
+                        assert list(_bijection_rows(k, l1, l2, M, N)) == expected
+
+
+class TestPrimedParams:
+    """admissible.primed_params is the one builder of the set one
+    recursion step down, and every memo that holds such a set reads it."""
+
+    def test_matches_the_primed_labels_and_the_memos(self):
+        from rigchar.bijection import _bijection_rows
+        from rigchar.cli import _labels_upper
+
+        rows_checked = 0
+        for k in range(1, 5):
+            for l1, a, c in _labels_upper(k):
+                for M in range(3):
+                    for N in (1, 2):
+                        pp = Params(k, *primed_labels(k, l1, a, c), M, N - 1)
+                        assert primed_params(k, l1, a, c, M, N) == pp
+                        # (a, c) is a term of the sum at l2 = a + c, l3 = a.
+                        assert (a, c, pp) in recursion_terms(Params(k, l1, a + c, a, M, N))
+                        free = Params(k, pp.l1, pp.l2, min(pp.l1, pp.l2), M, N - 1)
+                        for l2 in range(a + c, k + 1):
+                            for row in _bijection_rows(k, l1, l2, M, N):
+                                if row[5:] == (a, a + c):
+                                    assert row[4] == free
+                                    rows_checked += 1
+        assert rows_checked > 0
+
+    def test_a_bad_level_or_cutoff_stays_a_usage_error(self):
+        for args in ((0, 0, 0, 0, 1, 1), (1, 1, 0, 0, -1, 1)):
+            with pytest.raises(ValueError) as exc:
+                primed_params(*args)
+            assert type(exc.value) is ValueError
+
+    def test_an_illegal_primed_label_is_a_fault(self, monkeypatch, capsys):
+        import rigchar.admissible as admissible
+        from rigchar import cli
+        from rigchar.bijection import _bijection_rows
+        from rigchar.core import InvariantError
+
+        def clear_memos():
+            recursion_terms.cache_clear()
+            _bijection_rows.cache_clear()
+
+        argv = "verify recursion --max-k 2 --max-weight 1 --max-M 1 --max-N 1 --jobs 1"
+        clear_memos()
+        try:
+            monkeypatch.setattr(admissible, "primed_labels", lambda k, l1, a, c: (k + 1, k, k))
+            with pytest.raises(InvariantError, match="primed labels"):
+                primed_params(2, 2, 0, 0, 1, 1)
+            assert cli.main(argv.split()) == 3
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "InvariantError"
+        finally:
+            monkeypatch.undo()
+            clear_memos()
 
 
 class TestMarkedBound:
@@ -345,8 +400,19 @@ class TestVerifyRecursion:
         assert all(t["a"] == 0 for t in rep.detail["terms"])
 
     def test_rejects_N0(self):
-        with pytest.raises(ValueError):
-            verify_recursion(1, 1, 1, 1, 1, 0, 0, 0)
+        # Every entry point that steps N down reaches primed_params, whose
+        # one guard makes N = 0 a usage error: a plain ValueError.
+        from rigchar.characters import char_recursion_check
+
+        for call in (
+            lambda: verify_recursion(1, 1, 1, 1, 1, 0, 0, 0),
+            lambda: char_recursion_check(1, 1, 1, 1, 1, 0),
+            lambda: verify_upper_decomposition(1, 1, 0, 0, 1, 0, 0, 0),
+            lambda: verify_bijection(1, 1, 1, 1, 0, 0, 0),
+        ):
+            with pytest.raises(ValueError, match="need N >= 1") as exc:
+                call()
+            assert type(exc.value) is ValueError
 
 
 class TestDecompositions:

@@ -392,8 +392,9 @@ class TestCharRecursion:
                                 assert rep.ok, rep.context
 
     def test_rejects_N0(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need N >= 1") as exc:
             char_recursion_check(1, 1, 1, 1, 1, 0)
+        assert type(exc.value) is ValueError
 
 
 class TestSl2Char:
