@@ -1,17 +1,17 @@
 """Lower and upper subsets, the rigging map between them, and the
 exhaustive verifiers for the recursion and both decomposition statements.
 
-The verifiers return structured Report values carrying the first
-counterexample with full provenance; they never assume the statements
-they are checking.  Each verifier takes its grid point: the labels, the
-cutoffs (M, N) and the weights (m, n).  A Params is built only for a set
-R(p) that is read; every other function takes the plain values it reads.
-x lies in the subset of (I, J) if its rows meet the pair's marked bound
-and x meets the cutoffs.  The bound depends only on the level, the labels
-and the pair, so lower_bounds and upper_bounds are memoised on those.
-The verifiers scan pieces enumerate_R built inside the cutoffs, so they
-test the bound alone; map_m re-checks the cutoffs of its input and of its
-image, through upper_member and lower_member.
+The verifiers return a Report, a verdict and its evidence, the first
+counterexample of a failing point, and never assume the statement they
+check.  Each takes its grid point, which cli._check_point names: the
+labels, the cutoffs (M, N) and the weights (m, n).  A Params is built only
+for a set R(p) that is read; every other function takes the plain values
+it reads.  x lies in the subset of (I, J) if its rows meet the pair's
+marked bound and x meets the cutoffs.  The bound depends only on the
+level, the labels and the pair, so lower_bounds and upper_bounds are
+memoised on those.  The verifiers scan pieces enumerate_R built inside the
+cutoffs, so they test the bound alone; map_m re-checks the cutoffs of its
+input and of its image, through upper_member and lower_member.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     RiggedPair,
     checked_pair,
     pair_to_obj,
-    params_to_obj,
     vacancy_P,
     vacancy_Q,
 )
@@ -178,13 +177,10 @@ def verify_recursion(
         count = len(enumerate_R(pp, m - a, n - a - c))
         terms.append({"a": a, "c": c, "count": count})
         rhs += count
-    context = {"params": params_to_obj(p), "m": m, "n": n}
-    return Report(lhs == rhs, "recursion", context, {"lhs": lhs, "rhs": rhs, "terms": terms})
+    return Report(lhs == rhs, {"lhs": lhs, "rhs": rhs, "terms": terms})
 
 
-def _cover_scan(
-    check: str, context: dict, p: Params, m: int, n: int, pairs, vacancy: bool, reason: str
-) -> Report:
+def _cover_scan(p: Params, m: int, n: int, pairs, vacancy: bool, reason: str) -> Report:
     """Exact-cover check of the graded piece of p at (m, n).
 
     pairs holds (I, J, bound) per subset, its marked bound.  Every element
@@ -216,8 +212,8 @@ def _cover_scan(
                 "expected_covers": expected,
                 "covers": [{"I": list(I), "J": list(J)} for I, J in covers],
             }
-        return Report(False, check, context, {"element": pair_to_obj(x), **detail})
-    return Report(True, check, context, {"elements": len(ambient), "pairs": len(pairs)})
+        return Report(False, {"element": pair_to_obj(x), **detail})
+    return Report(True, {"elements": len(ambient), "pairs": len(pairs)})
 
 
 @lru_cache(maxsize=None)
@@ -239,10 +235,8 @@ def verify_lower_decomposition(
     bounds rho <= P and sigma <= Q (valid for N >= 1).
     """
     p = Params(k, l1, l2, l3, M, N)
-    pairs = _lower_pairs(k, l1, l2, l3)
-    context = {"params": params_to_obj(p), "m": m, "n": n}
     reason = "nonempty lower subset violates rho<=P, sigma<=Q"
-    return _cover_scan("lower-decomposition", context, p, m, n, pairs, N >= 1, reason)
+    return _cover_scan(p, m, n, _lower_pairs(k, l1, l2, l3), N >= 1, reason)
 
 
 @lru_cache(maxsize=None)
@@ -272,10 +266,8 @@ def verify_upper_decomposition(
     if not (0 <= a <= l1 <= k and a <= a + c <= k):
         raise ValueError(f"need 0 <= a <= l1 <= k and a+c <= k; got l1={l1}, a={a}, c={c}")
     pp = primed_params(k, l1, a, c, M, N)
-    context = dict(k=k, l1=l1, a=a, c=c, M=M, N=N, m=m, n=n, primed=[pp.l1, pp.l2, pp.l3])
-    pairs = _upper_pairs(k, l1, a, c)
     reason = "nonempty upper subset violates rho'<=P, sigma'<=Q"
-    return _cover_scan("upper-decomposition", context, pp, m, n, pairs, True, reason)
+    return _cover_scan(pp, m, n, _upper_pairs(k, l1, a, c), True, reason)
 
 
 @lru_cache(maxsize=None)
@@ -301,9 +293,7 @@ def verify_bijection(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int) -
     injective on the upper subset at (m-a, n-b), one N-step down (N >= 1),
     with image exactly the lower subset at (m, n); an element map_m rejects
     is a counterexample.  Tau plays no part: p has l3 = min(l1, l2)."""
-    p = _tau_free(k, l1, l2, M, N)
-    context = {"params": params_to_obj(p), "m": m, "n": n}
-    lower_ambient = enumerate_R(p, m, n)
+    lower_ambient = enumerate_R(_tau_free(k, l1, l2, M, N), m, n)
     for I, J, bound, upper, up_params, a, b in _bijection_rows(k, l1, l2, M, N):
         ups = enumerate_R(up_params, m - a, n - b)
         try:
@@ -322,6 +312,5 @@ def verify_bijection(k: int, l1: int, l2: int, M: int, N: int, m: int, n: int) -
                 }
             else:
                 continue
-        pair = {"I": list(I), "J": list(J)}
-        return Report(False, "bijection", context, {"pair": pair, **detail})
-    return Report(True, "bijection", context, {})
+        return Report(False, {"pair": {"I": list(I), "J": list(J)}, **detail})
+    return Report(True, {})

@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import comb
 
 from .admissible import recursion_terms
-from .core import InvariantError, Params, Report, RiggedPair, min_sums, params_to_obj, pos_part
-from .riggedsets import enumerate_total, feasible_pairs, rigging_sums, weight_bound
+from .core import InvariantError, Params, Report, RiggedPair, min_sums, pos_part
+from .riggedsets import enumerate_total, feasible_pairs, rigging_sums
 
 
 def _power(name: str, e: int) -> str:
@@ -271,13 +271,22 @@ def _packed_gauss(a: int, b: int, width: int) -> int:
     return packed
 
 
-def _add_cell(acc: dict, m: int, n: int, cell: list) -> None:
-    """Add one (m, n) cell of the closed form to the term dict acc.
+def _cell(p: Params, m: int, n: int) -> list:
+    """The (m, n) cell of p's closed form: (D, binomials) per pair of
+    feasible_pairs, binomials the (a, b) of each Gaussian factor [a over b]."""
+    cell = []
+    for mu, nu, P, Q in feasible_pairs(p.k, p.l1, p.l2, p.M, p.N, m, n):
+        binoms = [(x + c, c) for x, c in zip(P, mu) if c]
+        binoms += [(x + c, c) for x, c in zip(Q, nu) if c]
+        cell.append((degree_D(mu, nu, p.l1, p.l2), binoms))
+    return cell
 
-    cell holds (D, binomials) per feasible pair, binomials being the (a, b)
-    of each Gaussian factor [a over b].  A carry between slots would make
-    the unpacked coefficients miss the cell's value at q = 1, so that sum
-    is checked.
+
+def _add_cell(acc: dict, m: int, n: int, cell: list) -> None:
+    """Add one (m, n) cell of the closed form (see _cell) to the term dict acc.
+
+    A carry between slots would make the unpacked coefficients miss the
+    cell's value at q = 1, so that sum is checked.
     """
     total = 0
     for _, binoms in cell:
@@ -311,9 +320,9 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
 
     Sums z1^|mu| z2^|nu| q^D times the product of one Gaussian binomial
     per row length over all partition pairs with non-negative vacancy
-    vectors, inside the same weight box the enumeration uses.  Labels
-    outside [0, k], a level below 1 or a negative cutoff raise ValueError,
-    through the Params at l3 = min(l1, l2).
+    vectors, cell by cell (_cell) through enumerate_total, the one walk
+    over the weight box.  Labels outside [0, k], a level below 1 or a
+    negative cutoff raise ValueError, through the Params at l3 = min(l1, l2).
 
     All terms of one (m, n) cell share their z1/z2 exponents, so each cell
     is one q-polynomial, computed by Kronecker substitution: q becomes
@@ -324,18 +333,9 @@ def fermionic_char(k: int, l1: int, l2: int, M: int, N: int) -> LaurentPoly:
     coefficient of each partial product, and of the cell sum, lies between
     0 and that value, and no slot carries into the next.
     """
-    Params(k, l1, l2, min(l1, l2), M, N)  # the label check
-    mmax, nmax = weight_bound(k, M, N)
     acc: dict = {}
-    for m in range(mmax + 1):
-        for n in range(nmax + 1):
-            cell = []
-            for mu, nu, P, Q in feasible_pairs(k, l1, l2, M, N, m, n):
-                binoms = [(x + c, c) for x, c in zip(P, mu) if c]
-                binoms += [(x + c, c) for x, c in zip(Q, nu) if c]
-                cell.append((degree_D(mu, nu, l1, l2), binoms))
-            if cell:
-                _add_cell(acc, m, n, cell)
+    for (m, n), cell in enumerate_total(Params(k, l1, l2, min(l1, l2), M, N), _cell).items():
+        _add_cell(acc, m, n, cell)
     return LaurentPoly(acc)
 
 
@@ -345,14 +345,7 @@ def verify_fermionic(k: int, l1: int, l2: int, M: int, N: int) -> Report:
     f = fermionic_char(k, l1, l2, M, N)
     b = char_R(Params(k, l1, l2, min(l1, l2), M, N))
     ok = f == b
-    return Report(
-        ok=ok,
-        check="fermionic",
-        context={"k": k, "l1": l1, "l2": l2, "M": M, "N": N},
-        detail=(
-            {} if ok else {"closed_form": f.to_text(), "bruteforce": b.to_text()}
-        ),
-    )
+    return Report(ok, {} if ok else {"closed_form": f.to_text(), "bruteforce": b.to_text()})
 
 
 def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> Report:
@@ -367,12 +360,7 @@ def char_recursion_check(k: int, l1: int, l2: int, l3: int, M: int, N: int) -> R
     for a, c, pp in recursion_terms(p):
         rhs = rhs + char_R(pp).mapped(z2=(0, 1, 1), times=(a, a + c, a + c))
     ok = lhs == rhs
-    return Report(
-        ok=ok,
-        check="char-recursion",
-        context={"params": params_to_obj(p)},
-        detail={} if ok else {"lhs": lhs.to_text(), "rhs": rhs.to_text()},
-    )
+    return Report(ok, {} if ok else {"lhs": lhs.to_text(), "rhs": rhs.to_text()})
 
 
 def sl2_char(k: int, l: int, M: int, N: int) -> LaurentPoly:

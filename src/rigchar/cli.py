@@ -35,6 +35,9 @@ m, n = 0..max_weight:
     bijection       (l1, l2)                         1        yes
     fermionic       (l1, l2)                         0        no
     char-recursion  (l1, l2, l3)                     1        no
+
+A failing point is reported as {"point": {"k", the labels named above, "M",
+"N"[, "m", "n"]}, "detail": its Report's evidence}, by _check_point alone.
 """
 
 from __future__ import annotations
@@ -325,42 +328,53 @@ def _labels_upper(k: int) -> list[tuple[int, ...]]:
     return [(l1, a, c) for l1 in range(k + 1) for a in range(l1 + 1) for c in range(k - a + 1)]
 
 
+_LABELS = {"l1 l2 l3": _labels_l3, "l1 a c": _labels_upper, "l1 l2": _labels_pair}
+
+
 class _Check(NamedTuple):
     """One verify check: the axes of its grid (see the module docstring),
+    label_names, its labels' names, which key their lists in _LABELS,
     module, the name of the rigchar module that holds its verifier, and
     verifier, the name of that function, which takes a point's coordinates
-    (k, *labels, M, N, m, n), or (k, *labels, M, N) without weights, and
-    returns a Report.
+    (k, *labels, M, N[, m, n]) as parameters of those names and returns a
+    Report.
 
     Each block imports module once, so a run imports only the modules its
     check reads.  The verifier is looked up through the module at call
     time, so a wrapper installed there is the one run.
     """
 
-    labels: Callable[[int], list[tuple[int, ...]]]
+    label_names: str
     first_N: int
     needs_weight: bool
     module: str
     verifier: str
 
+    def labels(self, k: int) -> list[tuple[int, ...]]:
+        """The label tuples at level k, in ascending order."""
+        return _LABELS[self.label_names](k)
+
 
 _CHECKS = {
-    "recursion": _Check(_labels_l3, 1, True, "bijection", "verify_recursion"),
-    "lower-decomp": _Check(_labels_l3, 0, True, "bijection", "verify_lower_decomposition"),
-    "upper-decomp": _Check(_labels_upper, 1, True, "bijection", "verify_upper_decomposition"),
-    "bijection": _Check(_labels_pair, 1, True, "bijection", "verify_bijection"),
-    "fermionic": _Check(_labels_pair, 0, False, "characters", "verify_fermionic"),
-    "char-recursion": _Check(_labels_l3, 1, False, "characters", "char_recursion_check"),
+    "recursion": _Check("l1 l2 l3", 1, True, "bijection", "verify_recursion"),
+    "lower-decomp": _Check("l1 l2 l3", 0, True, "bijection", "verify_lower_decomposition"),
+    "upper-decomp": _Check("l1 a c", 1, True, "bijection", "verify_upper_decomposition"),
+    "bijection": _Check("l1 l2", 1, True, "bijection", "verify_bijection"),
+    "fermionic": _Check("l1 l2", 0, False, "characters", "verify_fermionic"),
+    "char-recursion": _Check("l1 l2 l3", 1, False, "characters", "char_recursion_check"),
 }
 
 
 def _check_point(what: str, module: ModuleType, point: tuple) -> dict | None:
     """None if the grid point passes check what, whose verifier module is
-    module, else its counterexample report."""
-    rep = getattr(module, _CHECKS[what].verifier)(*point)
+    module, else its counterexample report, which names each coordinate as
+    the verifier's parameter, so that the point replays as verifier(**point)."""
+    check = _CHECKS[what]
+    rep = getattr(module, check.verifier)(*point)
     if rep.ok:
         return None
-    return {"check": rep.check, "context": rep.context, "detail": rep.detail}
+    names = ("k", *check.label_names.split(), "M", "N", "m", "n")
+    return {"point": dict(zip(names, point)), "detail": rep.detail}
 
 
 def _check_block(stop_at: tuple, block) -> tuple[tuple, dict] | None:

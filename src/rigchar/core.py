@@ -3,7 +3,7 @@
 Parameters, the checks on rigging rows, the tau lower bound on riggings,
 the vacancy-number upper bounds (KVector), the Report every verifier
 returns, and the JSON objects of a parameter tuple and a rigged pair
-(shared by the CLI and the verifiers' failure reports).
+(shared by the CLI and the cover checks' failure reports).
 
 A level-k partition is a plain tuple of k row-length multiplicities, and
 a rigging a plain tuple of k rows (see RiggedPair).  The other types are
@@ -82,18 +82,17 @@ class Record(tuple):
 
 
 class Report(Record):
-    """Outcome of one verification, with provenance for failures.
-
-    context identifies the grid point; detail carries either the summary
-    of a passing check or the first counterexample (offending element,
-    covering pairs, per-term cardinalities) of a failing one.
+    """The verdict ok of one verifier at one grid point, and its evidence
+    detail: the summary of a passing check, or the first counterexample
+    (offending element, covering pairs, per-term cardinalities) of a
+    failing one.  cli._check_point names the point of a failure.
     """
 
     __slots__ = ()
-    _fields = ("ok", "check", "context", "detail")
+    _fields = ("ok", "detail")
 
-    def __new__(cls, ok: bool, check: str, context: dict, detail: dict) -> "Report":
-        return tuple.__new__(cls, (ok, check, context, detail))
+    def __new__(cls, ok: bool, detail: dict) -> "Report":
+        return tuple.__new__(cls, (ok, detail))
 
 
 class Params(Record):

@@ -281,8 +281,8 @@ def weight_bound(k: int, M: int, N: int) -> tuple[int, int]:
 
 def enumerate_total(p: Params, read=None) -> dict[tuple[int, int], tuple]:
     """Every nonempty graded piece, keyed by (m, n) in ascending order: the
-    one walk over the weight box, which reads each piece by read(p, m, n),
-    enumerate_R (the enum document's default) or rigging_sums (char_R's)."""
+    one walk over the weight box, which reads each piece by read(p, m, n):
+    enumerate_R (the default), rigging_sums or characters._cell."""
     mmax, nmax = weight_bound(p.k, p.M, p.N)
     return {
         (m, n): piece

@@ -103,7 +103,7 @@ def test_criterion_2_recursion():
                             points += 1
                             if not rep.ok:
                                 ok = False
-                                print("counterexample:", rep.context, rep.detail)
+                                print("counterexample:", (k, l1, l2, l3, M, N, m, n), rep.detail)
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0
     _report(2, "cardinality-recursion", ok, f"{points} points, {elapsed:.1f}s")
@@ -141,7 +141,7 @@ def test_criterion_4_character_recursion():
                     points += 1
                     if not rep.ok:
                         ok = False
-                        print("mismatch:", rep.context, rep.detail)
+                        print("mismatch:", (k, l1, l2, l3, M, N), rep.detail)
     _report(4, "character-recursion", ok, f"{points} points, {time.time()-t0:.1f}s")
 
 
@@ -159,7 +159,8 @@ def test_criterion_5_decompositions():
                             points += 1
                             if not rep.ok:
                                 ok = False
-                                print("lower counterexample:", rep.context, rep.detail)
+                                point = (k, l1, l2, l3, M, N, m, n)
+                                print("lower counterexample:", point, rep.detail)
     for k in (1, 2, 3):
         for l1 in range(k + 1):
             for a in range(l1 + 1):
@@ -176,7 +177,7 @@ def test_criterion_5_decompositions():
                                         ok = False
                                         print(
                                             "upper counterexample:",
-                                            rep.context,
+                                            (k, l1, a, c, M, N, m, n),
                                             rep.detail,
                                         )
     _report(5, "exact-cover-decompositions", ok, f"{points} points, {time.time()-t0:.1f}s")
@@ -197,7 +198,7 @@ def test_criterion_6_rigging_map_bijection():
                                 points += 1
                                 if not rep.ok:
                                     ok = False
-                                    print("bijection failure:", rep.context, rep.detail)
+                                    print("bijection failure:", (k, l1, l2, M, N, m, n), rep.detail)
     _report(6, "rigging-map-bijection", ok, f"{points} points, {time.time()-t0:.1f}s")
 
 

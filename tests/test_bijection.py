@@ -377,7 +377,7 @@ class TestMapM:
                     for m in range(4):
                         for n in range(4):
                             rep = verify_bijection(k, l1, l2, 1, 1, m, n)
-                            assert rep.ok, (rep.context, rep.detail)
+                            assert rep.ok, ((k, l1, l2, m, n), rep.detail)
 
 
 class TestVerifyRecursion:
@@ -424,7 +424,7 @@ class TestDecompositions:
                         for m in range(4):
                             for n in range(4):
                                 rep = verify_lower_decomposition(k, l1, l2, l3, M, N, m, n)
-                                assert rep.ok, (rep.context, rep.detail)
+                                assert rep.ok, ((k, l1, l2, l3, M, N, m, n), rep.detail)
 
     def test_lower_vacuous_for_negative_weight(self):
         rep = verify_lower_decomposition(2, 1, 1, 0, 1, 1, -1, 2)
@@ -455,7 +455,7 @@ class TestDecompositions:
                                         rep = verify_upper_decomposition(
                                             k, l1, a, c, M, N, m, n
                                         )
-                                        assert rep.ok, (rep.context, rep.detail)
+                                        assert rep.ok, ((k, l1, a, c, M, N, m, n), rep.detail)
 
     def test_upper_vacuous_for_negative_weight(self):
         rep = verify_upper_decomposition(2, 1, 0, 0, 1, 1, 0, -2)

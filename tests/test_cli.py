@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -29,6 +30,7 @@ from rigchar.core import Params, Report
 
 DATA = Path(__file__).parent / "data"
 WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def pythonpath_env(path):
@@ -397,7 +399,8 @@ class TestVerify:
         assert doc["status"] == "fail"
         ce = doc["counterexample"]
         assert ce["detail"]["lhs"] != ce["detail"]["rhs"]
-        assert "params" in ce["context"]
+        assert set(ce) == {"point", "detail"}
+        assert set(ce["point"]) == {"k", "l1", "l2", "l3", "M", "N", "m", "n"}
 
     @pytest.mark.parametrize("what", ["recursion", "lower-decomp"])
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -442,10 +445,8 @@ class TestVerify:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize(
-        "what, check", [("lower-decomp", "lower-decomposition"), ("bijection", "bijection")]
-    )
-    def test_corrupted_tau_fails_the_table_driven_checks(self, what, check, jobs, tau_plus_one):
+    @pytest.mark.parametrize("what", ["lower-decomp", "bijection"])
+    def test_corrupted_tau_fails_the_table_driven_checks(self, what, jobs, tau_plus_one):
         # The memoised bounds depend on labels only; a corrupted tau must
         # still surface through the sets they are checked against.
         proc = run_cli(
@@ -455,7 +456,9 @@ class TestVerify:
         )
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
-        assert doc["counterexample"]["check"] == check
+        # The document names its check once, outside the counterexample.
+        assert doc["check"] == what
+        assert set(doc["counterexample"]) == {"point", "detail"}
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("what, grid", FAILURE_GRIDS)
@@ -495,16 +498,39 @@ class TestVerify:
     @pytest.mark.parametrize("what", sorted(_CHECKS))
     def test_each_row_names_a_verifier_that_takes_its_grid_point(self, what):
         # The row passes a grid point through unchanged: its verifier takes
-        # k, the labels, M, N and, with weights, m and n, and nothing else.
+        # k, the labels, M, N and, with weights, m and n, and nothing else,
+        # under the names a failure report gives them, so a reported point
+        # replays as verifier(**point).
         check = _CHECKS[what]
         verifier = getattr(importlib.import_module(f"rigchar.{check.module}"), check.verifier)
         labels = check.labels(1)[0]
         width = 1 + len(labels) + 2 + 2 * check.needs_weight
         assert len(inspect.signature(verifier).parameters) == width
+        names = ("k", *check.label_names.split(), "M", "N", *("m", "n")[: 2 * check.needs_weight])
+        assert tuple(inspect.signature(verifier).parameters) == names
         point = (1, *labels, 0, check.first_N, *((0, 0) if check.needs_weight else ()))
         assert len(point) == width
-        rep = verifier(*point)
-        assert isinstance(rep, Report) and rep.ok, (rep.context, rep.detail)
+        rep = verifier(**dict(zip(names, point)))
+        assert isinstance(rep, Report) and rep.ok, (point, rep.detail)
+
+    def test_docs_tables_match_the_check_table(self):
+        """README's verify table and cli's module docstring each list the
+        rows of _CHECKS in order, with their label names, first N and
+        weight flag: both are hand-kept copies of the table."""
+        from rigchar import cli
+
+        expected = [
+            (name, check.label_names, check.first_N, "yes" if check.needs_weight else "no")
+            for name, check in _CHECKS.items()
+        ]
+        readme = r"^\| `([\w-]+)` \| `\(([^)]*)\)`.* \| (\d+) \| (yes|no) \|$"
+        docstring = r"^    ([\w-]+) +\(([^)]*)\).* (\d+) +(yes|no)$"
+        for pattern, text in ((readme, README.read_text()), (docstring, cli.__doc__)):
+            rows = [
+                (name, labels.replace(",", ""), int(first_N), weights)
+                for name, labels, first_N, weights in re.findall(pattern, text, re.M)
+            ]
+            assert rows == expected
 
     def test_internal_error_exit_3(self, inline_workers, monkeypatch, capsys):
         # Every exception but a plain ValueError is a fault of the program,
@@ -819,7 +845,7 @@ class TestBlockScheduler:
         ]
         assert cli.main([*FIRST_FAILURE_GRID, "--jobs", "1"]) == 1
         assert capsys.readouterr().out == pooled
-        assert json.loads(pooled)["counterexample"]["context"]["params"]["k"] == 1
+        assert json.loads(pooled)["counterexample"]["point"]["k"] == 1
 
     def test_in_process_blocks_stop_early(
         self, inline_workers, tau_one_up, monkeypatch, capsys
@@ -882,7 +908,7 @@ class TestBlockScheduler:
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         serial = run_cli(*FIRST_FAILURE_GRID, "--jobs", "1", expect=1, path=tau_plus_one)
         assert proc.stdout == serial.stdout
-        assert json.loads(proc.stdout)["counterexample"]["context"]["params"]["k"] == 1
+        assert json.loads(proc.stdout)["counterexample"]["point"]["k"] == 1
 
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_a_crash_in_a_pool_worker_exits_3(self, method, tmp_path):
@@ -909,7 +935,7 @@ class TestBlockScheduler:
         # and leave no worker running.
         pids = tmp_path / "pids"
         pids.touch()
-        old = "    rep = getattr(module, _CHECKS[what].verifier)(*point)\n"
+        old = "    rep = getattr(module, check.verifier)(*point)\n"
         new = (
             f"    with open({str(pids)!r}, 'a') as fh:\n"
             "        fh.write(f'{os.getpid()}\\n')\n"

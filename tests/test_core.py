@@ -292,8 +292,8 @@ VALUES = {
         "MarkedBound(value=(0, 1), marked=(True, False))",
     ),
     "Report": (
-        Report(True, "recursion", {"m": 0}, {}),
-        "Report(ok=True, check='recursion', context={'m': 0}, detail={})",
+        Report(True, {"lhs": 0}),
+        "Report(ok=True, detail={'lhs': 0})",
     ),
 }
 # KVector has no named field: its items are its entries.

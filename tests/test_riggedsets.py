@@ -550,7 +550,7 @@ class TestRecursionSmoke:
                         for m in range(5):
                             for n in range(5):
                                 rep = verify_recursion(k, l1, l2, l3, M, N, m, n)
-                                assert rep.ok, (rep.context, rep.detail)
+                                assert rep.ok, ((k, l1, l2, l3, M, N, m, n), rep.detail)
 
 
 class TestSerializationRoundTrip:
