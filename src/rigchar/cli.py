@@ -7,16 +7,17 @@ blocks on min(--jobs, number of blocks) workers: one runs the blocks
 in-process in ascending (k, M) order, more are processes fed one block at
 a time over pipes in descending order.  A block builds its points, skips
 those at or past the least failing point known when it starts, and the
-least failing point wins, so the output does not depend on the worker
-count.  Exit codes: 0 pass, 1 verified failure with a counterexample
-report, 2 usage error (a plain ValueError), 3 internal failure (any other
-exception, or a dead worker), reported as one JSON line on stdout, or, if
-stdout cannot take it, as one error line on stderr.  main alone maps an
-exception to its code; console_entry, the entry point of python -m
-rigchar and of the rigchar script, runs main and ends the process without
-the interpreter's teardown.  A command imports the modules it runs when
-it runs, so the character commands never load bijection and the bijection
-checks never load characters.
+least failing point wins, a point's fault as much as its failure, so the
+output does not depend on the worker count.  Exit codes: 0 pass, 1
+verified failure with a counterexample report, 2 usage error (a plain
+ValueError), 3 internal failure (a point's fault, any other exception, or
+a dead worker), which _internal_error reports as one JSON line on stdout,
+or, if stdout cannot take it, as one error line on stderr.  main alone
+maps an exception to its code; console_entry, the entry point of python
+-m rigchar and of the rigchar script, runs main and ends the process
+without the interpreter's teardown.  A command imports the modules it
+runs when it runs, so the character commands never load bijection and
+the bijection checks never load characters.
 
 JSON is written by _json_chunks, byte for byte as json.dumps(indent=2,
 sort_keys=True) writes it, in chunks of at most _CHUNK characters; a long
@@ -37,7 +38,8 @@ m, n = 0..max_weight:
     char-recursion  (l1, l2, l3)                     1        no
 
 A failing point is reported as {"point": {"k", the labels named above, "M",
-"N"[, "m", "n"]}, "detail": its Report's evidence}, by _check_point alone.
+"N"[, "m", "n"]}, "detail": its Report's evidence}, and a point whose
+verifier raises, its fault, as {"point", "error", "message"}, by _check_point.
 """
 
 from __future__ import annotations
@@ -367,14 +369,18 @@ _CHECKS = {
 
 def _check_point(what: str, module: ModuleType, point: tuple) -> dict | None:
     """None if the grid point passes check what, whose verifier module is
-    module, else its counterexample report, which names each coordinate as
-    the verifier's parameter, so that the point replays as verifier(**point)."""
+    module, else its failure or fault report, whose "point" names each
+    coordinate as the verifier's parameter, so that it replays as verifier(**point)."""
     check = _CHECKS[what]
-    rep = getattr(module, check.verifier)(*point)
-    if rep.ok:
-        return None
+    try:
+        rep = getattr(module, check.verifier)(*point)
+        if rep.ok:
+            return None
+        found = {"detail": rep.detail}
+    except Exception as exc:
+        found = {"error": type(exc).__name__, "message": str(exc)}
     names = ("k", *check.label_names.split(), "M", "N", "m", "n")
-    return {"point": dict(zip(names, point)), "detail": rep.detail}
+    return {"point": dict(zip(names, point)), **found}
 
 
 def _check_block(stop_at: tuple, block) -> tuple[tuple, dict] | None:
@@ -404,18 +410,14 @@ def _check_block(stop_at: tuple, block) -> tuple[tuple, dict] | None:
 def _worker(conn) -> None:
     """Answer each (stop point, block) on conn with _check_block's result, until None."""
     for task in iter(conn.recv, None):
-        try:
-            result = _check_block(*task)
-        except Exception as exc:
-            result = exc
-        conn.send(result)
+        conn.send(_check_block(*task))
 
 
 def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], tuple]):
     """(block, result) for blocks checked on worker processes, as they
     finish.  A worker gets its next block with stop_at() once its last
-    result is taken, then None.  Its exception, or RuntimeError if it dies,
-    is raised here once every worker is terminated."""
+    result is taken, then None.  If one dies, RuntimeError is raised here
+    once every worker is terminated."""
     # Imported here so that the runs that start no worker do not pay for it.
     import multiprocessing
     from multiprocessing.connection import wait
@@ -441,8 +443,6 @@ def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], tuple])
                     result = conn.recv()
                 except EOFError:
                     raise RuntimeError(f"a worker died in block (k, M) = {block[1:3]}") from None
-                if isinstance(result, BaseException):
-                    raise result
                 yield block, result
     except BaseException:
         for proc in procs.values():
@@ -454,7 +454,7 @@ def _on_workers(blocks: list[tuple], workers: int, stop_at: Callable[[], tuple])
 
 
 def _run_blocks(blocks: dict[tuple, int], workers: int, total: int) -> dict | None:
-    """The report of the least failing point, or None.
+    """The report of the least failing or faulty point, or None.
 
     blocks map each to its size, in ascending (k, M) order.  One worker
     checks them in-process in that order, so a failure in a small block
@@ -499,6 +499,8 @@ def run_verify(args) -> int:
     if not total:
         raise ValueError(f"verify {args.what} has no grid points")
     failure = _run_blocks(blocks, min(args.jobs, len(blocks)), total)
+    if failure is not None and "error" in failure:
+        return _internal_error(failure)
     grid_obj = {"max_k": args.max_k, "max_M": args.max_M, "max_N": args.max_N}
     if check.needs_weight:
         grid_obj["max_weight"] = args.max_weight
@@ -563,22 +565,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _internal_error(report: dict) -> int:
+    """Write a fault's report as one JSON line on stdout, or why it cannot on stderr; 3."""
+    try:
+        _emit((json.dumps({**report, "status": "internal-error"}, sort_keys=True), "\n"), None)
+    except ValueError as unwritten:
+        print(f"error: {unwritten}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:
-        # A plain ValueError is a usage error.  Any other exception, a
-        # core.InvariantError too, is a fault of the program: never exit 1.
+        # A plain ValueError is a usage error; any other is a fault: never exit 1.
         if type(exc) is ValueError:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
-        try:
-            _emit((json.dumps(report, sort_keys=True), "\n"), None)
-        except ValueError as unwritten:
-            print(f"error: {unwritten}", file=sys.stderr)
-        return 3
+        return _internal_error({"error": type(exc).__name__, "message": str(exc)})
 
 
 def console_entry(argv=None) -> NoReturn:

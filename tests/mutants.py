@@ -12,8 +12,11 @@ Run from anywhere, with no arguments:
 
 For each row it copies src/rigchar into a temporary directory, applies
 the row, runs the battery at --jobs 1 with PYTHONPATH set to the copy,
-and prints the row's codes.  It exits 1 if any codes differ from the
-table.  A row whose old text does not occur exactly once is an error.
+and prints the row's codes.  A check that exits 3 runs again at --jobs 2,
+on worker processes: a fault is reported as the least faulty or failing
+point, so both runs must give the same code and stdout, and a check whose
+do not reads J.  It exits 1 if any codes differ from the table.  A row
+whose old text does not occur exactly once is an error.
 
 A row's expected codes change only together with a stated reason: a
 check that catches less than it did is a regression of the verifier.
@@ -300,22 +303,34 @@ def mutate(row: Mutant, root: Path) -> Path:
     return root
 
 
+def run_check(check: str, jobs: str, env: dict) -> tuple[int, bytes] | None:
+    """The exit code and stdout of verify check at --jobs jobs in env, or
+    None if it ran past TIMEOUT_S."""
+    argv = [sys.executable, "-m", "rigchar", "verify", *check.split(), "--jobs", jobs]
+    try:
+        proc = subprocess.run(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return proc.returncode, proc.stdout
+
+
 def run_battery(root: Path) -> str:
-    """The exit code of each BATTERY check with root on PYTHONPATH, as a
-    string; T marks a check that ran past TIMEOUT_S."""
+    """The exit code of each BATTERY check at --jobs 1 with root on
+    PYTHONPATH, as a string; T marks a check that ran past TIMEOUT_S, and J
+    one that exits 3 but gives another code or stdout at --jobs 2."""
     env = {**os.environ, "PYTHONPATH": str(root)}
     codes = ""
     for check in BATTERY:
-        argv = [sys.executable, "-m", "rigchar", "verify", *check.split(), "--jobs", "1"]
-        try:
-            proc = subprocess.run(
-                argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
+        found = run_check(check, "1", env)
+        if found is None:
             codes += "T"
+        elif found[0] == 3 and run_check(check, "2", env) != found:
+            codes += "J"
         else:
-            codes += str(proc.returncode)
+            codes += str(found[0])
     return codes
 
 

@@ -535,8 +535,9 @@ class TestVerify:
     def test_internal_error_exit_3(self, inline_workers, monkeypatch, capsys):
         # Every exception but a plain ValueError is a fault of the program,
         # whatever its type: exit 3, never 1, the code of a counterexample.
-        # A verifier's crash reaches main from a block run in-process and
-        # from one run on a worker alike.
+        # Once verify has checked its flags, whatever a grid point raises is
+        # a fault, a plain ValueError too; the report names the least
+        # faulty point, in a block run in-process and on a worker alike.
         from rigchar import bijection, characters, cli
 
         char = ["char", "--k", "1", "--l1", "1", "--l2", "1", "--M", "1", "--N", "1"]
@@ -544,12 +545,14 @@ class TestVerify:
             "verify", "recursion", "--max-k", "1", "--max-weight", "0",
             "--max-M", "1", "--max-N", "1",
         ]
+        first = {"k": 1, "l1": 0, "l2": 0, "l3": 0, "M": 0, "N": 1, "m": 0, "n": 0}
         cases = [
             (characters, "fermionic_char", char, ArithmeticError("packed cell lost a coefficient")),
             (characters, "fermionic_char", char, KeyError((0, 1))),
             (characters, "fermionic_char", char, TypeError("unsupported operand type(s)")),
         ] + [
-            (bijection, "verify_recursion", argv, IndexError("list index out of range"))
+            (bijection, "verify_recursion", argv, exc)
+            for exc in (IndexError("list index out of range"), ValueError("l3=-1 is negative"))
             for argv in each_jobs(two_blocks)
         ]
         for module, name, argv, exc in cases:
@@ -557,13 +560,12 @@ class TestVerify:
             assert cli.main(argv) == 3
             captured = capsys.readouterr()
             assert captured.out.count("\n") == 1
-            assert json.loads(captured.out) == {
-                "status": "internal-error",
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
+            report = {"status": "internal-error", "error": type(exc).__name__, "message": str(exc)}
+            if argv[0] == "verify":
+                report["point"] = first
+            assert json.loads(captured.out) == report
             assert "error:" not in captured.err
-        assert len(inline_workers.started) == 2
+        assert len(inline_workers.started) == 4
 
     @staticmethod
     def reverse_rows(monkeypatch):
@@ -872,6 +874,54 @@ class TestBlockScheduler:
         assert set(levels) == {1} and len(levels) == 86
         assert len(inline_workers.started) == 2
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["failure-least", "fault-least"])
+    def test_the_least_point_wins_over_faults_and_failures(
+        self, swap, inline_workers, monkeypatch, capsys
+    ):
+        # A point of block (k, M) = (1, 0) and a lesser point of block
+        # (1, 1) go wrong, one raising and one failing.  One worker runs
+        # block (1, 0) first, two run block (1, 1) first; either way the
+        # lesser point is reported, whether it failed or raised.
+        from rigchar import bijection, cli
+
+        two_blocks = [
+            "verify", "recursion", "--max-k", "1", "--max-weight", "0",
+            "--max-M", "1", "--max-N", "1",
+        ]
+        later, lesser = (1, 1, 1, 1, 0, 1, 0, 0), (1, 0, 0, 0, 1, 1, 0, 0)
+        raise_at, fail_at = (lesser, later) if swap else (later, lesser)
+        real = bijection.verify_recursion
+
+        def broken(*point):
+            if point == raise_at:
+                raise IndexError("list index out of range")
+            if point == fail_at:
+                return Report(False, {"planted": list(point)})
+            return real(*point)
+
+        monkeypatch.setattr(bijection, "verify_recursion", broken)
+        names = ("k", "l1", "l2", "l3", "M", "N", "m", "n")
+        outs = []
+        for argv in each_jobs(two_blocks):
+            code = cli.main(argv)
+            outs.append(capsys.readouterr().out)
+            doc = json.loads(outs[-1])
+            if swap:
+                assert code == 3
+                assert doc == {
+                    "status": "internal-error",
+                    "error": "IndexError",
+                    "message": "list index out of range",
+                    "point": dict(zip(names, lesser)),
+                }
+            else:
+                assert code == 1
+                assert doc["counterexample"] == {
+                    "point": dict(zip(names, lesser)), "detail": {"planted": list(lesser)}
+                }
+        assert outs[0] == outs[1]
+        assert len(inline_workers.started) == 2
+
     def test_a_task_is_the_block_coordinates(self, inline_workers, capsys):
         # A task names its block and the cutoffs, and the worker builds the
         # points: it stays small however large the block.
@@ -913,7 +963,7 @@ class TestBlockScheduler:
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_a_crash_in_a_pool_worker_exits_3(self, method, tmp_path):
         # The crash source mutant raises KeyError inside the workers, which
-        # send it back; the parent raises it and terminates the workers:
+        # send it back as a block's result, a point's fault, like a failure:
         # the run must still end, with exit 3 and the one error line.
         root = mutants.mutate(mutants.BY_ID["crash"], tmp_path)
         argv = [
@@ -924,6 +974,25 @@ class TestBlockScheduler:
         assert proc.returncode == 3, (proc.returncode, proc.stderr)
         assert proc.stdout.count("\n") == 1
         assert json.loads(proc.stdout)["error"] == "KeyError"
+        assert proc.stdout == run_cli(*argv[:-1], "1", expect=3, path=root).stdout
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("check", ["recursion", "bijection"])
+    @pytest.mark.parametrize("name", ["primed", "adm"])
+    def test_a_fault_reads_alike_at_every_worker_count(self, name, check, method, tmp_path):
+        # Under these source mutants a point raises InvariantError: the
+        # battery grid's least faulty point is reported, so stdout is the
+        # same at --jobs 1 and 2 (adm's recursion passes).
+        row = mutants.BY_ID[name]
+        index, grid = next(
+            (i, line.split()) for i, line in enumerate(mutants.BATTERY) if line.startswith(check)
+        )
+        root = mutants.mutate(row, tmp_path)
+        code = int(row.codes[index])
+        serial = run_cli("verify", *grid, "--jobs", "1", expect=code, path=root)
+        proc = run_under(method, ["verify", *grid, "--jobs", "2"], root)
+        assert proc.returncode == code, (proc.returncode, proc.stderr)
+        assert proc.stdout == serial.stdout
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_a_killed_worker_exits_3(self, method, tmp_path):
@@ -935,14 +1004,14 @@ class TestBlockScheduler:
         # and leave no worker running.
         pids = tmp_path / "pids"
         pids.touch()
-        old = "    rep = getattr(module, check.verifier)(*point)\n"
+        old = "        rep = getattr(module, check.verifier)(*point)\n"
         new = (
-            f"    with open({str(pids)!r}, 'a') as fh:\n"
-            "        fh.write(f'{os.getpid()}\\n')\n"
-            "    if (point[0], point[4]) == (3, 1):\n"
-            f"        while len(set(open({str(pids)!r}).read().split())) < 2:\n"
-            "            __import__('time').sleep(0.01)\n"
-            "        os._exit(1)\n"
+            f"        with open({str(pids)!r}, 'a') as fh:\n"
+            "            fh.write(f'{os.getpid()}\\n')\n"
+            "        if (point[0], point[4]) == (3, 1):\n"
+            f"            while len(set(open({str(pids)!r}).read().split())) < 2:\n"
+            "                __import__('time').sleep(0.01)\n"
+            "            os._exit(1)\n"
         ) + old
         root = mutants.mutate(mutants.Mutant("kill", "cli.py", old, new, codes=""), tmp_path)
         argv = [
@@ -1253,13 +1322,17 @@ class TestOutputFile:
     def test_unwritable_internal_error_report_exits_3(self, unbuffered, tmp_path):
         """The crash source mutant raises KeyError at the first point; its
         report cannot be written either, which must not turn exit 3 into a
-        traceback and exit 1 (unbuffered) or exit 120 (buffered)."""
+        traceback and exit 1 (unbuffered) or exit 120 (buffered).  The run
+        finishes its blocks first, so their progress lines come before."""
         root = mutants.mutate(mutants.BY_ID["crash"], tmp_path)
         argv = ["verify", "recursion", "--max-k", "2", "--max-weight", "1",
                 "--max-M", "1", "--max-N", "1"]
         proc = run_to_full_device(argv, unbuffered, root)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        )
 
 
 def run_to_full_device(argv, unbuffered: str, path=None):
